@@ -29,42 +29,19 @@
 #ifndef PROMISES_CHAOS_CHAOS_H
 #define PROMISES_CHAOS_CHAOS_H
 
+#include "promises/harness/Plan.h"
 #include "promises/sim/Simulation.h"
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace promises::chaos {
 
-/// Shape of the fault mix. The weights pick the next injection's kind;
-/// gaps space injections; outages bound how long a fault lasts before its
-/// paired heal/restart. Base* are the ambient network conditions outside
-/// bursts.
-struct ChaosProfile {
-  std::string Name;
-  double CrashWeight = 0;
-  double PartitionWeight = 0;
-  double LossBurstWeight = 0;
-  double ShutdownWeight = 0;
-  sim::Time MinGap = sim::msec(8);
-  sim::Time MaxGap = sim::msec(40);
-  sim::Time MinOutage = sim::msec(10);
-  sim::Time MaxOutage = sim::msec(70);
-  double BurstLoss = 0.5;  ///< Link loss rate during a loss burst.
-  double BaseLoss = 0.02;  ///< Ambient datagram loss.
-  double BaseDup = 0.01;   ///< Ambient datagram duplication.
-  sim::Time BaseJitter = sim::usec(500); ///< Ambient reordering jitter.
-
-  static const ChaosProfile &crashes();
-  static const ChaosProfile &partitions();
-  static const ChaosProfile &loss();
-  static const ChaosProfile &mixed();
-  /// Profile by name, or nullptr.
-  static const ChaosProfile *byName(std::string_view Name);
-  static std::vector<std::string> names();
-};
+using harness::ChaosAction;
+using harness::ChaosPlan;
+using harness::ChaosProfile;
+using harness::formatAction;
 
 /// One run's parameters. Everything observable is a function of these.
 struct ChaosOptions {
@@ -109,49 +86,11 @@ struct ChaosOptions {
   sim::BackendKind Backend = sim::SimConfig::defaultBackend();
 };
 
-/// One planned injection (or its paired recovery).
-struct ChaosAction {
-  enum class Kind : uint8_t {
-    CrashNode,         ///< Crash server Server's node.
-    RestartNode,       ///< Restart it and reincarnate its guardian.
-    TransportShutdown, ///< Shut down the current server transport only.
-    ServerReincarnate, ///< New guardian incarnation on the (up) node.
-    PartitionLink,     ///< Cut client Client <-> server Server.
-    HealLink,
-    LossBurstStart,    ///< Raise loss on the link to Rate.
-    LossBurstEnd,      ///< Restore the profile's ambient loss.
-    CorruptBurstStart, ///< Raise the network-wide bit-flip rate to Rate.
-    CorruptBurstEnd,   ///< Restore the ambient corruption rate.
-  };
-  sim::Time At = 0;
-  Kind K = Kind::CrashNode;
-  uint32_t Server = 0;
-  uint32_t Client = 0; ///< Only meaningful for link faults.
-  double Rate = 0;     ///< Only meaningful for loss bursts.
-};
+/// The fault plan a run of \p O injects.
+ChaosPlan planFor(const ChaosOptions &O);
 
-/// Human-readable one-liner for a planned action.
-std::string formatAction(const ChaosAction &A);
-
-/// The full, deterministic fault schedule for one (seed, profile, shape).
-struct ChaosPlan {
-  uint64_t Seed = 0;
-  std::string Profile;
-  std::vector<ChaosAction> Actions;
-
-  static ChaosPlan generate(const ChaosOptions &O);
-};
-
-/// What one run observed, plus any invariant violations.
-struct ChaosReport {
-  std::vector<std::string> Violations;
-  bool ok() const { return Violations.empty(); }
-
-  // Faults actually applied (plan actions can be no-ops, e.g. a crash of
-  // an already-down node).
-  uint64_t Crashes = 0, Restarts = 0, Shutdowns = 0, Reincarnations = 0;
-  uint64_t Partitions = 0, LossBursts = 0, CorruptBursts = 0;
-
+/// What one run observed, beyond what every harness run reports.
+struct ChaosReport : harness::RunReport {
   // Wire integrity (all zero unless ChaosOptions::Corrupt). Every
   // corrupt-frame drop must trace back to an injected corruption, and a
   // "malformed message" drop (frame intact, message undecodable — a local
@@ -185,12 +124,6 @@ struct ChaosReport {
   uint64_t ServerExpired = 0, ServerShed = 0, ServerCancelled = 0;
   uint64_t Retries = 0;     ///< Retry attempts issued, all clients.
   uint64_t CancelsSent = 0; ///< Cancel messages sent, all clients.
-
-  // Determinism oracle: the structured trace-event stream digested in
-  // order. Two runs of the same options must agree exactly.
-  uint64_t TraceEvents = 0;
-  uint64_t TraceHash = 0;
-  sim::Time VirtualEnd = 0;
 
   /// One line: tallies + hash (violations not included).
   std::string summary() const;

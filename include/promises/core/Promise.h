@@ -35,6 +35,7 @@
 #include "promises/core/Outcome.h"
 #include "promises/sim/Simulation.h"
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -190,10 +191,19 @@ private:
       if (!Head) {
         static_assert(sizeof(State) >= sizeof(void *) &&
                       alignof(State) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-        char *Slab =
-            static_cast<char *>(::operator new(SlabStates * sizeof(State)));
+        // A link in front of the states keeps every slab on one global
+        // list: a freelist dies with its thread (the thread backend runs
+        // each process on its own), and its slab must stay reachable.
+        constexpr size_t Link = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+        char *Slab = static_cast<char *>(
+            ::operator new(Link + SlabStates * sizeof(State)));
+        static std::atomic<void *> Slabs{nullptr};
+        void *Next = Slabs.load(std::memory_order_relaxed);
+        do
+          *reinterpret_cast<void **>(Slab) = Next;
+        while (!Slabs.compare_exchange_weak(Next, Slab));
         for (size_t I = 0; I != SlabStates; ++I) {
-          void *P = Slab + I * sizeof(State);
+          void *P = Slab + Link + I * sizeof(State);
           *static_cast<void **>(P) = Head;
           Head = P;
         }

@@ -24,9 +24,9 @@
 /// before execution (cheap rejection, cross-checked against counters and
 /// trace events), retry volume must stay inside the budgets, breaker
 /// half-open probes must be bounded, compliant tenants must keep their
-/// p99 SLO while another tenant storms, and the usual transport/process
-/// quiescence audits from the chaos harness must hold — including with a
-/// full crash/partition/loss chaos plan running *during* the storm.
+/// p99 SLO while another tenant storms, and the shared quiescence audit
+/// (harness/World.h) must hold — including with a full
+/// crash/partition/loss chaos plan running *during* the storm.
 ///
 /// Everything is a pure function of (scenario, seed): a failing seed
 /// replays byte-identically via the printed loadsim command.
@@ -36,6 +36,7 @@
 #ifndef PROMISES_LOAD_LOAD_H
 #define PROMISES_LOAD_LOAD_H
 
+#include "promises/harness/Plan.h"
 #include "promises/sim/Simulation.h"
 
 #include <cstdint>
@@ -173,11 +174,9 @@ struct TenantReport {
   bool SloOk = true;
 };
 
-/// What one run observed, plus any battery violations.
-struct LoadReport {
-  std::vector<std::string> Violations;
-  bool ok() const { return Violations.empty(); }
-
+/// What one run observed, beyond what every harness run reports (the
+/// fault tallies stay zero unless the scenario runs a fault plan).
+struct LoadReport : harness::RunReport {
   std::vector<TenantReport> Tenants;
 
   // Aggregates over all tenants.
@@ -191,10 +190,6 @@ struct LoadReport {
   double GoodputRatio = 0;  ///< Over / Base (the floor gates this).
   double P50Us = 0, P99Us = 0, P999Us = 0; ///< All-tenant Normal latency.
 
-  // Chaos tallies (zero unless the scenario runs a fault plan).
-  uint64_t Crashes = 0, Restarts = 0, Shutdowns = 0, Reincarnations = 0;
-  uint64_t Partitions = 0, LossBursts = 0;
-
   // Durability tallies (zero unless the run is durable). The battery
   // audits the media offline: every committed transaction applied on
   // every partition, no prepared lock surviving recovery unresolved.
@@ -205,12 +200,6 @@ struct LoadReport {
   uint64_t ResolvedCommits = 0;  ///< Resolver redo outcomes.
   uint64_t ResolvedAborts = 0;   ///< Resolver presumed-abort outcomes.
   uint64_t TxnCommitted = 0;     ///< Gtids durably decided by coordinators.
-
-  // Determinism oracle: the structured trace-event stream digested in
-  // order. Two runs of the same options must agree exactly.
-  uint64_t TraceEvents = 0;
-  uint64_t TraceHash = 0;
-  sim::Time VirtualEnd = 0;
 
   /// One line: goodput, tails, sheds, hash (violations not included).
   std::string summary() const;

@@ -6,21 +6,23 @@
 ///
 /// \file
 /// Wire-level messages exchanged by call-stream transports, and their
-/// codecs. Two message kinds exist:
+/// codecs. Three message kinds exist:
 ///
 ///  * CallBatchMsg — a batch of buffered call requests from the sending
 ///    end of one stream, plus piggybacked acknowledgements of replies.
-///  * ReplyBatchMsg — the receiving end's state for one stream: cumulative
-///    delivery/completion acknowledgements, every still-unacknowledged
-///    explicit reply, and (when the stream is broken) the break marker.
+///  * ReplyBatchMsg — the receiving end's progress on one stream:
+///    cumulative delivery/completion acknowledgements, explicit replies,
+///    and (when the stream is broken) the break marker.
 ///  * CancelMsg — best-effort cancellation of specific outstanding calls;
 ///    the receiver tears the call processes down and completes the calls
 ///    with Unavailable{cancelled} through the normal reply path.
 ///
-/// ReplyBatchMsg is deliberately *state-shaped* rather than delta-shaped:
-/// any reply batch whose CompletedThrough covers call n also carries n's
-/// explicit reply if one exists, which makes loss recovery purely
-/// sender-driven (see StreamTransport.h).
+/// A normal ReplyBatchMsg is a delta: it carries only replies never sent
+/// before. A recovery batch — the answer to a flush or probe, or a break
+/// notice — carries every still-unacknowledged reply, so a sender that
+/// lost batches catches up from any one of them and loss recovery stays
+/// sender-driven (see StreamTransport.h). StreamConfig::StateShapedReplies
+/// makes every batch a recovery batch (the A1 ablation).
 ///
 //===----------------------------------------------------------------------===//
 

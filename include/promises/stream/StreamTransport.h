@@ -345,8 +345,14 @@ public:
   bool isReceiverBroken(uint64_t StreamTag) const;
 
   /// Stops all activity (timers, sends, deliveries); called automatically
-  /// when the node crashes.
-  void shutdown();
+  /// when the node crashes. Every outstanding call settles at once, in
+  /// call order per stream, with unavailable("transport shut down") and
+  /// counts in CallsBroken, so no claim waits on a dead transport; the
+  /// next synch on such a stream reports the shutdown. With \p Settle
+  /// false the outstanding callbacks are dropped unrun instead (still
+  /// counted): an owner tearing down passes it, because the callbacks may
+  /// capture state that is already gone.
+  void shutdown(bool Settle = true);
 
   bool isShutDown() const { return Dead; }
 

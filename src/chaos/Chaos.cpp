@@ -7,205 +7,20 @@
 #include "promises/chaos/Chaos.h"
 
 #include "promises/apps/KvStore.h"
+#include "promises/harness/World.h"
 #include "promises/runtime/RemoteHandler.h"
-#include "promises/storage/Storage.h"
 #include "promises/support/StrUtil.h"
 
 #include <algorithm>
-#include <memory>
-#include <set>
+#include <map>
 
 using namespace promises;
 using namespace promises::chaos;
-using sim::Time;
+using harness::mixSeed;
 
-//===----------------------------------------------------------------------===//
-// Profiles
-//===----------------------------------------------------------------------===//
-
-const ChaosProfile &ChaosProfile::crashes() {
-  static const ChaosProfile P = [] {
-    ChaosProfile X;
-    X.Name = "crashes";
-    X.CrashWeight = 0.7;
-    X.ShutdownWeight = 0.3;
-    X.MinOutage = sim::msec(15);
-    X.MaxOutage = sim::msec(80);
-    return X;
-  }();
-  return P;
-}
-
-const ChaosProfile &ChaosProfile::partitions() {
-  static const ChaosProfile P = [] {
-    ChaosProfile X;
-    X.Name = "partitions";
-    X.PartitionWeight = 1.0;
-    X.MinOutage = sim::msec(10);
-    X.MaxOutage = sim::msec(60);
-    return X;
-  }();
-  return P;
-}
-
-const ChaosProfile &ChaosProfile::loss() {
-  static const ChaosProfile P = [] {
-    ChaosProfile X;
-    X.Name = "loss";
-    X.LossBurstWeight = 1.0;
-    X.MinGap = sim::msec(6);
-    X.MaxGap = sim::msec(30);
-    X.MinOutage = sim::msec(10);
-    X.MaxOutage = sim::msec(50);
-    X.BaseLoss = 0.05;
-    X.BaseJitter = sim::msec(1);
-    return X;
-  }();
-  return P;
-}
-
-const ChaosProfile &ChaosProfile::mixed() {
-  static const ChaosProfile P = [] {
-    ChaosProfile X;
-    X.Name = "mixed";
-    X.CrashWeight = 0.3;
-    X.PartitionWeight = 0.3;
-    X.LossBurstWeight = 0.25;
-    X.ShutdownWeight = 0.15;
-    return X;
-  }();
-  return P;
-}
-
-const ChaosProfile *ChaosProfile::byName(std::string_view Name) {
-  for (const ChaosProfile *P :
-       {&crashes(), &partitions(), &loss(), &mixed()})
-    if (P->Name == Name)
-      return P;
-  return nullptr;
-}
-
-std::vector<std::string> ChaosProfile::names() {
-  return {crashes().Name, partitions().Name, loss().Name, mixed().Name};
-}
-
-//===----------------------------------------------------------------------===//
-// Plan generation
-//===----------------------------------------------------------------------===//
-
-std::string chaos::formatAction(const ChaosAction &A) {
-  double Ms = static_cast<double>(A.At) / 1e6;
-  switch (A.K) {
-  case ChaosAction::Kind::CrashNode:
-    return strprintf("%8.2fms crash srv%u", Ms, A.Server);
-  case ChaosAction::Kind::RestartNode:
-    return strprintf("%8.2fms restart srv%u", Ms, A.Server);
-  case ChaosAction::Kind::TransportShutdown:
-    return strprintf("%8.2fms shutdown srv%u transport", Ms, A.Server);
-  case ChaosAction::Kind::ServerReincarnate:
-    return strprintf("%8.2fms reincarnate srv%u", Ms, A.Server);
-  case ChaosAction::Kind::PartitionLink:
-    return strprintf("%8.2fms partition cli%u <-> srv%u", Ms, A.Client,
-                     A.Server);
-  case ChaosAction::Kind::HealLink:
-    return strprintf("%8.2fms heal cli%u <-> srv%u", Ms, A.Client, A.Server);
-  case ChaosAction::Kind::LossBurstStart:
-    return strprintf("%8.2fms loss burst cli%u <-> srv%u rate %.2f", Ms,
-                     A.Client, A.Server, A.Rate);
-  case ChaosAction::Kind::LossBurstEnd:
-    return strprintf("%8.2fms loss burst end cli%u <-> srv%u", Ms, A.Client,
-                     A.Server);
-  case ChaosAction::Kind::CorruptBurstStart:
-    return strprintf("%8.2fms corrupt burst rate %.2f", Ms, A.Rate);
-  case ChaosAction::Kind::CorruptBurstEnd:
-    return strprintf("%8.2fms corrupt burst end", Ms);
-  }
-  return "?";
-}
-
-namespace {
-
-uint64_t mixSeed(uint64_t Seed, uint64_t Salt) {
-  uint64_t X = Seed + 0x9e3779b97f4a7c15ull * (Salt + 1);
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-// Wire-integrity workload rates (ChaosOptions::Corrupt/Dup/Reorder). The
-// ambient corruption rate runs for the whole injection window; planned
-// corruption bursts spike it network-wide for one outage.
-constexpr double ChaosAmbientCorrupt = 0.01;
-constexpr double ChaosBurstCorrupt = 0.08;
-constexpr double ChaosCorruptWeight = 0.3;
-constexpr double ChaosDupRate = 0.08;
-constexpr double ChaosReorderRate = 0.25;
-constexpr sim::Time ChaosReorderMax = sim::msec(2);
-
-} // namespace
-
-ChaosPlan ChaosPlan::generate(const ChaosOptions &O) {
-  const ChaosProfile &P = O.Profile;
-  ChaosPlan Plan;
-  Plan.Seed = O.Seed;
-  Plan.Profile = P.Name;
-  Rng R(mixSeed(O.Seed, std::hash<std::string>{}(P.Name)));
-
-  using K = ChaosAction::Kind;
-  // Corruption bursts join the mix only for the wire-integrity workload,
-  // so plans for runs without --corrupt are unchanged.
-  double CorruptWeight = O.Corrupt ? ChaosCorruptWeight : 0;
-  double Total = P.CrashWeight + P.PartitionWeight + P.LossBurstWeight +
-                 P.ShutdownWeight + CorruptWeight;
-  Time T = static_cast<Time>(R.between(P.MinGap, P.MaxGap));
-  while (Total > 0 && T < O.Horizon) {
-    Time Outage = static_cast<Time>(R.between(P.MinOutage, P.MaxOutage));
-    auto Srv = static_cast<uint32_t>(R.below(O.Servers));
-    auto Cli = static_cast<uint32_t>(R.below(O.Clients));
-    double Pick = R.unit() * Total;
-    if ((Pick -= P.CrashWeight) < 0) {
-      Plan.Actions.push_back({T, K::CrashNode, Srv, 0, 0});
-      Plan.Actions.push_back({T + Outage, K::RestartNode, Srv, 0, 0});
-    } else if ((Pick -= P.PartitionWeight) < 0) {
-      Plan.Actions.push_back({T, K::PartitionLink, Srv, Cli, 0});
-      Plan.Actions.push_back({T + Outage, K::HealLink, Srv, Cli, 0});
-    } else if ((Pick -= P.LossBurstWeight) < 0) {
-      Plan.Actions.push_back({T, K::LossBurstStart, Srv, Cli, P.BurstLoss});
-      Plan.Actions.push_back({T + Outage, K::LossBurstEnd, Srv, Cli,
-                              P.BaseLoss});
-    } else if (CorruptWeight > 0 && (Pick -= P.ShutdownWeight) >= 0) {
-      Plan.Actions.push_back({T, K::CorruptBurstStart, 0, 0,
-                              ChaosBurstCorrupt});
-      Plan.Actions.push_back({T + Outage, K::CorruptBurstEnd, 0, 0,
-                              ChaosAmbientCorrupt});
-    } else {
-      Plan.Actions.push_back({T, K::TransportShutdown, Srv, 0, 0});
-      Plan.Actions.push_back({T + Outage, K::ServerReincarnate, Srv, 0, 0});
-    }
-    T += static_cast<Time>(R.between(P.MinGap, P.MaxGap));
-  }
-
-  // Cleanup phase: after the injection window (plus the longest possible
-  // outstanding outage) everything heals, so the workload always drains.
-  Time End = O.Horizon + P.MaxOutage + sim::msec(1);
-  for (uint32_t S = 0; S != O.Servers; ++S) {
-    Plan.Actions.push_back({End, K::RestartNode, S, 0, 0});
-    Plan.Actions.push_back({End, K::ServerReincarnate, S, 0, 0});
-  }
-  for (uint32_t S = 0; S != O.Servers; ++S)
-    for (uint32_t C = 0; C != O.Clients; ++C) {
-      Plan.Actions.push_back({End, K::HealLink, S, C, 0});
-      Plan.Actions.push_back({End, K::LossBurstEnd, S, C, P.BaseLoss});
-    }
-  if (O.Corrupt)
-    Plan.Actions.push_back({End, K::CorruptBurstEnd, 0, 0,
-                            ChaosAmbientCorrupt});
-
-  std::stable_sort(Plan.Actions.begin(), Plan.Actions.end(),
-                   [](const ChaosAction &A, const ChaosAction &B) {
-                     return A.At < B.At;
-                   });
-  return Plan;
+ChaosPlan chaos::planFor(const ChaosOptions &O) {
+  return ChaosPlan::generate(
+      O.Profile, {O.Seed, O.Clients, O.Servers, O.Horizon, O.Corrupt});
 }
 
 //===----------------------------------------------------------------------===//
@@ -264,18 +79,11 @@ struct ExecEntry {
   uint64_t Op = 0;
 };
 
-/// One server identity: a node that hosts a succession of guardian
-/// incarnations. Old incarnations are kept (never destroyed mid-run) so
-/// their transports can be audited at quiescence.
-struct ServerSlot {
-  net::NodeId Node = 0;
-  runtime::Guardian *Current = nullptr;
+/// What the current incarnation of one server slot serves.
+struct SlotApps {
   RecordRef Record;
-  bool TransportDead = false; ///< Shutdown injected since last incarnation.
-  /// Durable mode only: the slot's stable store (outlives every guardian
-  /// incarnation, like a disk outlives the processes using it) and the
-  /// current incarnation's recovered kv ports.
-  std::unique_ptr<storage::StableStore> Wal;
+  /// Durable mode only: the kv ports the incarnation recovered from the
+  /// slot's stable store.
   apps::KvStore Kv;
 };
 
@@ -290,115 +98,87 @@ struct DurableAck {
 /// --storage-faults (disjoint from opIdempotent's Op%3==0).
 constexpr bool opDurablePut(uint64_t Op) { return Op % 3 == 1; }
 
-struct World {
+// Wire-integrity workload rates (ChaosOptions::Dup/Reorder).
+constexpr double ChaosDupRate = 0.08;
+constexpr double ChaosReorderRate = 0.25;
+constexpr sim::Time ChaosReorderMax = sim::msec(2);
+
+struct World : harness::World {
   explicit World(const ChaosOptions &Opt);
 
-  void applyAction(const ChaosAction &A);
-  void installServer(size_t Slot);
+  void installApps(size_t Slot, uint32_t Gen, runtime::Guardian &G);
   void runDriver(uint32_t Client);
   ChaosReport finish();
 
   ChaosOptions O;
-  ChaosPlan Plan;
-  sim::Simulation S;
-  std::unique_ptr<net::SimNetwork> Net;
-  std::vector<ServerSlot> Slots;
-  std::vector<net::NodeId> ClientNodes;
-  std::vector<std::unique_ptr<runtime::Guardian>> ServerGuardians;
-  std::vector<std::unique_ptr<runtime::Guardian>> ClientGuardians;
+  std::vector<SlotApps> Apps;
   std::vector<std::vector<stream::AgentId>> Agents; ///< [client][slot].
   std::vector<ExecEntry> Log;
   std::vector<DurableAck> Acked;
-  uint32_t NextGen = 0;
   ChaosReport Report;
 };
 
-stream::StreamConfig chaosStreamConfig(uint64_t Seed, uint64_t Salt) {
-  stream::StreamConfig C;
-  // Tightened loss recovery so breaks land within a fault outage instead
-  // of dominating the run; a small window keeps flow control in play.
-  C.MaxBatchCalls = 8;
-  C.RetransmitTimeout = sim::msec(6);
-  C.RetransmitTimeoutMax = sim::msec(30);
-  C.MaxRetries = 3;
+/// The fault-tightened stream config; a small window keeps flow control
+/// in play.
+stream::StreamConfig chaosStreamConfig() {
+  stream::StreamConfig C = harness::faultStreamConfig();
   C.MaxInFlightCalls = 8;
-  C.RetransSeed = mixSeed(Seed, Salt);
   return C;
 }
 
-World::World(const ChaosOptions &Opt)
-    : O(Opt), Plan(ChaosPlan::generate(Opt)),
-      S(sim::SimConfig{.Backend = Opt.Backend}) {
-  // The trace-event stream is the determinism oracle; always record it.
-  S.metrics().setEnabled(true);
-
-  net::NetConfig NC;
-  NC.LossRate = O.Profile.BaseLoss;
-  NC.DupRate = O.Profile.BaseDup;
-  NC.JitterMax = O.Profile.BaseJitter;
-  NC.Propagation = sim::msec(1);
-  NC.Seed = mixSeed(O.Seed, 0);
+net::NetConfig netConfig(const ChaosOptions &O) {
+  net::NetConfig NC = harness::faultNetConfig(O.Profile);
   // Byte-level damage knobs (the wire-integrity workload).
   if (O.Corrupt)
-    NC.CorruptRate = ChaosAmbientCorrupt;
+    NC.CorruptRate = harness::AmbientCorruptRate;
   if (O.Dup)
     NC.DupRate = std::max(NC.DupRate, ChaosDupRate);
   if (O.Reorder) {
     NC.ReorderRate = ChaosReorderRate;
     NC.ReorderMax = ChaosReorderMax;
   }
-  Net = std::make_unique<net::SimNetwork>(S, NC);
+  return NC;
+}
 
-  Slots.resize(O.Servers);
-  for (size_t I = 0; I != O.Servers; ++I)
-    Slots[I].Node = Net->addNode(strprintf("srv%zu", I));
-  for (size_t I = 0; I != O.Clients; ++I)
-    ClientNodes.push_back(Net->addNode(strprintf("cli%zu", I)));
-
+World::World(const ChaosOptions &Opt)
+    : harness::World(Opt.Seed, Opt.Backend, netConfig(Opt), Opt.Servers,
+                     Opt.Clients,
+                     [this](size_t Slot, uint32_t Gen, runtime::Guardian &G) {
+                       installApps(Slot, Gen, G);
+                     }),
+      O(Opt), Apps(Opt.Servers) {
+  ServerConfig.Stream = chaosStreamConfig();
+  if (O.Deadlines)
+    ServerConfig.MaxPendingCalls = 6; // Admission control: shed under backlog.
   if (O.Storage)
-    for (size_t I = 0; I != O.Servers; ++I) {
-      storage::StorageConfig SC;
-      SC.Name = strprintf("srv%zu", I);
-      SC.SyncTime = sim::usec(200);
-      SC.Faults = {O.LostRate, O.TornRate, mixSeed(O.Seed, 7000 + I)};
-      Slots[I].Wal = std::make_unique<storage::StableStore>(S, SC);
-    }
-
+    for (size_t I = 0; I != O.Servers; ++I)
+      addMedia(I, {strprintf("srv%zu", I), sim::usec(200),
+                   {O.LostRate, O.TornRate, mixSeed(O.Seed, 7000 + I)}});
   for (size_t I = 0; I != O.Servers; ++I)
     installServer(I);
 
   Agents.resize(O.Clients);
   for (uint32_t C = 0; C != O.Clients; ++C) {
     runtime::GuardianConfig GC;
-    GC.Stream = chaosStreamConfig(O.Seed, 1000 + C);
+    GC.Stream = chaosStreamConfig();
     if (O.Deadlines) {
       // Endpoint circuit breaking: two consecutive timeout breaks trip
       // the breaker; a short cooldown keeps probes inside fault outages.
       GC.Stream.BreakerThreshold = 2;
       GC.Stream.BreakerCooldown = sim::msec(8);
     }
-    ClientGuardians.push_back(std::make_unique<runtime::Guardian>(
-        *Net, ClientNodes[C], strprintf("cli%u", C), GC));
+    runtime::Guardian &G = addClient(C, strprintf("cli%u", C), GC);
     for (size_t Sl = 0; Sl != O.Servers; ++Sl)
-      Agents[C].push_back(ClientGuardians[C]->newAgent());
-    ClientGuardians[C]->spawnProcess("driver",
-                                     [this, C] { runDriver(C); });
+      Agents[C].push_back(G.newAgent());
+    G.spawnProcess("driver", [this, C] { runDriver(C); });
   }
 
-  for (const ChaosAction &A : Plan.Actions)
-    S.schedule(A.At, [this, A] { applyAction(A); });
+  schedule(planFor(O));
 }
 
-void World::installServer(size_t Slot) {
-  ServerSlot &SS = Slots[Slot];
-  uint32_t Gen = ++NextGen;
-  runtime::GuardianConfig GC;
-  GC.Stream = chaosStreamConfig(O.Seed, 2000 + Gen);
-  if (O.Deadlines)
-    GC.MaxPendingCalls = 6; // Admission control: shed under backlog.
-  auto G = std::make_unique<runtime::Guardian>(
-      *Net, SS.Node, strprintf("srv%zu#%u", Slot, Gen), GC);
-  SS.Record = G->addHandler<RecordSig, ChaosBusy>(
+void World::installApps(size_t Slot, uint32_t Gen, runtime::Guardian &G) {
+  SlotApps &A = Apps[Slot];
+  A.Record = G.addHandler<RecordSig, ChaosBusy>(
       "record", [this, Gen](uint32_t Client, uint64_t Op) -> RecordOutcome {
         Log.push_back({Gen, Client, Op});
         ++Report.Executions;
@@ -417,68 +197,9 @@ void World::installServer(size_t Slot) {
     // (acked writes from any predecessor must reappear).
     apps::KvStoreConfig KC;
     KC.ServiceTime = sim::usec(100);
-    KC.Wal = SS.Wal.get();
+    KC.Wal = Slots[Slot].Media[0].get();
     KC.SnapshotEvery = 32;
-    SS.Kv = apps::installKvStore(*G, KC);
-  }
-  SS.Current = G.get();
-  SS.TransportDead = false;
-  ServerGuardians.push_back(std::move(G));
-}
-
-void World::applyAction(const ChaosAction &A) {
-  using K = ChaosAction::Kind;
-  ServerSlot &SS = Slots[A.Server];
-  switch (A.K) {
-  case K::CrashNode:
-    if (Net->isUp(SS.Node)) {
-      Net->crash(SS.Node);
-      if (SS.Wal)
-        SS.Wal->crash(); // Media fault model: un-synced tail at risk.
-      ++Report.Crashes;
-    }
-    break;
-  case K::RestartNode:
-    if (!Net->isUp(SS.Node)) {
-      Net->restart(SS.Node);
-      installServer(A.Server);
-      ++Report.Restarts;
-    }
-    break;
-  case K::TransportShutdown:
-    if (Net->isUp(SS.Node) && !SS.TransportDead && !SS.Current->crashed()) {
-      SS.Current->transport().shutdown();
-      SS.TransportDead = true;
-      ++Report.Shutdowns;
-    }
-    break;
-  case K::ServerReincarnate:
-    if (Net->isUp(SS.Node) && SS.TransportDead) {
-      installServer(A.Server);
-      ++Report.Reincarnations;
-    }
-    break;
-  case K::PartitionLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, true);
-    ++Report.Partitions;
-    break;
-  case K::HealLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, false);
-    break;
-  case K::LossBurstStart:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    ++Report.LossBursts;
-    break;
-  case K::LossBurstEnd:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    break;
-  case K::CorruptBurstStart:
-    Net->setCorruptRate(A.Rate);
-    ++Report.CorruptBursts;
-    break;
-  case K::CorruptBurstEnd:
-    Net->setCorruptRate(A.Rate);
-    break;
+    A.Kv = apps::installKvStore(G, KC);
   }
 }
 
@@ -491,7 +212,18 @@ void World::runDriver(uint32_t Client) {
   };
   std::vector<PendingOp> Pending;
 
-  auto tally = [this](const RecordOutcome &Out, uint64_t Op) {
+  auto tallyUnavailable = [this](const std::string &Why) {
+    ++Report.Unavailable;
+    if (Why == core::reasons::DeadlineExpired)
+      ++Report.Expired;
+    else if (Why == core::reasons::Cancelled)
+      ++Report.Cancelled;
+    else if (Why == core::reasons::Overloaded)
+      ++Report.Shed;
+    else if (Why == core::reasons::CircuitOpen)
+      ++Report.FastFails;
+  };
+  auto tally = [&](const RecordOutcome &Out, uint64_t Op) {
     if (Out.isNormal()) {
       ++Report.Normal;
       if (Out.value() != Op)
@@ -506,16 +238,7 @@ void World::runDriver(uint32_t Client) {
             "exception payload mismatch on op %llu",
             static_cast<unsigned long long>(Op)));
     } else if (Out.is<core::Unavailable>()) {
-      ++Report.Unavailable;
-      const std::string &Why = Out.get<core::Unavailable>().Reason;
-      if (Why == core::reasons::DeadlineExpired)
-        ++Report.Expired;
-      else if (Why == core::reasons::Cancelled)
-        ++Report.Cancelled;
-      else if (Why == core::reasons::Overloaded)
-        ++Report.Shed;
-      else if (Why == core::reasons::CircuitOpen)
-        ++Report.FastFails;
+      tallyUnavailable(Out.get<core::Unavailable>().Reason);
     } else {
       ++Report.Failed;
     }
@@ -534,7 +257,7 @@ void World::runDriver(uint32_t Client) {
       // (client, op) so the durability audit is exact.
       ++Report.OpsIssued;
       auto H = runtime::bindHandler(*ClientGuardians[Client],
-                                    Agents[Client][Slot], Slots[Slot].Kv.Put);
+                                    Agents[Client][Slot], Apps[Slot].Kv.Put);
       std::string Key =
           strprintf("c%u-o%llu", Client, (unsigned long long)Op);
       std::string Val = strprintf("v%llu", (unsigned long long)Op);
@@ -544,16 +267,7 @@ void World::runDriver(uint32_t Client) {
         ++Report.DurableAcked;
         Acked.push_back({Slot, std::move(Key), std::move(Val)});
       } else if (Out.is<core::Unavailable>()) {
-        ++Report.Unavailable;
-        const std::string &Why = Out.get<core::Unavailable>().Reason;
-        if (Why == core::reasons::DeadlineExpired)
-          ++Report.Expired;
-        else if (Why == core::reasons::Cancelled)
-          ++Report.Cancelled;
-        else if (Why == core::reasons::Overloaded)
-          ++Report.Shed;
-        else if (Why == core::reasons::CircuitOpen)
-          ++Report.FastFails;
+        tallyUnavailable(Out.get<core::Unavailable>().Reason);
       } else {
         ++Report.Failed;
       }
@@ -561,7 +275,7 @@ void World::runDriver(uint32_t Client) {
       continue;
     }
     RecordHandler H(*ClientGuardians[Client], Agents[Client][Slot],
-                    Slots[Slot].Record);
+                    Apps[Slot].Record);
     if (O.Deadlines) {
       if (opIdempotent(Op)) {
         runtime::RetryPolicy RP;
@@ -610,69 +324,25 @@ void World::runDriver(uint32_t Client) {
   // after this loop every promise this driver created is resolved.
   for (size_t Slot = 0; Slot != O.Servers; ++Slot) {
     RecordHandler H(*ClientGuardians[Client], Agents[Client][Slot],
-                    Slots[Slot].Record);
+                    Apps[Slot].Record);
     H.synch();
     ++Report.Synchs;
   }
 }
 
-uint64_t fnv1a(uint64_t H, uint64_t V) {
-  for (int I = 0; I != 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xff;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 ChaosReport World::finish() {
   ChaosReport &Rep = Report;
-  Rep.VirtualEnd = S.now();
-
+  // 1-3. Quiescence, network conservation, and per-transport
+  // conservation and hygiene on clients and every server incarnation;
+  // the trace digest is the determinism oracle.
+  conclude(Rep);
   auto violate = [&](std::string Msg) {
     Rep.Violations.push_back(std::move(Msg));
   };
-
-  // 1. Quiescence: the scheduler drained, so any live process is stuck
-  // forever (a missed wakeup on a kill/break path).
-  if (size_t N = S.liveProcessCount())
-    violate(strprintf("%zu processes still live at quiescence", N));
-
-  // 2. Network conservation: every datagram is delivered or dropped.
-  net::NetCounters NC = Net->counters();
-  if (NC.DatagramsSent + NC.DatagramsDuplicated !=
-      NC.DatagramsDelivered + NC.DatagramsDropped)
-    violate(strprintf("net conservation: %llu sent + %llu dup != %llu "
-                      "delivered + %llu dropped",
-                      (unsigned long long)NC.DatagramsSent,
-                      (unsigned long long)NC.DatagramsDuplicated,
-                      (unsigned long long)NC.DatagramsDelivered,
-                      (unsigned long long)NC.DatagramsDropped));
-  Rep.StaleEpochDrops = Net->staleEpochDrops();
-
-  // 3. Per-transport conservation and hygiene, clients and every server
-  // incarnation alike.
-  auto audit = [&](const std::string &Who, runtime::Guardian &G) {
-    stream::StreamCounters C = G.transport().counters();
-    if (C.CallsIssued != C.CallsFulfilled + C.CallsBroken)
-      violate(strprintf("%s: %llu issued != %llu fulfilled + %llu broken",
-                        Who.c_str(), (unsigned long long)C.CallsIssued,
-                        (unsigned long long)C.CallsFulfilled,
-                        (unsigned long long)C.CallsBroken));
-    if (size_t N = G.transport().armedTimerCount())
-      violate(strprintf("%s: %zu timers still armed", Who.c_str(), N));
-    if (size_t N = G.transport().brokenSenderStreamCount())
-      violate(strprintf("%s: %zu broken sender streams not reclaimed",
-                        Who.c_str(), N));
-    if (size_t N = G.liveCallProcessCount())
-      violate(strprintf("%s: %zu call processes leaked", Who.c_str(), N));
-    if (size_t N = G.gatedCallCount())
-      violate(strprintf("%s: %zu gated calls leaked", Who.c_str(), N));
-    Rep.OrphansDestroyed += G.orphansDestroyed();
-  };
-  for (size_t C = 0; C != ClientGuardians.size(); ++C)
-    audit(strprintf("cli%zu", C), *ClientGuardians[C]);
-  for (auto &G : ServerGuardians)
-    audit(G->name(), *G);
+  Rep.StaleEpochDrops = Net.staleEpochDrops();
+  for (auto *Gs : {&ClientGuardians, &ServerGuardians})
+    for (auto &G : *Gs)
+      Rep.OrphansDestroyed += G->orphansDestroyed();
 
   // 3b. Resilience accounting. Server-side counters bound the
   // client-observed ones from above: a deadline drop, shed, or cancel is
@@ -739,7 +409,7 @@ ChaosReport World::finish() {
   // never line noise — and is always a violation. Each rejected frame
   // traces back to a distinct corrupted copy, and without --corrupt no
   // corruption machinery may fire at all.
-  Rep.DatagramsCorrupted = NC.DatagramsCorrupted;
+  Rep.DatagramsCorrupted = Net.counters().DatagramsCorrupted;
   if (Rep.MalformedDropped)
     violate(strprintf("%llu frame-valid datagrams failed to decode "
                       "(local encode bug)",
@@ -811,19 +481,19 @@ ChaosReport World::finish() {
   // crashes.
   if (O.Storage) {
     for (size_t I = 0; I != Slots.size(); ++I) {
-      ServerSlot &SS = Slots[I];
-      Rep.StorageCrashes += SS.Wal->crashes();
-      Rep.TornTails += SS.Wal->tornTails();
-      Rep.Replayed += SS.Kv.Store->Replayed;
-      std::map<std::string, std::string> Media =
-          apps::replayKvData(SS.Wal->scan());
-      if (Media != SS.Kv.Store->Data)
+      const storage::StableStore &Wal = *Slots[I].Media[0];
+      const apps::KvStore::State &Live = *Apps[I].Kv.Store;
+      Rep.StorageCrashes += Wal.crashes();
+      Rep.TornTails += Wal.tornTails();
+      Rep.Replayed += Live.Replayed;
+      std::map<std::string, std::string> Media = apps::replayKvData(Wal.scan());
+      if (Media != Live.Data)
         violate(strprintf("srv%zu: media replay diverges from live state "
                           "(%zu media keys vs %zu live)",
-                          I, Media.size(), SS.Kv.Store->Data.size()));
+                          I, Media.size(), Live.Data.size()));
     }
     for (const DurableAck &A : Acked) {
-      const auto &Live = Slots[A.Slot].Kv.Store->Data;
+      const auto &Live = Apps[A.Slot].Kv.Store->Data;
       auto It = Live.find(A.Key);
       if (It == Live.end() || It->second != A.Val)
         violate(strprintf("acked durable write %s lost from srv%zu",
@@ -835,21 +505,6 @@ ChaosReport World::finish() {
                         (unsigned long long)Rep.StorageCrashes));
   }
 
-  // 7. Determinism oracle: digest the full trace-event stream in order.
-  const MetricsRegistry &Reg = S.metrics();
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (const TraceEvent &E : Reg.events()) {
-    H = fnv1a(H, E.TsNs);
-    H = fnv1a(H, static_cast<uint64_t>(E.Kind));
-    H = fnv1a(H, E.Node);
-    H = fnv1a(H, E.Id);
-    H = fnv1a(H, E.Seq);
-    H = fnv1a(H, E.DurNs);
-    for (char C : E.Detail)
-      H = fnv1a(H, static_cast<unsigned char>(C));
-  }
-  Rep.TraceEvents = Reg.events().size() + Reg.droppedEvents();
-  Rep.TraceHash = H;
   return Rep;
 }
 

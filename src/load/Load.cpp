@@ -8,18 +8,19 @@
 
 #include "promises/apps/KvStore.h"
 #include "promises/apps/TwoPhase.h"
-#include "promises/chaos/Chaos.h"
+#include "promises/harness/World.h"
 #include "promises/runtime/RemoteHandler.h"
-#include "promises/storage/Storage.h"
 #include "promises/support/Rng.h"
 #include "promises/support/StrUtil.h"
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
 
 using namespace promises;
 using namespace promises::load;
+using harness::mixSeed;
 using sim::Time;
 
 //===----------------------------------------------------------------------===//
@@ -253,34 +254,10 @@ std::vector<std::string> LoadScenario::names() {
 
 namespace {
 
-uint64_t mixSeed(uint64_t Seed, uint64_t Salt) {
-  uint64_t X = Seed + 0x9e3779b97f4a7c15ull * (Salt + 1);
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-uint64_t fnv1a(uint64_t H, uint64_t V) {
-  for (int I = 0; I != 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xff;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-/// One server identity: a node hosting a succession of guardian
-/// incarnations (chaos can crash/reincarnate them). Old incarnations are
-/// kept for the quiescence audit.
-struct ServerSlot {
-  net::NodeId Node = 0;
-  runtime::Guardian *Current = nullptr;
+/// What the current incarnation of one server slot serves.
+struct SlotApps {
   apps::KvStore Kv;
   apps::TxnKv Txn;
-  bool TransportDead = false;
-  /// Durable runs only: the slot's media, owned by the *node*, not the
-  /// incarnation — a restarted guardian replays them before serving.
-  std::unique_ptr<storage::StableStore> KvWal;
-  std::unique_ptr<storage::StableStore> TxnWal;
 };
 
 /// Per-tenant mutable tallies plus the registry instruments they feed
@@ -295,11 +272,10 @@ struct Tally {
   Histogram *LatUs = nullptr;
 };
 
-struct World {
+struct World : harness::World {
   explicit World(const LoadOptions &Opt);
 
-  void installServer(size_t Slot);
-  void applyAction(const chaos::ChaosAction &A);
+  void installApps(size_t Slot, runtime::Guardian &G);
   double shapeFactor(const TenantSpec &T, Time Now) const;
   void runArrivals(size_t TIdx);
   void runEcho(size_t TIdx, uint64_t Seq, size_t Lane, Time ArrivedAt);
@@ -317,12 +293,8 @@ struct World {
   Time Duration; ///< Scenario duration after DurationScale.
   bool UseStorage;
   double TornRate, LostRate;
-  sim::Simulation S;
-  std::unique_ptr<net::SimNetwork> Net;
-  std::vector<ServerSlot> Slots;
-  std::vector<net::NodeId> ClientNodes; ///< One per tenant.
-  std::vector<std::unique_ptr<runtime::Guardian>> ServerGuardians;
-  std::vector<std::unique_ptr<runtime::Guardian>> ClientGuardians;
+  /// Durable runs: slot media 0 is the KvStore log, media 1 the TxnKv log.
+  std::vector<SlotApps> Apps;
   std::vector<std::vector<stream::AgentId>> Lanes; ///< [tenant][srv*Streams+i]
   std::vector<Tally> Tallies;
   /// Durable runs: one coordinator kit per NewOrder tenant, living on
@@ -331,74 +303,63 @@ struct World {
   std::vector<std::unique_ptr<storage::StableStore>> CoordWals;
   std::vector<apps::TwoPhaseCoordinatorKit> Kits;
   Histogram *GlobalLat = nullptr;
-  chaos::ChaosPlan Plan; ///< Empty unless Scenario.Chaos.
-  uint32_t NextGen = 0;
   LoadReport Report;
 };
 
-stream::StreamConfig loadStreamConfig(const LoadScenario &Sc, uint64_t Seed,
-                                      uint64_t Salt) {
-  stream::StreamConfig C;
-  if (Sc.Chaos) {
-    // Chaos-tightened recovery, as in the chaos harness: breaks land
-    // within a fault outage instead of dominating the run.
-    C.MaxBatchCalls = 8;
-    C.RetransmitTimeout = sim::msec(6);
-    C.RetransmitTimeoutMax = sim::msec(30);
-    C.MaxRetries = 3;
-  }
-  // MaxInFlightCalls stays 0 (unbounded): the generator is open-loop, so
-  // client-side flow control would silently convert overload into sender
-  // queueing and hide the server's shedding behavior.
-  C.RetransSeed = mixSeed(Seed, Salt);
-  return C;
+/// MaxInFlightCalls stays 0 (unbounded): the generator is open-loop, so
+/// client-side flow control would silently convert overload into sender
+/// queueing and hide the server's shedding behavior.
+stream::StreamConfig loadStreamConfig(const LoadScenario &Sc) {
+  return Sc.Chaos ? harness::faultStreamConfig() : stream::StreamConfig();
+}
+
+/// The fault profile a chaos scenario draws its plan and ambient network
+/// from.
+const harness::ChaosProfile &chaosProfile(const LoadScenario &Sc) {
+  const harness::ChaosProfile *P =
+      harness::ChaosProfile::byName(Sc.ChaosProfile);
+  return P ? *P : harness::ChaosProfile::mixed();
+}
+
+net::NetConfig netConfig(const LoadScenario &Sc) {
+  if (Sc.Chaos)
+    return harness::faultNetConfig(chaosProfile(Sc));
+  // Clean wire: losses would blur the cheap-rejection conservation checks,
+  // and the point of the non-chaos scenarios is overload alone.
+  net::NetConfig NC;
+  NC.Propagation = sim::usec(200);
+  return NC;
 }
 
 World::World(const LoadOptions &Opt)
-    : O(Opt),
+    : harness::World(Opt.Seed, Opt.Backend, netConfig(Opt.Scenario),
+                     Opt.Scenario.Servers, Opt.Scenario.Tenants.size(),
+                     [this](size_t Slot, uint32_t, runtime::Guardian &G) {
+                       installApps(Slot, G);
+                     }),
+      O(Opt),
       Duration(static_cast<Time>(
           static_cast<double>(Opt.Scenario.Duration) * Opt.DurationScale)),
       UseStorage(Opt.Scenario.Storage || Opt.ForceStorage),
       TornRate(Opt.TornRate >= 0 ? Opt.TornRate : Opt.Scenario.TornRate),
       LostRate(Opt.LostRate >= 0 ? Opt.LostRate : Opt.Scenario.LostRate),
-      S(sim::SimConfig{.Backend = Opt.Backend}) {
+      Apps(Opt.Scenario.Servers) {
   const LoadScenario &Sc = O.Scenario;
-  // The trace-event stream is the determinism oracle; always record it.
-  S.metrics().setEnabled(true);
   GlobalLat = &S.metrics().histogram("load.latency_us");
+  ServerConfig.Stream = loadStreamConfig(Sc);
+  ServerConfig.MaxPendingCalls = Sc.MaxPendingCalls;
+  ServerConfig.MaxPendingPerStream = Sc.MaxPendingPerStream;
 
-  net::NetConfig NC;
-  NC.Seed = mixSeed(O.Seed, 0);
-  if (Sc.Chaos) {
-    const chaos::ChaosProfile *P = chaos::ChaosProfile::byName(Sc.ChaosProfile);
-    if (!P)
-      P = &chaos::ChaosProfile::mixed();
-    NC.LossRate = P->BaseLoss;
-    NC.DupRate = P->BaseDup;
-    NC.JitterMax = P->BaseJitter;
-    NC.Propagation = sim::msec(1);
-  } else {
-    // Clean wire: losses would blur the cheap-rejection conservation
-    // checks, and the point of the non-chaos scenarios is overload alone.
-    NC.Propagation = sim::usec(200);
-  }
-  Net = std::make_unique<net::SimNetwork>(S, NC);
-
-  Slots.resize(Sc.Servers);
-  for (size_t I = 0; I != Sc.Servers; ++I)
-    Slots[I].Node = Net->addNode(strprintf("srv%zu", I));
-  for (size_t I = 0; I != Sc.Tenants.size(); ++I)
-    ClientNodes.push_back(Net->addNode(strprintf("cli%zu", I)));
   if (UseStorage) {
     for (size_t I = 0; I != Sc.Servers; ++I) {
       storage::StorageConfig KC;
       KC.Name = strprintf("srv%zu.kv", I);
       KC.Faults = {LostRate, TornRate, mixSeed(O.Seed, 7000 + I)};
-      Slots[I].KvWal = std::make_unique<storage::StableStore>(S, KC);
+      addMedia(I, KC);
       storage::StorageConfig TC;
       TC.Name = strprintf("srv%zu.txn", I);
       TC.Faults = {LostRate, TornRate, mixSeed(O.Seed, 7100 + I)};
-      Slots[I].TxnWal = std::make_unique<storage::StableStore>(S, TC);
+      addMedia(I, TC);
     }
     CoordWals.resize(Sc.Tenants.size());
     Kits.resize(Sc.Tenants.size());
@@ -426,13 +387,13 @@ World::World(const LoadOptions &Opt)
     Ta.LatUs = &S.metrics().histogram("load.latency_us", L);
 
     runtime::GuardianConfig GC;
-    GC.Stream = loadStreamConfig(Sc, O.Seed, 1000 + T);
+    GC.Stream = loadStreamConfig(Sc);
     if (Sc.BreakerThreshold > 0) {
       GC.Stream.BreakerThreshold = Sc.BreakerThreshold;
       GC.Stream.BreakerCooldown = Sc.BreakerCooldown;
     }
-    ClientGuardians.push_back(std::make_unique<runtime::Guardian>(
-        *Net, ClientNodes[T], strprintf("cli-%s", Ten.Name.c_str()), GC));
+    runtime::Guardian &G =
+        addClient(T, strprintf("cli-%s", Ten.Name.c_str()), GC);
     if (UseStorage && Ten.Op == OpKind::NewOrder) {
       storage::StorageConfig CC;
       CC.Name = strprintf("coord%zu", T);
@@ -440,63 +401,47 @@ World::World(const LoadOptions &Opt)
       // needs to exist so decisions are forced before phase 2.
       CC.Faults = {0.0, 0.0, mixSeed(O.Seed, 7200 + T)};
       CoordWals[T] = std::make_unique<storage::StableStore>(S, CC);
-      Kits[T] = apps::installTwoPhaseCoordinator(*ClientGuardians[T],
-                                                 *CoordWals[T], T);
+      Kits[T] = apps::installTwoPhaseCoordinator(G, *CoordWals[T], T);
     }
     for (size_t Srv = 0; Srv != Sc.Servers; ++Srv)
       for (size_t I = 0; I != std::max<size_t>(1, Ten.Streams); ++I)
-        Lanes[T].push_back(ClientGuardians[T]->newAgent());
-    ClientGuardians[T]->spawnProcess("arrivals",
-                                    [this, T] { runArrivals(T); });
+        Lanes[T].push_back(G.newAgent());
+    G.spawnProcess("arrivals", [this, T] { runArrivals(T); });
   }
 
   if (Sc.Chaos) {
-    chaos::ChaosOptions CO;
-    CO.Seed = O.Seed;
-    const chaos::ChaosProfile *P = chaos::ChaosProfile::byName(Sc.ChaosProfile);
-    CO.Profile = P ? *P : chaos::ChaosProfile::mixed();
-    CO.Clients = Sc.Tenants.size();
-    CO.Servers = Sc.Servers;
     // Faults stop (and the cleanup phase heals everything) well before
     // arrivals do, so the run always drains.
-    CO.Horizon = Duration / 2;
-    Plan = chaos::ChaosPlan::generate(CO);
-    for (const chaos::ChaosAction &A : Plan.Actions)
-      S.schedule(A.At, [this, A] { applyAction(A); });
+    schedule(harness::ChaosPlan::generate(
+        chaosProfile(Sc),
+        {O.Seed, Sc.Tenants.size(), Sc.Servers, Duration / 2, false}));
   }
 }
 
-void World::installServer(size_t Slot) {
-  ServerSlot &SS = Slots[Slot];
+void World::installApps(size_t Slot, runtime::Guardian &G) {
+  SlotApps &A = Apps[Slot];
   // The dying incarnation's resolver tallies would vanish with it;
   // accumulate them before the new incarnation replaces the state.
-  if (UseStorage && SS.Txn.Store) {
-    Report.InDoubtRecovered += SS.Txn.Store->InDoubtRecovered;
-    Report.ResolvedCommits += SS.Txn.Store->ResolvedCommits;
-    Report.ResolvedAborts += SS.Txn.Store->ResolvedAborts;
+  if (UseStorage && A.Txn.Store) {
+    Report.InDoubtRecovered += A.Txn.Store->InDoubtRecovered;
+    Report.ResolvedCommits += A.Txn.Store->ResolvedCommits;
+    Report.ResolvedAborts += A.Txn.Store->ResolvedAborts;
   }
-  uint32_t Gen = ++NextGen;
   const LoadScenario &Sc = O.Scenario;
-  runtime::GuardianConfig GC;
-  GC.Stream = loadStreamConfig(Sc, O.Seed, 2000 + Gen);
-  GC.MaxPendingCalls = Sc.MaxPendingCalls;
-  GC.MaxPendingPerStream = Sc.MaxPendingPerStream;
-  auto G = std::make_unique<runtime::Guardian>(
-      *Net, SS.Node, strprintf("srv%zu#%u", Slot, Gen), GC);
   // The service ports run in parallel (the paper's explicit override):
   // MaxPendingCalls then bounds *concurrency*, so the guardian is an
   // N-slot loss system with capacity MaxPendingCalls / ServiceTime.
-  G->setParallelGroup(runtime::Guardian::DefaultGroup);
+  G.setParallelGroup(runtime::Guardian::DefaultGroup);
   apps::KvStoreConfig KvC;
   KvC.ServiceTime = Sc.ServiceTime;
   apps::TxnKvConfig TxC;
   TxC.ServiceTime = Sc.ServiceTime;
   if (UseStorage) {
-    KvC.Wal = SS.KvWal.get();
-    TxC.Wal = SS.TxnWal.get();
+    KvC.Wal = Slots[Slot].Media[0].get();
+    TxC.Wal = Slots[Slot].Media[1].get();
     // One status probe: route by the gtid's coordinator id to the owning
     // tenant's kit, called from this incarnation over a fresh lane.
-    TxC.QueryStatus = [this, GP = G.get()](uint64_t Gtid) -> int {
+    TxC.QueryStatus = [this, GP = &G](uint64_t Gtid) -> int {
       size_t Cid = static_cast<size_t>(
           apps::TwoPhaseCoordinatorKit::State::coordOf(Gtid));
       if (Cid >= Kits.size() || !Kits[Cid].St)
@@ -507,66 +452,8 @@ void World::installServer(size_t Slot) {
       return Out.isNormal() ? static_cast<int>(Out.value()) : -1;
     };
   }
-  SS.Kv = apps::installKvStore(*G, KvC);
-  SS.Txn = apps::installTxnKv(*G, TxC);
-  SS.Current = G.get();
-  SS.TransportDead = false;
-  ServerGuardians.push_back(std::move(G));
-}
-
-void World::applyAction(const chaos::ChaosAction &A) {
-  using K = chaos::ChaosAction::Kind;
-  ServerSlot &SS = Slots[A.Server];
-  switch (A.K) {
-  case K::CrashNode:
-    if (Net->isUp(SS.Node)) {
-      Net->crash(SS.Node);
-      if (SS.KvWal)
-        SS.KvWal->crash();
-      if (SS.TxnWal)
-        SS.TxnWal->crash();
-      ++Report.Crashes;
-    }
-    break;
-  case K::RestartNode:
-    if (!Net->isUp(SS.Node)) {
-      Net->restart(SS.Node);
-      installServer(A.Server);
-      ++Report.Restarts;
-    }
-    break;
-  case K::TransportShutdown:
-    if (Net->isUp(SS.Node) && !SS.TransportDead && !SS.Current->crashed()) {
-      SS.Current->transport().shutdown();
-      SS.TransportDead = true;
-      ++Report.Shutdowns;
-    }
-    break;
-  case K::ServerReincarnate:
-    if (Net->isUp(SS.Node) && SS.TransportDead) {
-      installServer(A.Server);
-      ++Report.Reincarnations;
-    }
-    break;
-  case K::PartitionLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, true);
-    ++Report.Partitions;
-    break;
-  case K::HealLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, false);
-    break;
-  case K::LossBurstStart:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    ++Report.LossBursts;
-    break;
-  case K::LossBurstEnd:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    break;
-  case K::CorruptBurstStart:
-  case K::CorruptBurstEnd:
-    Net->setCorruptRate(A.Rate); // Not planned here (Corrupt is off).
-    break;
-  }
+  A.Kv = apps::installKvStore(G, KvC);
+  A.Txn = apps::installTxnKv(G, TxC);
 }
 
 double World::shapeFactor(const TenantSpec &T, Time Now) const {
@@ -688,7 +575,7 @@ void World::runEcho(size_t TIdx, uint64_t Seq, size_t Lane, Time ArrivedAt) {
   const TenantSpec &T = O.Scenario.Tenants[TIdx];
   size_t Streams = std::max<size_t>(1, T.Streams);
   size_t Srv = Lane / Streams;
-  ServerSlot &SS = Slots[Srv];
+  SlotApps &SS = Apps[Srv];
   Tally &Ta = Tallies[TIdx];
   Time T0 = S.now();
 
@@ -747,7 +634,7 @@ void World::runNewOrder(size_t TIdx, uint64_t Seq, Time ArrivedAt) {
   apps::TwoPhaseCoordinator Txn(*ClientGuardians[TIdx],
                                 UseStorage ? &Kits[TIdx] : nullptr);
   for (size_t Srv = 0; Srv != Sc.Servers; ++Srv)
-    Txn.enlist(Slots[Srv].Txn);
+    Txn.enlist(Apps[Srv].Txn);
   size_t Puts = std::max<size_t>(4, Sc.Servers);
   for (size_t I = 0; I != Puts; ++I) {
     size_t Part = (Seq + I) % Sc.Servers;
@@ -782,60 +669,16 @@ void World::runNewOrder(size_t TIdx, uint64_t Seq, Time ArrivedAt) {
 LoadReport World::finish() {
   const LoadScenario &Sc = O.Scenario;
   LoadReport &Rep = Report;
-  Rep.VirtualEnd = S.now();
-
+  // 1-3. Quiescence, network conservation, and per-transport
+  // conservation and hygiene on clients and every server incarnation;
+  // the trace digest is the determinism oracle. A live process at
+  // quiescence is the regression gate for the shed->DoneThrough hang
+  // class: a shed call that fails to settle its seq leaves every
+  // successor on its stream gated for good.
+  conclude(Rep);
   auto violate = [&](std::string Msg) {
     Rep.Violations.push_back(std::move(Msg));
   };
-
-  // 1. Quiescence: the scheduler drained, so any live process is stuck
-  // forever. This is the regression gate for the shed->DoneThrough hang
-  // class: a shed call that fails to settle its seq leaves every
-  // successor on its stream gated for good.
-  if (size_t N = S.liveProcessCount())
-    violate(strprintf("%zu processes still live at quiescence", N));
-
-  // 2. Network conservation.
-  net::NetCounters NC = Net->counters();
-  if (NC.DatagramsSent + NC.DatagramsDuplicated !=
-      NC.DatagramsDelivered + NC.DatagramsDropped)
-    violate(strprintf("net conservation: %llu sent + %llu dup != %llu "
-                      "delivered + %llu dropped",
-                      (unsigned long long)NC.DatagramsSent,
-                      (unsigned long long)NC.DatagramsDuplicated,
-                      (unsigned long long)NC.DatagramsDelivered,
-                      (unsigned long long)NC.DatagramsDropped));
-
-  // 3. Per-transport conservation and hygiene, clients and every server
-  // incarnation alike (the PR 3/5 audit, here under storm load).
-  auto audit = [&](const std::string &Who, runtime::Guardian &G,
-                   bool CanLoseCalls) {
-    stream::StreamCounters C = G.transport().counters();
-    // Durable servers issue status probes, and a node crash kills a
-    // prober mid-call, leaving that call permanently unsettled in the
-    // (node, port)-keyed counters its successors share. For those,
-    // conservation relaxes to a bound; clients must balance exactly.
-    if (CanLoseCalls ? C.CallsFulfilled + C.CallsBroken > C.CallsIssued
-                     : C.CallsIssued != C.CallsFulfilled + C.CallsBroken)
-      violate(strprintf("%s: %llu issued != %llu fulfilled + %llu broken",
-                        Who.c_str(), (unsigned long long)C.CallsIssued,
-                        (unsigned long long)C.CallsFulfilled,
-                        (unsigned long long)C.CallsBroken));
-    if (size_t N = G.transport().armedTimerCount())
-      violate(strprintf("%s: %zu timers still armed", Who.c_str(), N));
-    if (size_t N = G.transport().brokenSenderStreamCount())
-      violate(strprintf("%s: %zu broken sender streams not reclaimed",
-                        Who.c_str(), N));
-    if (size_t N = G.liveCallProcessCount())
-      violate(strprintf("%s: %zu call processes leaked", Who.c_str(), N));
-    if (size_t N = G.gatedCallCount())
-      violate(strprintf("%s: %zu gated calls leaked", Who.c_str(), N));
-  };
-  for (size_t T = 0; T != ClientGuardians.size(); ++T)
-    audit(strprintf("cli-%s", Sc.Tenants[T].Name.c_str()),
-          *ClientGuardians[T], false);
-  for (auto &G : ServerGuardians)
-    audit(G->name(), *G, UseStorage);
 
   // Server-side aggregates.
   for (auto &G : ServerGuardians) {
@@ -1004,7 +847,7 @@ LoadReport World::finish() {
     if (AnyTxn) {
       uint64_t Commits = 0, InDoubt = 0, Committed = 0;
       for (size_t Srv = 0; Srv != Sc.Servers; ++Srv) {
-        const auto &St = *Slots[Srv].Txn.Store;
+        const auto &St = *Apps[Srv].Txn.Store;
         if (!St.Txns.empty())
           violate(strprintf("srv%zu: %zu transactions stranded", Srv,
                             St.Txns.size()));
@@ -1057,9 +900,11 @@ LoadReport World::finish() {
                                              NewOrderInDoubt)));
 
     for (size_t Srv = 0; Srv != Sc.Servers; ++Srv) {
-      ServerSlot &SS = Slots[Srv];
-      Rep.StorageCrashes += SS.KvWal->crashes() + SS.TxnWal->crashes();
-      Rep.TornTails += SS.KvWal->tornTails() + SS.TxnWal->tornTails();
+      const storage::StableStore &KvWal = *Slots[Srv].Media[0];
+      const storage::StableStore &TxnWal = *Slots[Srv].Media[1];
+      const SlotApps &SS = Apps[Srv];
+      Rep.StorageCrashes += KvWal.crashes() + TxnWal.crashes();
+      Rep.TornTails += KvWal.tornTails() + TxnWal.tornTails();
       Rep.Replayed += SS.Kv.Store->Replayed + SS.Txn.Store->Replayed;
       Rep.InDoubtRecovered += SS.Txn.Store->InDoubtRecovered;
       Rep.ResolvedCommits += SS.Txn.Store->ResolvedCommits;
@@ -1071,7 +916,7 @@ LoadReport World::finish() {
           violate(strprintf("srv%zu: txn %u still prepared (in doubt) at "
                             "quiescence",
                             Srv, Id));
-      apps::TxnKv::State Media = apps::replayTxnState(SS.TxnWal->scan());
+      apps::TxnKv::State Media = apps::replayTxnState(TxnWal.scan());
       if (!Media.Txns.empty())
         violate(strprintf("srv%zu: %zu prepared txns on media lack a "
                           "logged decision",
@@ -1084,7 +929,7 @@ LoadReport World::finish() {
         violate(strprintf("srv%zu: txn media replay diverges from live "
                           "applied set (%zu vs %zu gtids)",
                           Srv, Media.Applied.size(), Live.Applied.size()));
-      if (apps::replayKvData(SS.KvWal->scan()) != SS.Kv.Store->Data)
+      if (apps::replayKvData(KvWal.scan()) != SS.Kv.Store->Data)
         violate(strprintf("srv%zu: kv media replay diverges from live "
                           "state",
                           Srv));
@@ -1104,22 +949,6 @@ LoadReport World::finish() {
                         (unsigned long long)Rep.TornTails,
                         (unsigned long long)Rep.StorageCrashes));
   }
-
-  // 10. Determinism oracle: digest the full trace-event stream in order.
-  const MetricsRegistry &Reg = S.metrics();
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (const TraceEvent &E : Reg.events()) {
-    H = fnv1a(H, E.TsNs);
-    H = fnv1a(H, static_cast<uint64_t>(E.Kind));
-    H = fnv1a(H, E.Node);
-    H = fnv1a(H, E.Id);
-    H = fnv1a(H, E.Seq);
-    H = fnv1a(H, E.DurNs);
-    for (char C : E.Detail)
-      H = fnv1a(H, static_cast<unsigned char>(C));
-  }
-  Rep.TraceEvents = Reg.events().size() + Reg.droppedEvents();
-  Rep.TraceHash = H;
 
   for (Tally &Ta : Tallies)
     Rep.Tenants.push_back(Ta.R);

@@ -46,8 +46,9 @@ Guardian::Guardian(net::Network &Net, net::NodeId Node, std::string Name,
 
 Guardian::~Guardian() {
   // Stop traffic first so no new call processes are spawned while the
-  // executor table is being torn down.
-  Transport->shutdown();
+  // executor table is being torn down. Outstanding callbacks are dropped
+  // unrun: they may reach into processes and promises already gone.
+  Transport->shutdown(/*Settle=*/false);
   // Freeze the probe gauges at their final value: the registry outlives
   // this guardian, and a probe capturing `this` must not dangle.
   MetricLabels L{{"guardian", Name}, {"node", strprintf("%u", Node)}};

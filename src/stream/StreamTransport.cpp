@@ -12,7 +12,6 @@
 #include "promises/sim/Sync.h"
 #include "promises/support/Check.h"
 #include "promises/support/StrUtil.h"
-#include "promises/support/Trace.h"
 #include "promises/wire/Frame.h"
 
 #include <algorithm>
@@ -315,7 +314,7 @@ StreamCounters StreamTransport::counters() const {
 }
 
 StreamTransport::~StreamTransport() {
-  shutdown();
+  shutdown(/*Settle=*/false);
   // Freeze the breaker.state probe at its final value: the registry
   // outlives this transport, and a probe capturing `this` must not dangle.
   MetricLabels L{{"node", Net.nodeName(Node)},
@@ -324,7 +323,7 @@ StreamTransport::~StreamTransport() {
   Reg.gaugeProbe("breaker.state", [Final] { return Final; }, L);
 }
 
-void StreamTransport::shutdown() {
+void StreamTransport::shutdown(bool Settle) {
   if (Dead)
     return;
   Dead = true;
@@ -359,6 +358,24 @@ void StreamTransport::shutdown() {
     if (S->AckTimerArmed)
       Sim.cancel(S->AckTimer);
     S->FlushTimerArmed = S->RetransTimerArmed = S->AckTimerArmed = false;
+    // No claim may wait on a dead transport: every outstanding call
+    // settles now, in call order, and the next synch reports why.
+    if (!S->Slots.empty()) {
+      ReplyOutcome Down =
+          ReplyOutcome::unavailable(core::reasons::TransportShutDown);
+      S->BreakSinceMark = true;
+      S->BreakSinceMarkIsFailure = false;
+      S->BreakSinceMarkReason = Down.Reason;
+      while (!S->Slots.empty()) {
+        Seq First = S->Slots.firstSeq();
+        S->FulfilledThrough = First;
+        Counters.CallsBroken->inc();
+        ReplyCallback Cb = std::move(S->Slots.at(First).Cb);
+        S->Slots.erase(First);
+        if (Settle && Cb)
+          Cb(Down);
+      }
+    }
     // Processes blocked in synch or on a full window must not hang on a
     // dead transport.
     S->FulfillQ->notifyAll();
@@ -478,10 +495,6 @@ void StreamTransport::blockForWindow(SenderStream &S) {
   if (Reg.enabled())
     Reg.emit({T0, EventKind::SenderBlocked, Node, S.Agent, S.Window.size(),
               0, {}});
-  if (traceEnabled())
-    tracef("window full agent=%llu inflight=%zu/%zu bytes=%zu/%zu",
-           static_cast<unsigned long long>(S.Agent), S.Window.size(),
-           Cfg.MaxInFlightCalls, S.WindowBytes, Cfg.MaxInFlightBytes);
   ++S.PinCount;
   struct Unpin {
     int &Count;
@@ -545,9 +558,6 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
     auto BIt = Breakers.find(Key);
     if (BIt != Breakers.end() && BIt->second.State != 0) {
       Counters.BreakerFastFails->inc();
-      if (traceEnabled())
-        tracef("fast-fail agent=%llu group=%u: breaker open",
-               static_cast<unsigned long long>(Agent), Group);
       armBreakerProbe(Key);
       return {false, false, core::reasons::CircuitOpen};
     }
@@ -594,11 +604,6 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::CallIssued, Node, Agent, Sq,
               0, {}});
-  if (traceEnabled())
-    tracef("issue agent=%llu group=%u port=%u seq=%llu%s%s",
-           static_cast<unsigned long long>(Agent), Group, Port,
-           static_cast<unsigned long long>(Sq), NoReply ? " send" : "",
-           IsRpc ? " rpc" : "");
 
   if (IsRpc) {
     // RPCs "are sent over the network immediately, to minimize the delay
@@ -634,10 +639,6 @@ bool StreamTransport::cancelCall(AgentId Agent, net::Address Remote,
   M.Inc = S->Inc;
   M.Seqs.push_back(Sq);
   Counters.CancelsSent->inc();
-  if (traceEnabled())
-    tracef("tx cancel agent=%llu inc=%u seq=%llu",
-           static_cast<unsigned long long>(Agent), S->Inc,
-           static_cast<unsigned long long>(Sq));
   sendMessage(Remote, Message(std::move(M)));
   return true;
 }
@@ -693,11 +694,6 @@ void StreamTransport::sendCallBatch(SenderStream &S, Seq FromSeq,
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::CallBatchTx, Node, S.Agent,
               M.Calls.size(), 0, {}});
-  if (traceEnabled())
-    tracef("tx call-batch agent=%llu inc=%u calls=%zu ack=%llu%s%s",
-           static_cast<unsigned long long>(S.Agent), S.Inc, M.Calls.size(),
-           static_cast<unsigned long long>(M.AckReplyThrough),
-           M.FlushReplies ? " flush" : "", IsRetransmit ? " retrans" : "");
   sendMessage(S.Remote, Message(std::move(M)));
 }
 
@@ -954,10 +950,6 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::SenderBreak, Node, S.Agent,
               S.Inc, 0, Reason});
-  if (traceEnabled())
-    tracef("break sender agent=%llu inc=%u %s: %s",
-           static_cast<unsigned long long>(S.Agent), S.Inc,
-           IsFailure ? "failure" : "unavailable", Reason.c_str());
   S.Broken = true;
   S.BrokenIsFailure = IsFailure;
   S.BreakReason = Reason;
@@ -1007,9 +999,6 @@ void StreamTransport::reincarnate(SenderStream &S) {
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::StreamRestart, Node, S.Agent,
               static_cast<uint64_t>(S.Inc) + 1, 0, {}});
-  if (traceEnabled())
-    tracef("restart agent=%llu inc=%u->%u",
-           static_cast<unsigned long long>(S.Agent), S.Inc, S.Inc + 1);
   ++S.Inc;
   S.NextSeq = 1;
   S.TransmittedThrough = 0;
@@ -1061,13 +1050,9 @@ SynchOutcome StreamTransport::synch(AgentId Agent, net::Address Remote,
     while (!S.Broken && !Dead && S.outstanding() > 0)
       S.FulfillQ->wait();
   }
+  // A shutdown settled every outstanding call and set the break mark, so
+  // a dead transport reports itself here.
   SynchOutcome Out;
-  if (Dead && S.outstanding() > 0) {
-    // The transport died under us; the window cannot be vouched for.
-    Out.S = SynchOutcome::Status::Unavailable;
-    Out.Reason = core::reasons::TransportShutDown;
-    return Out;
-  }
   if (S.BreakSinceMark) {
     Out.S = S.BreakSinceMarkIsFailure ? SynchOutcome::Status::Failure
                                       : SynchOutcome::Status::Unavailable;
@@ -1144,10 +1129,6 @@ void StreamTransport::breakerOnTimeoutBreak(const SenderKey &K,
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::BreakerOpen, Node,
               std::get<0>(K), static_cast<uint64_t>(B.Consecutive), 0, {}});
-  if (traceEnabled())
-    tracef("breaker open agent=%llu group=%u after %d breaks",
-           static_cast<unsigned long long>(std::get<0>(K)), std::get<2>(K),
-           B.Consecutive);
   armBreakerProbe(K);
 }
 
@@ -1170,9 +1151,6 @@ void StreamTransport::breakerOnReply(const SenderKey &K) {
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::BreakerClose, Node,
               std::get<0>(K), 0, 0, {}});
-  if (traceEnabled())
-    tracef("breaker close agent=%llu group=%u",
-           static_cast<unsigned long long>(std::get<0>(K)), std::get<2>(K));
 }
 
 void StreamTransport::armBreakerProbe(const SenderKey &K) {
@@ -1211,9 +1189,6 @@ void StreamTransport::sendBreakerProbe(const SenderKey &K, Breaker &B) {
   M.Inc = Inc;
   M.FlushReplies = true;
   Counters.AckBatchesSent->inc();
-  if (traceEnabled())
-    tracef("breaker probe agent=%llu group=%u inc=%u",
-           static_cast<unsigned long long>(M.Agent), M.Group, Inc);
   sendMessage(std::get<1>(K), Message(std::move(M)));
 }
 
@@ -1333,10 +1308,6 @@ void StreamTransport::deliverReadyCalls(ReceiverStream &R) {
       if (Reg.enabled())
         Reg.emit({Sim.now(), EventKind::CallCancelled, Node,
                   R.Tag, C.S, 0, {}});
-      if (traceEnabled())
-        tracef("cancel tag=%llu seq=%llu (at delivery)",
-               static_cast<unsigned long long>(R.Tag),
-               static_cast<unsigned long long>(C.S));
       // The runtime never sees this call, but it must still learn the seq
       // is settled — successors gate on their predecessors in call order.
       if (CallCancelHook)
@@ -1405,10 +1376,6 @@ void StreamTransport::handleCancel(const net::Address &From,
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::CallCancelled, Node,
                 R.Tag, S, 0, {}});
-    if (traceEnabled())
-      tracef("cancel tag=%llu seq=%llu (executing)",
-             static_cast<unsigned long long>(R.Tag),
-             static_cast<unsigned long long>(S));
     if (CallCancelHook)
       CallCancelHook(R.Tag, S);
     completeCall(R, S, /*NoReply=*/false, /*FlushReply=*/true,
@@ -1506,13 +1473,6 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag,
               M.Replies.size(), 0, {}});
-  if (traceEnabled())
-    tracef("tx reply-batch agent=%llu inc=%u replies=%zu ack=%llu ct=%llu%s",
-           static_cast<unsigned long long>(R.Agent), R.Inc,
-           M.Replies.size(),
-           static_cast<unsigned long long>(M.AckCallThrough),
-           static_cast<unsigned long long>(M.CompletedThrough),
-           M.Broken ? " BROKEN" : "");
   sendMessage(R.SenderAddr, Message(std::move(M)));
 }
 
@@ -1564,9 +1524,6 @@ void StreamTransport::breakReceiverStream(uint64_t StreamTag,
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::ReceiverBreak, Node,
               StreamTag, 0, 0, Reason});
-  if (traceEnabled())
-    tracef("break receiver tag=%llu: %s",
-           static_cast<unsigned long long>(StreamTag), Reason.c_str());
   R.Broken = true;
   R.BrokenIsFailure = IsFailure;
   R.BreakReason = std::move(Reason);
@@ -1605,9 +1562,6 @@ void StreamTransport::onDatagram(net::Datagram D) {
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
                 Addr.Port, D.Payload.size(), 0, wire::frameErrorName(FE)});
-    if (traceEnabled())
-      tracef("rx frame dropped (%s) bytes=%zu", wire::frameErrorName(FE),
-             D.Payload.size());
     return;
   }
   std::optional<Message> M = decodeMessage(*Payload);
@@ -1620,8 +1574,6 @@ void StreamTransport::onDatagram(net::Datagram D) {
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
                 Addr.Port, Payload->size(), 0, "malformed message"});
-    if (traceEnabled())
-      tracef("rx malformed message bytes=%zu", Payload->size());
     return;
   }
   if (auto *CB = std::get_if<CallBatchMsg>(&*M))

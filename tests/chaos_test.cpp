@@ -35,8 +35,8 @@ ChaosOptions smallRun(uint64_t Seed, const ChaosProfile &P) {
 
 TEST(ChaosPlanTest, GenerationIsDeterministic) {
   ChaosOptions O = smallRun(42, ChaosProfile::mixed());
-  ChaosPlan A = ChaosPlan::generate(O);
-  ChaosPlan B = ChaosPlan::generate(O);
+  ChaosPlan A = planFor(O);
+  ChaosPlan B = planFor(O);
   ASSERT_FALSE(A.Actions.empty());
   ASSERT_EQ(A.Actions.size(), B.Actions.size());
   for (size_t I = 0; I < A.Actions.size(); ++I)
@@ -47,8 +47,8 @@ TEST(ChaosPlanTest, GenerationIsDeterministic) {
 }
 
 TEST(ChaosPlanTest, DifferentSeedsGiveDifferentPlans) {
-  ChaosPlan A = ChaosPlan::generate(smallRun(1, ChaosProfile::mixed()));
-  ChaosPlan B = ChaosPlan::generate(smallRun(2, ChaosProfile::mixed()));
+  ChaosPlan A = planFor(smallRun(1, ChaosProfile::mixed()));
+  ChaosPlan B = planFor(smallRun(2, ChaosProfile::mixed()));
   std::string SA, SB;
   for (const ChaosAction &X : A.Actions)
     SA += formatAction(X) + "\n";

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,27 @@ TEST_F(ResilienceFixture, SynchAfterShutdownReportsTransportShutDown) {
   EXPECT_EQ(SR.Reason, core::reasons::TransportShutDown);
   ASSERT_TRUE(Late.has_value());
   EXPECT_EQ(Late->Name, "unavailable");
+}
+
+TEST_F(ResilienceFixture, ClaimAfterShutdownSettlesWithTransportShutDown) {
+  // The call is on the wire, but its reply can never arrive: the shutdown
+  // itself must settle it, or the claim waits forever.
+  build();
+  std::optional<Outcome<int32_t>> Out;
+  Client->spawnProcess("main", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), Slow);
+    auto P = H.streamCall(int32_t(1));
+    H.flush();
+    Client->transport().shutdown();
+    Out = P.claim();
+  });
+  S.run();
+  ASSERT_TRUE(Out.has_value()) << "claim hung on a shut-down transport";
+  ASSERT_TRUE(Out->is<Unavailable>());
+  EXPECT_EQ(Out->get<Unavailable>().Reason, core::reasons::TransportShutDown);
+  stream::StreamCounters C = Client->transport().counters();
+  EXPECT_EQ(C.CallsIssued, 1u);
+  EXPECT_EQ(C.CallsIssued, C.CallsFulfilled + C.CallsBroken);
 }
 
 //===----------------------------------------------------------------------===//

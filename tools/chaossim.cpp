@@ -12,245 +12,83 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
+
 #include "promises/chaos/Chaos.h"
-#include "promises/support/StrUtil.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace promises;
 using namespace promises::chaos;
 
-namespace {
-
-struct Options {
-  uint64_t Seed = 1;
-  uint64_t Seeds = 1; ///< Consecutive seeds starting at Seed.
-  std::string Profile = "mixed";
-  size_t Ops = 96;
-  size_t Clients = 2;
-  size_t Servers = 2;
-  uint64_t HorizonMs = 300;
-  sim::BackendKind Backend = sim::SimConfig::defaultBackend();
-  bool Deadlines = false;
-  bool Corrupt = false;
-  bool Dup = false;
-  bool Reorder = false;
-  bool Storage = false;
-  double TornRate = 0.3;
-  double LostRate = 0.7;
-  bool PrintPlan = false;
-  bool ReplayCheck = true; ///< Run each seed twice, compare traces.
-  bool Quiet = false;
-};
-
-void usage(const char *Argv0) {
-  std::string Profiles;
-  for (const std::string &N : ChaosProfile::names())
-    Profiles += (Profiles.empty() ? "" : "|") + N;
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --seed S        first seed (default 1)\n"
-      "  --seeds N       run N consecutive seeds (default 1)\n"
-      "  --profile P     %s (default mixed)\n"
-      "  --ops N         ops per client (default 96)\n"
-      "  --clients N     client nodes (default 2)\n"
-      "  --servers N     server nodes (default 2)\n"
-      "  --horizon-ms T  fault-injection window (default 300)\n"
-      "  --backend B     fiber|thread execution backend (default: \n"
-      "                  $PROMISES_BACKEND, else fiber); trace hashes are\n"
-      "                  backend-independent\n"
-      "  --deadlines     resilience workload: deadlines, cancels, retries,\n"
-      "                  breakers, admission control (see docs/FAULTS.md)\n"
-      "  --corrupt       flip bits in delivered datagrams (ambient rate +\n"
-      "                  planned corruption bursts; see docs/FAULTS.md)\n"
-      "  --dup           raise datagram duplication above the profile rate\n"
-      "  --reorder       give each copy a chance of bounded extra delay\n"
-      "  --storage-faults durable workload: WAL-backed servers, acked puts,\n"
-      "                  crash-time media faults + recovery replay\n"
-      "                  (see docs/DURABILITY.md)\n"
-      "  --torn-rate F   P(lost suffix is torn mid-record) (default 0.3)\n"
-      "  --lost-rate F   P(crash loses the un-synced suffix) (default 0.7)\n"
-      "  --plan          print the fault plan before each run\n"
-      "  --no-replay     skip the determinism double-run\n"
-      "  --quiet         print failures and the final line only\n",
-      Argv0, Profiles.c_str());
-}
-
-bool parseArgs(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    auto Need = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Flag);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *A = Argv[I];
-    const char *V = nullptr;
-    if (!std::strcmp(A, "--seed")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Seed = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--seeds")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Seeds = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--profile")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Profile = V;
-    } else if (!std::strcmp(A, "--ops")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Ops = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--clients")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Clients = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--servers")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Servers = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--horizon-ms")) {
-      if (!(V = Need(A)))
-        return false;
-      O.HorizonMs = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--backend")) {
-      if (!(V = Need(A)))
-        return false;
-      if (!sim::SimConfig::parseBackend(V, O.Backend)) {
-        std::fprintf(stderr,
-                     "error: unknown backend %s (valid: fiber, thread)\n", V);
-        return false;
-      }
-    } else if (!std::strcmp(A, "--deadlines")) {
-      O.Deadlines = true;
-    } else if (!std::strcmp(A, "--corrupt")) {
-      O.Corrupt = true;
-    } else if (!std::strcmp(A, "--dup")) {
-      O.Dup = true;
-    } else if (!std::strcmp(A, "--reorder")) {
-      O.Reorder = true;
-    } else if (!std::strcmp(A, "--storage-faults")) {
-      O.Storage = true;
-    } else if (!std::strcmp(A, "--torn-rate")) {
-      if (!(V = Need(A)))
-        return false;
-      O.TornRate = std::strtod(V, nullptr);
-    } else if (!std::strcmp(A, "--lost-rate")) {
-      if (!(V = Need(A)))
-        return false;
-      O.LostRate = std::strtod(V, nullptr);
-    } else if (!std::strcmp(A, "--plan")) {
-      O.PrintPlan = true;
-    } else if (!std::strcmp(A, "--no-replay")) {
-      O.ReplayCheck = false;
-    } else if (!std::strcmp(A, "--quiet")) {
-      O.Quiet = true;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown flag %s (valid: --seed --seeds --profile "
-                   "--ops --clients --servers --horizon-ms --backend "
-                   "--deadlines --corrupt --dup --reorder --storage-faults "
-                   "--torn-rate --lost-rate --plan --no-replay --quiet)\n",
-                   A);
-      return false;
-    }
-  }
-  if (O.Clients == 0 || O.Servers == 0 || O.Seeds == 0) {
-    std::fprintf(stderr, "error: --clients/--servers/--seeds must be > 0\n");
-    return false;
-  }
-  if (O.TornRate < 0 || O.TornRate > 1 || O.LostRate < 0 || O.LostRate > 1) {
-    std::fprintf(stderr, "error: --torn-rate/--lost-rate must be in [0,1]\n");
-    return false;
-  }
-  return true;
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
-  Options O;
-  if (!parseArgs(Argc, Argv, O)) {
-    usage(Argv[0]);
+  cli::SweepOptions SW;
+  ChaosOptions CO;
+  std::string Profile = "mixed";
+  uint64_t HorizonMs = 300;
+  bool PrintPlan = false;
+
+  cli::Table Flags = cli::sweepFlags(SW);
+  Flags.insert(
+      Flags.end(),
+      {cli::choice("--profile", "P", " (default mixed)", Profile,
+                   ChaosProfile::names()),
+       cli::integer("--ops", "N", "ops per client (default 96)",
+                    CO.OpsPerClient),
+       cli::integer("--clients", "N", "client nodes (default 2)", CO.Clients,
+                    1, 1000),
+       cli::integer("--servers", "N", "server nodes (default 2)", CO.Servers,
+                    1, 1000),
+       cli::integer("--horizon-ms", "T", "fault-injection window (default 300)",
+                    HorizonMs, 0, 1000000000),
+       cli::backend(CO.Backend),
+       cli::toggle("--deadlines",
+                   "resilience workload: deadlines, cancels, retries,\n"
+                   "breakers, admission control (see docs/FAULTS.md)",
+                   CO.Deadlines),
+       cli::toggle("--corrupt",
+                   "flip bits in delivered datagrams (ambient rate +\n"
+                   "planned corruption bursts; see docs/FAULTS.md)",
+                   CO.Corrupt),
+       cli::toggle("--dup", "raise datagram duplication above the profile rate",
+                   CO.Dup),
+       cli::toggle("--reorder",
+                   "give each copy a chance of bounded extra delay",
+                   CO.Reorder),
+       cli::toggle("--storage-faults",
+                   "durable workload: WAL-backed servers, acked puts,\n"
+                   "crash-time media faults + recovery replay\n"
+                   "(see docs/DURABILITY.md)",
+                   CO.Storage),
+       cli::number("--torn-rate", "F",
+                   "P(lost suffix is torn mid-record) (default 0.3)",
+                   CO.TornRate, 0, 1),
+       cli::number("--lost-rate", "F",
+                   "P(crash loses the un-synced suffix) (default 0.7)",
+                   CO.LostRate, 0, 1),
+       cli::toggle("--plan", "print the fault plan before each run",
+                   PrintPlan)});
+  if (!cli::parse(Argc, Argv, Flags)) {
+    cli::usage(Argv[0], Flags);
     return 2;
   }
-  const ChaosProfile *P = ChaosProfile::byName(O.Profile);
-  if (!P) {
-    std::string Profiles;
-    for (const std::string &N : ChaosProfile::names())
-      Profiles += (Profiles.empty() ? "" : ", ") + N;
-    std::fprintf(stderr, "error: unknown profile %s (valid: %s)\n",
-                 O.Profile.c_str(), Profiles.c_str());
-    usage(Argv[0]);
-    return 2;
-  }
+  CO.Profile = *ChaosProfile::byName(Profile);
+  CO.Horizon = sim::msec(HorizonMs);
 
-  uint64_t Failures = 0;
-  for (uint64_t S = O.Seed; S != O.Seed + O.Seeds; ++S) {
-    ChaosOptions CO;
-    CO.Seed = S;
-    CO.Profile = *P;
-    CO.OpsPerClient = O.Ops;
-    CO.Clients = O.Clients;
-    CO.Servers = O.Servers;
-    CO.Horizon = sim::msec(O.HorizonMs);
-    CO.Backend = O.Backend;
-    CO.Deadlines = O.Deadlines;
-    CO.Corrupt = O.Corrupt;
-    CO.Dup = O.Dup;
-    CO.Reorder = O.Reorder;
-    CO.Storage = O.Storage;
-    CO.TornRate = O.TornRate;
-    CO.LostRate = O.LostRate;
-
-    if (O.PrintPlan) {
-      ChaosPlan Plan = ChaosPlan::generate(CO);
-      std::printf("plan for seed %llu [%s], %zu actions:\n",
-                  (unsigned long long)S, Plan.Profile.c_str(),
-                  Plan.Actions.size());
-      for (const ChaosAction &A : Plan.Actions)
-        std::printf("  %s\n", formatAction(A).c_str());
-    }
-
-    ChaosReport R = runChaos(CO);
-    bool Bad = !R.ok();
-    if (!Bad && O.ReplayCheck) {
-      ChaosReport R2 = runChaos(CO);
-      if (R2.TraceHash != R.TraceHash || R2.TraceEvents != R.TraceEvents ||
-          !R2.ok()) {
-        Bad = true;
-        R.Violations.push_back(strprintf(
-            "nondeterministic replay: trace %llu@%016llx vs %llu@%016llx",
-            (unsigned long long)R.TraceEvents,
-            (unsigned long long)R.TraceHash,
-            (unsigned long long)R2.TraceEvents,
-            (unsigned long long)R2.TraceHash));
-        for (const std::string &V : R2.Violations)
-          R.Violations.push_back("replay: " + V);
-      }
-    }
-
-    if (Bad) {
-      ++Failures;
-      std::printf("seed %llu [%s]: FAIL %s\n", (unsigned long long)S,
-                  P->Name.c_str(), R.summary().c_str());
-      for (const std::string &V : R.Violations)
-        std::printf("  violation: %s\n", V.c_str());
-      std::printf("  replay: %s\n", replayCommand(CO).c_str());
-    } else if (!O.Quiet) {
-      std::printf("seed %llu [%s]: ok %s\n", (unsigned long long)S,
-                  P->Name.c_str(), R.summary().c_str());
-    }
-  }
-
-  std::printf("%llu/%llu seeds ok [%s]\n",
-              (unsigned long long)(O.Seeds - Failures),
-              (unsigned long long)O.Seeds, P->Name.c_str());
-  return Failures == 0 ? 0 : 1;
+  return cli::sweep<ChaosOptions, ChaosReport>(
+      SW, Profile,
+      [&](uint64_t Seed) {
+        CO.Seed = Seed;
+        if (PrintPlan) {
+          ChaosPlan Plan = planFor(CO);
+          std::printf("plan for seed %llu [%s], %zu actions:\n",
+                      (unsigned long long)Seed, Plan.Profile.c_str(),
+                      Plan.Actions.size());
+          for (const ChaosAction &A : Plan.Actions)
+            std::printf("  %s\n", formatAction(A).c_str());
+        }
+        return CO;
+      },
+      runChaos, replayCommand);
 }

@@ -28,6 +28,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
+
 #include "promises/stream/Messages.h"
 #include "promises/support/Rng.h"
 #include "promises/wire/Frame.h"
@@ -42,56 +44,6 @@ using namespace promises;
 using namespace promises::stream;
 
 namespace {
-
-struct Options {
-  uint64_t Seed = 1;
-  uint64_t Frames = 10000;
-  bool Quiet = false;
-};
-
-void usage(const char *Argv0) {
-  std::fprintf(stderr,
-               "usage: %s [options]\n"
-               "  --seed S     mutation seed (default 1)\n"
-               "  --frames N   frames to fuzz (default 10000)\n"
-               "  --quiet      print the final line only\n",
-               Argv0);
-}
-
-bool parseArgs(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    auto Need = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Flag);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *A = Argv[I];
-    const char *V = nullptr;
-    if (!std::strcmp(A, "--seed")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Seed = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--frames")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Frames = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--quiet")) {
-      O.Quiet = true;
-    } else {
-      std::fprintf(
-          stderr,
-          "error: unknown flag %s (valid: --seed --frames --quiet)\n", A);
-      return false;
-    }
-  }
-  if (O.Frames == 0) {
-    std::fprintf(stderr, "error: --frames must be > 0\n");
-    return false;
-  }
-  return true;
-}
 
 wire::Bytes randomBytes(Rng &R, size_t Max) {
   wire::Bytes B(R.below(Max + 1));
@@ -236,16 +188,22 @@ void violation(Tally &T, uint64_t Frame, const char *What) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  Options O;
-  if (!parseArgs(Argc, Argv, O)) {
-    usage(Argv[0]);
+  uint64_t Seed = 1, Frames = 10000;
+  bool Quiet = false;
+  cli::Table Flags = {
+      cli::integer("--seed", "S", "mutation seed (default 1)", Seed),
+      cli::integer("--frames", "N", "frames to fuzz (default 10000)", Frames,
+                   1),
+      cli::toggle("--quiet", "print the final line only", Quiet)};
+  if (!cli::parse(Argc, Argv, Flags)) {
+    cli::usage(Argv[0], Flags);
     return 2;
   }
 
-  Rng R(O.Seed ^ 0x66757a7aull); // "fuzz"
+  Rng R(Seed ^ 0x66757a7aull); // "fuzz"
   Tally T;
 
-  for (uint64_t I = 0; I != O.Frames; ++I) {
+  for (uint64_t I = 0; I != Frames; ++I) {
     Message M = randomMessage(R);
     wire::Bytes Payload = encodeMessage(M);
     wire::Bytes Frame = wire::sealFrame(Payload);
@@ -353,7 +311,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!O.Quiet) {
+  if (!Quiet) {
     std::printf("mutated frames:   %" PRIu64 "\n", T.FrameMutations);
     std::printf("mutated payloads: %" PRIu64 " (decoded %" PRIu64
                 ", rejected %" PRIu64 ")\n",
@@ -371,6 +329,6 @@ int main(int Argc, char **Argv) {
   }
   std::printf("%" PRIu64 " frames fuzzed, %" PRIu64 " violations [seed %"
               PRIu64 "]\n",
-              O.Frames, T.Violations, O.Seed);
+              Frames, T.Violations, Seed);
   return T.Violations == 0 ? 0 : 1;
 }

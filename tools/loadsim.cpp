@@ -13,227 +13,80 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
+
 #include "promises/load/Load.h"
-#include "promises/support/StrUtil.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace promises;
 using namespace promises::load;
 
-namespace {
-
-struct Options {
-  uint64_t Seed = 1;
-  uint64_t Seeds = 1; ///< Consecutive seeds starting at Seed.
-  std::string Scenario = "storm";
-  double RateScale = 1.0;
-  double DurationScale = 1.0;
-  sim::BackendKind Backend = sim::SimConfig::defaultBackend();
-  bool Storage = false;
-  double TornRate = -1; ///< Negative: keep the scenario's rate.
-  double LostRate = -1;
-  bool List = false;
-  bool ReplayCheck = true; ///< Run each seed twice, compare traces.
-  bool Quiet = false;
-  std::string BenchOut; ///< Write the first seed's BENCH_9 JSON here.
-};
-
-void usage(const char *Argv0) {
-  std::string Scenarios;
-  for (const std::string &N : LoadScenario::names())
-    Scenarios += (Scenarios.empty() ? "" : "|") + N;
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --scenario S      %s (default storm)\n"
-      "  --list            list scenarios with their summaries and exit\n"
-      "  --seed S          first seed (default 1)\n"
-      "  --seeds N         run N consecutive seeds (default 1)\n"
-      "  --rate-scale F    scale every tenant's offered rate (default 1)\n"
-      "  --duration-scale F scale the scenario duration (default 1)\n"
-      "  --backend B       fiber|thread execution backend (default: \n"
-      "                    $PROMISES_BACKEND, else fiber); trace hashes are\n"
-      "                    backend-independent\n"
-      "  --storage-faults  force durable WAL-backed servers onto the\n"
-      "                    scenario (see docs/DURABILITY.md)\n"
-      "  --torn-rate F     P(lost suffix is torn mid-record); default: the\n"
-      "                    scenario's rate (0.3)\n"
-      "  --lost-rate F     P(crash loses the un-synced suffix); default:\n"
-      "                    the scenario's rate (0.7)\n"
-      "  --bench-out FILE  write the first seed's bench_overload JSON record\n"
-      "  --no-replay       skip the determinism double-run\n"
-      "  --quiet           print failures and the final line only\n",
-      Argv0, Scenarios.c_str());
-}
-
-bool parseArgs(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    auto Need = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Flag);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *A = Argv[I];
-    const char *V = nullptr;
-    if (!std::strcmp(A, "--scenario")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Scenario = V;
-    } else if (!std::strcmp(A, "--list")) {
-      O.List = true;
-    } else if (!std::strcmp(A, "--seed")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Seed = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--seeds")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Seeds = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--rate-scale")) {
-      if (!(V = Need(A)))
-        return false;
-      O.RateScale = std::strtod(V, nullptr);
-    } else if (!std::strcmp(A, "--duration-scale")) {
-      if (!(V = Need(A)))
-        return false;
-      O.DurationScale = std::strtod(V, nullptr);
-    } else if (!std::strcmp(A, "--backend")) {
-      if (!(V = Need(A)))
-        return false;
-      if (!sim::SimConfig::parseBackend(V, O.Backend)) {
-        std::fprintf(stderr,
-                     "error: unknown backend %s (valid: fiber, thread)\n", V);
-        return false;
-      }
-    } else if (!std::strcmp(A, "--storage-faults")) {
-      O.Storage = true;
-    } else if (!std::strcmp(A, "--torn-rate")) {
-      if (!(V = Need(A)))
-        return false;
-      O.TornRate = std::strtod(V, nullptr);
-    } else if (!std::strcmp(A, "--lost-rate")) {
-      if (!(V = Need(A)))
-        return false;
-      O.LostRate = std::strtod(V, nullptr);
-    } else if (!std::strcmp(A, "--bench-out")) {
-      if (!(V = Need(A)))
-        return false;
-      O.BenchOut = V;
-    } else if (!std::strcmp(A, "--no-replay")) {
-      O.ReplayCheck = false;
-    } else if (!std::strcmp(A, "--quiet")) {
-      O.Quiet = true;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown flag %s (valid: --scenario --list --seed "
-                   "--seeds --rate-scale --duration-scale --backend "
-                   "--storage-faults --torn-rate --lost-rate --bench-out "
-                   "--no-replay --quiet)\n",
-                   A);
-      return false;
-    }
-  }
-  if (O.Seeds == 0) {
-    std::fprintf(stderr, "error: --seeds must be > 0\n");
-    return false;
-  }
-  if (O.RateScale <= 0 || O.DurationScale <= 0) {
-    std::fprintf(stderr,
-                 "error: --rate-scale/--duration-scale must be > 0\n");
-    return false;
-  }
-  if (O.TornRate > 1 || O.LostRate > 1) {
-    std::fprintf(stderr, "error: --torn-rate/--lost-rate must be in [0,1]\n");
-    return false;
-  }
-  return true;
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
-  Options O;
-  if (!parseArgs(Argc, Argv, O)) {
-    usage(Argv[0]);
+  cli::SweepOptions SW;
+  LoadOptions LO;
+  std::string Scenario = "storm";
+  bool List = false;
+  std::string BenchOut; ///< Write the first seed's BENCH_9 JSON here.
+
+  cli::Table Flags = cli::sweepFlags(SW);
+  Flags.insert(
+      Flags.end(),
+      {cli::choice("--scenario", "S", " (default storm)", Scenario,
+                   LoadScenario::names()),
+       cli::toggle("--list", "list scenarios with their summaries and exit",
+                   List),
+       cli::number("--rate-scale", "F",
+                   "scale every tenant's offered rate (default 1)",
+                   LO.RateScale, 1e-6, 1e6),
+       cli::number("--duration-scale", "F",
+                   "scale the scenario duration (default 1)",
+                   LO.DurationScale, 1e-6, 1e6),
+       cli::backend(LO.Backend),
+       cli::toggle("--storage-faults",
+                   "force durable WAL-backed servers onto the\n"
+                   "scenario (see docs/DURABILITY.md)",
+                   LO.ForceStorage),
+       cli::number("--torn-rate", "F",
+                   "P(lost suffix is torn mid-record); default: the\n"
+                   "scenario's rate (0.3)",
+                   LO.TornRate, 0, 1),
+       cli::number("--lost-rate", "F",
+                   "P(crash loses the un-synced suffix); default:\n"
+                   "the scenario's rate (0.7)",
+                   LO.LostRate, 0, 1),
+       cli::text("--bench-out", "FILE",
+                 "write the first seed's bench_overload JSON record",
+                 BenchOut)});
+  if (!cli::parse(Argc, Argv, Flags)) {
+    cli::usage(Argv[0], Flags);
     return 2;
   }
-  if (O.List) {
+  if (List) {
     for (const LoadScenario &Sc : LoadScenario::all())
       std::printf("%-12s %s\n", Sc.Name.c_str(), Sc.Summary.c_str());
     return 0;
   }
-  const LoadScenario *Sc = LoadScenario::byName(O.Scenario);
-  if (!Sc) {
-    std::string Scenarios;
-    for (const std::string &N : LoadScenario::names())
-      Scenarios += (Scenarios.empty() ? "" : ", ") + N;
-    std::fprintf(stderr, "error: unknown scenario %s (valid: %s)\n",
-                 O.Scenario.c_str(), Scenarios.c_str());
-    usage(Argv[0]);
-    return 2;
-  }
+  LO.Scenario = *LoadScenario::byName(Scenario);
 
-  uint64_t Failures = 0;
-  for (uint64_t S = O.Seed; S != O.Seed + O.Seeds; ++S) {
-    LoadOptions LO;
-    LO.Seed = S;
-    LO.Scenario = *Sc;
-    LO.RateScale = O.RateScale;
-    LO.DurationScale = O.DurationScale;
-    LO.Backend = O.Backend;
-    LO.ForceStorage = O.Storage;
-    LO.TornRate = O.TornRate < 0 ? -1 : O.TornRate;
-    LO.LostRate = O.LostRate < 0 ? -1 : O.LostRate;
-
-    LoadReport R = runLoad(LO);
-    bool Bad = !R.ok();
-    if (!Bad && O.ReplayCheck) {
-      LoadReport R2 = runLoad(LO);
-      if (R2.TraceHash != R.TraceHash || R2.TraceEvents != R.TraceEvents ||
-          !R2.ok()) {
-        Bad = true;
-        R.Violations.push_back(strprintf(
-            "nondeterministic replay: trace %llu@%016llx vs %llu@%016llx",
-            (unsigned long long)R.TraceEvents,
-            (unsigned long long)R.TraceHash,
-            (unsigned long long)R2.TraceEvents,
-            (unsigned long long)R2.TraceHash));
-        for (const std::string &V : R2.Violations)
-          R.Violations.push_back("replay: " + V);
-      }
-    }
-
-    if (Bad) {
-      ++Failures;
-      std::printf("seed %llu [%s]: FAIL %s\n", (unsigned long long)S,
-                  Sc->Name.c_str(), R.summary().c_str());
-      for (const std::string &V : R.Violations)
-        std::printf("  violation: %s\n", V.c_str());
-      std::printf("  replay: %s\n", replayCommand(LO).c_str());
-    } else if (!O.Quiet) {
-      std::printf("seed %llu [%s]: ok %s\n", (unsigned long long)S,
-                  Sc->Name.c_str(), R.summary().c_str());
-    }
-
-    if (S == O.Seed && !O.BenchOut.empty()) {
-      std::FILE *F = std::fopen(O.BenchOut.c_str(), "w");
-      if (!F) {
-        std::fprintf(stderr, "error: cannot write %s\n", O.BenchOut.c_str());
-        return 2;
-      }
-      std::fprintf(F, "%s\n", benchJson(LO, R).c_str());
-      std::fclose(F);
-    }
-  }
-
-  std::printf("%llu/%llu seeds ok [%s]\n",
-              (unsigned long long)(O.Seeds - Failures),
-              (unsigned long long)O.Seeds, Sc->Name.c_str());
-  return Failures == 0 ? 0 : 1;
+  return cli::sweep<LoadOptions, LoadReport>(
+      SW, Scenario,
+      [&](uint64_t Seed) {
+        LO.Seed = Seed;
+        return LO;
+      },
+      runLoad, replayCommand,
+      [&](const LoadOptions &O, const LoadReport &R) {
+        if (O.Seed != SW.Seed || BenchOut.empty())
+          return 0;
+        std::FILE *F = std::fopen(BenchOut.c_str(), "w");
+        if (!F) {
+          std::fprintf(stderr, "error: cannot write %s\n", BenchOut.c_str());
+          return 2;
+        }
+        std::fprintf(F, "%s\n", benchJson(O, R).c_str());
+        std::fclose(F);
+        return 0;
+      });
 }

@@ -8,7 +8,7 @@
 //
 //   streamsim --calls 1000 --mode stream --batch 32 --loss 0.2
 //   streamsim --calls 100 --mode rpc --service-us 500
-//   PROMISES_TRACE=1 streamsim --calls 4 --mode stream
+//   streamsim --calls 4 --mode stream --trace-out trace.json
 //
 // With --net udp the same workload runs over real loopback UDP sockets
 // (docs/NETWORK.md) instead of the simulator — either both ends in this
@@ -22,6 +22,8 @@
 // --dup, --jitter-us, --crash-at-ms) are simulator-only.
 //
 //===----------------------------------------------------------------------===//
+
+#include "Cli.h"
 
 #include "promises/apps/KvStore.h"
 #include "promises/net/UdpNetwork.h"
@@ -81,150 +83,89 @@ struct Options {
   }
 };
 
-void usage(const char *Argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --calls N         number of calls (default 256)\n"
-      "  --mode M          stream | rpc | send (default stream)\n"
-      "  --batch B         calls per batch (default 16)\n"
-      "  --payload BYTES   argument size (default 16)\n"
-      "  --service-us T    server service time per call (default 100)\n"
-      "  --loss P          datagram loss probability (default 0)\n"
-      "  --dup P           datagram duplication probability (default 0)\n"
-      "  --jitter-us T     max extra delivery delay (default 0)\n"
-      "  --seed S          fault RNG seed (default 1)\n"
-      "  --backend B       fiber|thread execution backend (default:\n"
-      "                    $PROMISES_BACKEND, else fiber)\n"
-      "  --window N        max in-flight (unacked) calls; 0 = unbounded\n"
-      "  --window-bytes B  max in-flight argument bytes; 0 = unbounded\n"
-      "  --backoff F       retransmit backoff multiplier (default 2)\n"
-      "  --rto-max-us T    retransmit backoff cap (default 160000)\n"
-      "  --crash-at-ms T   crash the server at virtual time T (default "
-      "never)\n"
-      "  --deadline-us T   per-call deadline; expired calls are dropped\n"
-      "  --retries N       max attempts per call (idempotent; default 1)\n"
-      "  --breaker-threshold N  timeout breaks before failing fast; 0 = "
-      "off\n"
-      "  --breaker-cooldown-us T  open-breaker dwell before a probe "
-      "(default 50000)\n"
-      "  --max-pending N   server sheds calls beyond N pending; 0 = "
-      "unbounded\n"
-      "  --net N           sim | udp: simulated or real loopback sockets\n"
-      "                    (default sim)\n"
-      "  --role R          both | server | client: udp two-process split\n"
-      "                    (default both = single process)\n"
-      "  --listen BASE     local udp port base (udp server/client roles)\n"
-      "  --peer IP:BASE    the other process's address (udp roles)\n"
-      "  --metrics         print the metrics-registry summary at exit\n"
-      "  --metrics-out F   write a JSON Lines metrics snapshot to F\n"
-      "  --trace-out F     write a chrome://tracing event file to F\n"
-      "set PROMISES_TRACE=1 for a transport event trace\n",
-      Argv0);
-}
-
 bool parseArgs(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    auto Need = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Flag);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *A = Argv[I];
-    const char *V = nullptr;
-    if (!std::strcmp(A, "--calls") && (V = Need(A)))
-      O.Calls = std::atoi(V);
-    else if (!std::strcmp(A, "--mode") && (V = Need(A)))
-      O.Mode = V;
-    else if (!std::strcmp(A, "--batch") && (V = Need(A)))
-      O.Batch = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--payload") && (V = Need(A)))
-      O.PayloadBytes = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--service-us") && (V = Need(A)))
-      O.ServiceUs = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--loss") && (V = Need(A)))
-      O.Loss = std::atof(V);
-    else if (!std::strcmp(A, "--dup") && (V = Need(A)))
-      O.Dup = std::atof(V);
-    else if (!std::strcmp(A, "--jitter-us") && (V = Need(A)))
-      O.JitterUs = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--seed") && (V = Need(A)))
-      O.Seed = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--backend") && (V = Need(A))) {
-      if (!sim::SimConfig::parseBackend(V, O.Backend)) {
-        std::fprintf(stderr,
-                     "error: unknown backend %s (valid: fiber, thread)\n", V);
-        return false;
-      }
-    }
-    else if (!std::strcmp(A, "--window") && (V = Need(A)))
-      O.Window = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--window-bytes") && (V = Need(A)))
-      O.WindowBytes = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--backoff") && (V = Need(A)))
-      O.Backoff = std::atof(V);
-    else if (!std::strcmp(A, "--rto-max-us") && (V = Need(A)))
-      O.RtoMaxUs = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--crash-at-ms") && (V = Need(A)))
-      O.CrashAtMs = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--deadline-us") && (V = Need(A)))
-      O.DeadlineUs = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--retries") && (V = Need(A)))
-      O.Retries = std::atoi(V);
-    else if (!std::strcmp(A, "--breaker-threshold") && (V = Need(A)))
-      O.BreakerThreshold = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--breaker-cooldown-us") && (V = Need(A)))
-      O.BreakerCooldownUs = static_cast<uint64_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--max-pending") && (V = Need(A)))
-      O.MaxPending = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--net") && (V = Need(A)))
-      O.Net = V;
-    else if (!std::strcmp(A, "--role") && (V = Need(A)))
-      O.Role = V;
-    else if (!std::strcmp(A, "--listen") && (V = Need(A)))
-      O.ListenBase = static_cast<uint16_t>(std::atoi(V));
-    else if (!std::strcmp(A, "--peer") && (V = Need(A))) {
-      const char *Colon = std::strrchr(V, ':');
-      if (!Colon) {
-        std::fprintf(stderr, "error: --peer wants IP:BASE, got '%s'\n", V);
-        return false;
-      }
-      O.PeerIp.assign(V, Colon - V);
-      O.PeerBase = static_cast<uint16_t>(std::atoi(Colon + 1));
-    } else if (!std::strcmp(A, "--metrics")) {
-      O.Metrics = true;
-      continue;
-    } else if (!std::strcmp(A, "--metrics-out") && (V = Need(A)))
-      O.MetricsOut = V;
-    else if (!std::strcmp(A, "--trace-out") && (V = Need(A)))
-      O.TraceOut = V;
-    else if (!std::strcmp(A, "--help") || !std::strcmp(A, "-h")) {
-      usage(Argv[0]);
-      return false;
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", A);
-      usage(Argv[0]);
-      return false;
-    }
-    if (!V && std::strcmp(A, "--help") && std::strcmp(A, "-h"))
-      return false;
-  }
-  if (O.Mode != "stream" && O.Mode != "rpc" && O.Mode != "send") {
-    std::fprintf(stderr, "error: bad --mode '%s' (valid: stream, rpc, send)\n",
-                 O.Mode.c_str());
-    return false;
-  }
-  if (O.Net != "sim" && O.Net != "udp") {
-    std::fprintf(stderr, "error: bad --net '%s' (valid: sim, udp)\n",
-                 O.Net.c_str());
-    return false;
-  }
-  if (O.Role != "both" && O.Role != "server" && O.Role != "client") {
-    std::fprintf(stderr,
-                 "error: bad --role '%s' (valid: both, server, client)\n",
-                 O.Role.c_str());
+  bool Help = false;
+  cli::Table Flags = {
+      cli::integer("--calls", "N", "number of calls (default 256)", O.Calls),
+      cli::choice("--mode", "M", " (default stream)", O.Mode,
+                  {"stream", "rpc", "send"}),
+      cli::integer("--batch", "B", "calls per batch (default 16)", O.Batch,
+                   1),
+      cli::integer("--payload", "BYTES", "argument size (default 16)",
+                   O.PayloadBytes, 0, 1 << 20),
+      cli::integer("--service-us", "T",
+                   "server service time per call (default 100)",
+                   O.ServiceUs),
+      cli::number("--loss", "P", "datagram loss probability (default 0)",
+                  O.Loss, 0, 1),
+      cli::number("--dup", "P",
+                  "datagram duplication probability (default 0)", O.Dup, 0,
+                  1),
+      cli::integer("--jitter-us", "T", "max extra delivery delay (default 0)",
+                   O.JitterUs),
+      cli::integer("--seed", "S", "fault RNG seed (default 1)", O.Seed),
+      cli::backend(O.Backend),
+      cli::integer("--window", "N",
+                   "max in-flight (unacked) calls; 0 = unbounded", O.Window),
+      cli::integer("--window-bytes", "B",
+                   "max in-flight argument bytes; 0 = unbounded",
+                   O.WindowBytes),
+      cli::number("--backoff", "F",
+                  "retransmit backoff multiplier (default 2)", O.Backoff, 1,
+                  1000),
+      cli::integer("--rto-max-us", "T",
+                   "retransmit backoff cap (default 160000)", O.RtoMaxUs),
+      cli::integer("--crash-at-ms", "T",
+                   "crash the server at virtual time T (default never)",
+                   O.CrashAtMs),
+      cli::integer("--deadline-us", "T",
+                   "per-call deadline; expired calls are dropped",
+                   O.DeadlineUs),
+      cli::integer("--retries", "N",
+                   "max attempts per call (idempotent; default 1)",
+                   O.Retries),
+      cli::integer("--breaker-threshold", "N",
+                   "timeout breaks before failing fast; 0 = off",
+                   O.BreakerThreshold),
+      cli::integer("--breaker-cooldown-us", "T",
+                   "open-breaker dwell before a probe (default 50000)",
+                   O.BreakerCooldownUs),
+      cli::integer("--max-pending", "N",
+                   "server sheds calls beyond N pending; 0 = unbounded",
+                   O.MaxPending),
+      cli::choice("--net", "N",
+                  ": simulated or real loopback sockets\n(default sim)",
+                  O.Net, {"sim", "udp"}),
+      cli::choice("--role", "R",
+                  ": udp two-process split\n(default both = single process)",
+                  O.Role, {"both", "server", "client"}),
+      cli::integer("--listen", "BASE",
+                   "local udp port base (udp server/client roles)",
+                   O.ListenBase, 1),
+      {"--peer", "IP:BASE", "the other process's address (udp roles)",
+       [&O](const char *V) -> std::string {
+         const char *Colon = std::strrchr(V, ':');
+         if (!Colon)
+           return strprintf("--peer wants IP:BASE, got '%s'", V);
+         O.PeerIp.assign(V, Colon - V);
+         uint64_t Base = 0;
+         std::string Err = cli::parseValue<uint64_t>("--peer", Colon + 1, 1,
+                                                     UINT16_MAX, Base);
+         O.PeerBase = static_cast<uint16_t>(Base);
+         return Err;
+       }},
+      cli::toggle("--metrics", "print the metrics-registry summary at exit",
+                  O.Metrics),
+      cli::text("--metrics-out", "F",
+                "write a JSON Lines metrics snapshot to F", O.MetricsOut),
+      cli::text("--trace-out", "F",
+                "write a chrome://tracing event file to F (the typed\n"
+                "trace events; see docs/OBSERVABILITY.md)",
+                O.TraceOut),
+      cli::toggle("--help", "print this text", Help),
+      cli::toggle("-h", "print this text", Help)};
+  if (!cli::parse(Argc, Argv, Flags) || Help) {
+    cli::usage(Argv[0], Flags);
     return false;
   }
   if (O.Net == "sim" && O.Role != "both") {
