@@ -223,6 +223,11 @@ private:
     }
   };
 
+  // Every call takes a slab state: the outcome plus at most 48 bytes of
+  // bookkeeping (the waiter queue and the refcount).
+  static_assert(sizeof(State) <= sizeof(std::optional<OutcomeType>) + 48,
+                "promise slab state grew");
+
   State *St = nullptr;
 };
 

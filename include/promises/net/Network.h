@@ -280,12 +280,31 @@ private:
     Histogram *LatencyUs = nullptr;
   };
 
+  /// One datagram copy between send() and its delivery or drop, pooled
+  /// in Flights and recycled through a freelist. The two schedule()
+  /// closures a copy needs (arrival at the receiver, then delivery once
+  /// its receive path frees) capture only {this, slot}, which fits
+  /// std::function's inline buffer: with the pool warm, a datagram costs
+  /// the network no allocation at all.
+  struct InFlight {
+    Datagram D;
+    sim::Time SentAt = 0;
+    uint32_t NextFree = 0; ///< Freelist link while the slot is free.
+  };
+  // One cache line: two addresses, the payload vector and the send time.
+  static_assert(sizeof(InFlight) <= 64, "in-flight datagram record grew");
+
   Node &node(NodeId N);
   const Node &node(NodeId N) const;
   double lossBetween(NodeId A, NodeId B) const;
   LinkStats &linkStats(NodeId From, NodeId To);
   void countDrop(NodeId From, NodeId To);
-  void arrive(Datagram D, sim::Time SentAt);
+  /// Parks \p D in a pooled slot and returns the slot's index.
+  uint32_t park(Datagram D, sim::Time SentAt);
+  /// Moves the datagram out of \p Slot and returns the slot to the pool.
+  Datagram unpark(uint32_t Slot);
+  void arrive(uint32_t Slot);
+  void deliver(uint32_t Slot);
 
   sim::Simulation &Sim;
   MetricsRegistry &Reg;
@@ -298,6 +317,8 @@ private:
   std::map<std::pair<NodeId, NodeId>, LinkStats> Links;
   CounterCells Totals;
   Counter *StaleDrops = nullptr;
+  std::vector<InFlight> Flights;
+  uint32_t FreeFlight = UINT32_MAX; ///< Head of the free-slot list.
 };
 
 } // namespace promises::net

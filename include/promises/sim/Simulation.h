@@ -418,6 +418,12 @@ private:
     bool Armed = false;
     bool Cancelled = false;
   };
+  // Every timer and network delivery takes one of each. Sift-up/down
+  // moves heap entries, so they stay a small POD; a record is its closure
+  // plus 16 bytes of pool bookkeeping.
+  static_assert(sizeof(TimedEvent) <= 24, "TimedEvent grew");
+  static_assert(sizeof(EventRecord) <= sizeof(std::function<void()>) + 16,
+                "EventRecord grew");
 
   static bool timedAfter(const TimedEvent &A, const TimedEvent &B) {
     return A.At != B.At ? A.At > B.At : A.Seq > B.Seq;

@@ -29,6 +29,7 @@
 #ifndef PROMISES_STREAM_MESSAGES_H
 #define PROMISES_STREAM_MESSAGES_H
 
+#include "promises/stream/SeqRing.h"
 #include "promises/wire/Codec.h"
 
 #include <cstdint>
@@ -82,6 +83,8 @@ struct CallReq {
 
   friend bool operator==(const CallReq &, const CallReq &) = default;
 };
+// Every retransmission and receive window holds one per call in flight.
+static_assert(sizeof(CallReq) <= 48, "CallReq grew");
 
 /// One explicit reply inside a ReplyBatchMsg.
 struct WireReply {
@@ -93,22 +96,34 @@ struct WireReply {
 
   friend bool operator==(const WireReply &, const WireReply &) = default;
 };
+// Every unacked-reply and pending-reply ring holds one per reply.
+static_assert(sizeof(WireReply) <= 72, "WireReply grew");
 
-/// Sender -> receiver: new or retransmitted calls plus reply acks. An
-/// empty Calls list is a pure ack and/or probe.
-struct CallBatchMsg {
+/// The fields of a CallBatchMsg that precede its calls. The transport
+/// seals outgoing batches from a header plus its retransmission window
+/// (encodeFramedCallBatch) and never builds a CallBatchMsg to send one.
+struct CallBatchHeader {
   AgentId Agent = 0;
   GroupId Group = 0;
   Incarnation Inc = 1;
   Seq AckReplyThrough = 0; ///< Sender has consumed replies through here.
   bool FlushReplies = false;
+
+  friend bool operator==(const CallBatchHeader &,
+                         const CallBatchHeader &) = default;
+};
+
+/// Sender -> receiver: new or retransmitted calls plus reply acks. An
+/// empty Calls list is a pure ack and/or probe.
+struct CallBatchMsg : CallBatchHeader {
   std::vector<CallReq> Calls;
 
   friend bool operator==(const CallBatchMsg &, const CallBatchMsg &) = default;
 };
 
-/// Receiver -> sender: cumulative acks, unacked replies, break marker.
-struct ReplyBatchMsg {
+/// The fields of a ReplyBatchMsg that precede its replies (see
+/// CallBatchHeader; encodeFramedReplyBatch is the send path).
+struct ReplyBatchHeader {
   AgentId Agent = 0;
   GroupId Group = 0;
   Incarnation Inc = 1;
@@ -117,6 +132,13 @@ struct ReplyBatchMsg {
   bool Broken = false;
   bool BreakIsFailure = false; ///< Else the break maps to `unavailable`.
   std::string BreakReason;
+
+  friend bool operator==(const ReplyBatchHeader &,
+                         const ReplyBatchHeader &) = default;
+};
+
+/// Receiver -> sender: cumulative acks, unacked replies, break marker.
+struct ReplyBatchMsg : ReplyBatchHeader {
   std::vector<WireReply> Replies;
 
   friend bool operator==(const ReplyBatchMsg &,
@@ -140,6 +162,10 @@ struct CancelMsg {
 /// Any stream-layer message.
 using Message = std::variant<CallBatchMsg, ReplyBatchMsg, CancelMsg>;
 
+/// The kind byte that leads every encoded message, numbered in the order
+/// of Message's alternatives.
+enum class MessageKind : uint8_t { CallBatch = 1, ReplyBatch = 2, Cancel = 3 };
+
 /// Encodes \p M with a leading kind byte.
 wire::Bytes encodeMessage(const Message &M);
 
@@ -152,8 +178,41 @@ wire::Bytes encodeMessage(const Message &M);
 /// garbage is never transmitted.
 wire::Bytes encodeFramedMessage(const Message &M, bool Checksum);
 
+/// Seals a call batch carrying the calls \p Window holds for seqs
+/// \p From..\p Through (none when From > Through; each must be present),
+/// encoded straight out of the window: one allocation, no call copied.
+/// Byte-identical to encodeFramedMessage of the CallBatchMsg with header
+/// \p H and those calls.
+wire::Bytes encodeFramedCallBatch(const CallBatchHeader &H,
+                                  const SeqRing<CallReq> &Window, Seq From,
+                                  Seq Through, bool Checksum);
+
+/// Seals a reply batch carrying every reply in \p Unacked above seq
+/// \p After, in seq order, encoded straight out of the ring. One
+/// allocation; byte-identical to encodeFramedMessage of the equivalent
+/// ReplyBatchMsg.
+wire::Bytes encodeFramedReplyBatch(const ReplyBatchHeader &H,
+                                   const SeqRing<WireReply> &Unacked,
+                                   Seq After, bool Checksum);
+
 /// Decodes a stream message; std::nullopt on malformed input.
-std::optional<Message> decodeMessage(const wire::Bytes &B);
+std::optional<Message> decodeMessage(wire::ByteView B);
+
+/// Decode targets a receiver keeps from one datagram to the next: one
+/// message per kind, so each batch's sequence keeps its capacity and a
+/// steady-state decode allocates only the Args/Payload/Reason buffers it
+/// hands on.
+struct MessageBuffers {
+  CallBatchMsg Calls;
+  ReplyBatchMsg Replies;
+  CancelMsg Cancel;
+};
+
+/// Decodes \p B into the member of \p Into that matches its kind and
+/// returns that kind, or std::nullopt on malformed input (the member is
+/// then unspecified).
+std::optional<MessageKind> decodeMessage(wire::ByteView B,
+                                         MessageBuffers &Into);
 
 } // namespace promises::stream
 
@@ -177,6 +236,9 @@ template <> struct Codec<stream::CallReq> {
     V.DeadlineNs = D.readU64();
     V.Args = D.readBytes();
     return V;
+  }
+  static size_t size(const stream::CallReq &V) {
+    return 8 + 4 + 1 + 1 + 8 + (4 + V.Args.size());
   }
 };
 
@@ -202,31 +264,35 @@ template <> struct Codec<stream::WireReply> {
     V.Reason = D.readString();
     return V;
   }
+  static size_t size(const stream::WireReply &V) {
+    return 8 + 1 + 4 + (4 + V.Payload.size()) + (4 + V.Reason.size());
+  }
 };
 
-template <> struct Codec<stream::CallBatchMsg> {
-  static void encode(Encoder &E, const stream::CallBatchMsg &V) {
+template <> struct Codec<stream::CallBatchHeader> {
+  static void encode(Encoder &E, const stream::CallBatchHeader &V) {
     E.writeU64(V.Agent);
     E.writeU32(V.Group);
     E.writeU32(V.Inc);
     E.writeU64(V.AckReplyThrough);
     E.writeBool(V.FlushReplies);
-    Codec<std::vector<stream::CallReq>>::encode(E, V.Calls);
   }
-  static stream::CallBatchMsg decode(Decoder &D) {
-    stream::CallBatchMsg V;
+  static stream::CallBatchHeader decode(Decoder &D) {
+    stream::CallBatchHeader V;
     V.Agent = D.readU64();
     V.Group = D.readU32();
     V.Inc = D.readU32();
     V.AckReplyThrough = D.readU64();
     V.FlushReplies = D.readBool();
-    V.Calls = Codec<std::vector<stream::CallReq>>::decode(D);
     return V;
+  }
+  static size_t size(const stream::CallBatchHeader &) {
+    return 8 + 4 + 4 + 8 + 1;
   }
 };
 
-template <> struct Codec<stream::ReplyBatchMsg> {
-  static void encode(Encoder &E, const stream::ReplyBatchMsg &V) {
+template <> struct Codec<stream::ReplyBatchHeader> {
+  static void encode(Encoder &E, const stream::ReplyBatchHeader &V) {
     E.writeU64(V.Agent);
     E.writeU32(V.Group);
     E.writeU32(V.Inc);
@@ -235,10 +301,9 @@ template <> struct Codec<stream::ReplyBatchMsg> {
     E.writeBool(V.Broken);
     E.writeBool(V.BreakIsFailure);
     E.writeString(V.BreakReason);
-    Codec<std::vector<stream::WireReply>>::encode(E, V.Replies);
   }
-  static stream::ReplyBatchMsg decode(Decoder &D) {
-    stream::ReplyBatchMsg V;
+  static stream::ReplyBatchHeader decode(Decoder &D) {
+    stream::ReplyBatchHeader V;
     V.Agent = D.readU64();
     V.Group = D.readU32();
     V.Inc = D.readU32();
@@ -247,10 +312,44 @@ template <> struct Codec<stream::ReplyBatchMsg> {
     V.Broken = D.readBool();
     V.BreakIsFailure = D.readBool();
     V.BreakReason = D.readString();
-    V.Replies = Codec<std::vector<stream::WireReply>>::decode(D);
     return V;
   }
+  static size_t size(const stream::ReplyBatchHeader &V) {
+    return 8 + 4 + 4 + 8 + 8 + 1 + 1 + (4 + V.BreakReason.size());
+  }
 };
+
+/// A batch is its header followed by its sequence. The decode-into form
+/// reuses the sequence's capacity (see stream::MessageBuffers).
+template <typename Msg, typename Header, typename Elem, auto Items>
+struct BatchCodec {
+  static void encode(Encoder &E, const Msg &V) {
+    Codec<Header>::encode(E, V);
+    Codec<std::vector<Elem>>::encode(E, V.*Items);
+  }
+  static Msg decode(Decoder &D) {
+    Msg V;
+    decode(D, V);
+    return V;
+  }
+  static void decode(Decoder &D, Msg &Out) {
+    static_cast<Header &>(Out) = Codec<Header>::decode(D);
+    Codec<std::vector<Elem>>::decode(D, Out.*Items);
+  }
+  static size_t size(const Msg &V) {
+    return Codec<Header>::size(V) + Codec<std::vector<Elem>>::size(V.*Items);
+  }
+};
+
+template <>
+struct Codec<stream::CallBatchMsg>
+    : BatchCodec<stream::CallBatchMsg, stream::CallBatchHeader,
+                 stream::CallReq, &stream::CallBatchMsg::Calls> {};
+
+template <>
+struct Codec<stream::ReplyBatchMsg>
+    : BatchCodec<stream::ReplyBatchMsg, stream::ReplyBatchHeader,
+                 stream::WireReply, &stream::ReplyBatchMsg::Replies> {};
 
 template <> struct Codec<stream::CancelMsg> {
   static void encode(Encoder &E, const stream::CancelMsg &V) {
@@ -261,11 +360,17 @@ template <> struct Codec<stream::CancelMsg> {
   }
   static stream::CancelMsg decode(Decoder &D) {
     stream::CancelMsg V;
-    V.Agent = D.readU64();
-    V.Group = D.readU32();
-    V.Inc = D.readU32();
-    V.Seqs = Codec<std::vector<stream::Seq>>::decode(D);
+    decode(D, V);
     return V;
+  }
+  static void decode(Decoder &D, stream::CancelMsg &Out) {
+    Out.Agent = D.readU64();
+    Out.Group = D.readU32();
+    Out.Inc = D.readU32();
+    Codec<std::vector<stream::Seq>>::decode(D, Out.Seqs);
+  }
+  static size_t size(const stream::CancelMsg &V) {
+    return 8 + 4 + 4 + Codec<std::vector<stream::Seq>>::size(V.Seqs);
   }
 };
 

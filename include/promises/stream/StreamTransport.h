@@ -484,11 +484,8 @@ private:
   void armReplyFlushTimer(ReceiverStream &R);
   void armReceiverAckTimer(ReceiverStream &R);
 
+  /// Verifies and decodes an arriving frame in place, then dispatches it.
   void onDatagram(net::Datagram D);
-
-  /// Seals \p M in a checksummed frame (per Cfg.FrameChecksums) and sends
-  /// it to \p To. Every datagram the transport emits goes through here.
-  void sendMessage(const net::Address &To, const Message &M);
 
   /// Registry-backed cells behind the StreamCounters view, plus the
   /// transport's histograms (gated on the registry's enabled flag).
@@ -524,6 +521,11 @@ private:
   std::function<void(uint64_t, Seq)> CallCancelHook;
   Cells Counters;
   Rng RetransRng; ///< Deterministic retransmit jitter (see StreamConfig).
+  /// What onDatagram decodes into. The handlers move the calls and
+  /// replies out but leave the sequences' capacity here for the next
+  /// datagram. Safe to reuse because no network delivers a datagram from
+  /// inside a handler: every delivery is a fresh scheduler event.
+  MessageBuffers Rx;
 
   std::map<net::Address, SenderShard> SenderShards;
   std::map<net::Address, ReceiverShard> ReceiverShards;

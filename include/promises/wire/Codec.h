@@ -22,10 +22,12 @@
 
 #include "promises/wire/Encoder.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,10 @@ namespace promises::wire {
 ///   static void encode(Encoder &E, const T &V);
 ///   static T decode(Decoder &D);
 /// decode() must tolerate a failed decoder (return a default value).
+/// A codec may also define
+///   static size_t size(const T &V);
+/// returning the exact number of bytes encode() writes, so that encoders
+/// can allocate their buffer once; every built-in codec does.
 template <typename T> struct Codec;
 
 /// True for types with a Codec specialization.
@@ -44,51 +50,66 @@ concept Transmissible = requires(Encoder &E, Decoder &D, const T &V) {
   { Codec<T>::decode(D) } -> std::convertible_to<T>;
 };
 
+/// True for codecs that report a value's exact encoded size.
+template <typename T>
+concept SizedCodec = requires(const T &V) {
+  { Codec<T>::size(V) } -> std::convertible_to<size_t>;
+};
+
 // --- Scalar codecs -------------------------------------------------------
 
 template <> struct Codec<bool> {
   static void encode(Encoder &E, bool V) { E.writeBool(V); }
   static bool decode(Decoder &D) { return D.readBool(); }
+  static constexpr size_t size(bool) { return 1; }
 };
 
 template <> struct Codec<uint8_t> {
   static void encode(Encoder &E, uint8_t V) { E.writeU8(V); }
   static uint8_t decode(Decoder &D) { return D.readU8(); }
+  static constexpr size_t size(uint8_t) { return 1; }
 };
 
 template <> struct Codec<uint16_t> {
   static void encode(Encoder &E, uint16_t V) { E.writeU16(V); }
   static uint16_t decode(Decoder &D) { return D.readU16(); }
+  static constexpr size_t size(uint16_t) { return 2; }
 };
 
 template <> struct Codec<uint32_t> {
   static void encode(Encoder &E, uint32_t V) { E.writeU32(V); }
   static uint32_t decode(Decoder &D) { return D.readU32(); }
+  static constexpr size_t size(uint32_t) { return 4; }
 };
 
 template <> struct Codec<uint64_t> {
   static void encode(Encoder &E, uint64_t V) { E.writeU64(V); }
   static uint64_t decode(Decoder &D) { return D.readU64(); }
+  static constexpr size_t size(uint64_t) { return 8; }
 };
 
 template <> struct Codec<int32_t> {
   static void encode(Encoder &E, int32_t V) { E.writeI32(V); }
   static int32_t decode(Decoder &D) { return D.readI32(); }
+  static constexpr size_t size(int32_t) { return 4; }
 };
 
 template <> struct Codec<int64_t> {
   static void encode(Encoder &E, int64_t V) { E.writeI64(V); }
   static int64_t decode(Decoder &D) { return D.readI64(); }
+  static constexpr size_t size(int64_t) { return 8; }
 };
 
 template <> struct Codec<double> {
   static void encode(Encoder &E, double V) { E.writeF64(V); }
   static double decode(Decoder &D) { return D.readF64(); }
+  static constexpr size_t size(double) { return 8; }
 };
 
 template <> struct Codec<std::string> {
   static void encode(Encoder &E, const std::string &V) { E.writeString(V); }
   static std::string decode(Decoder &D) { return D.readString(); }
+  static size_t size(const std::string &V) { return 4 + V.size(); }
 };
 
 /// Unit type for handlers that return nothing ("sends" in the paper carry
@@ -100,6 +121,7 @@ struct Unit {
 template <> struct Codec<Unit> {
   static void encode(Encoder &, Unit) {}
   static Unit decode(Decoder &) { return Unit{}; }
+  static constexpr size_t size(Unit) { return 0; }
 };
 
 // --- Composite codecs ----------------------------------------------------
@@ -109,6 +131,17 @@ template <> struct Codec<Unit> {
 /// decoder loop or allocate more than this many times on a hostile length.
 inline constexpr uint32_t MaxSequenceElems = 1u << 20;
 
+/// Fewest bytes one encoded T occupies: the size of its default value for
+/// sized codecs (the empty or zero value is the shortest encoding of every
+/// built-in type), else 1. Bounds how many elements a sequence decode
+/// reserves before it has read them.
+template <typename T> size_t minEncodedBytes() {
+  if constexpr (SizedCodec<T> && std::is_default_constructible_v<T>)
+    return std::max<size_t>(1, Codec<T>::size(T{}));
+  else
+    return 1;
+}
+
 template <typename T> struct Codec<std::vector<T>> {
   static void encode(Encoder &E, const std::vector<T> &V) {
     E.writeU32(static_cast<uint32_t>(V.size()));
@@ -116,15 +149,33 @@ template <typename T> struct Codec<std::vector<T>> {
       Codec<T>::encode(E, Elem);
   }
   static std::vector<T> decode(Decoder &D) {
-    uint32_t N = D.readU32();
     std::vector<T> Out;
+    decode(D, Out);
+    return Out;
+  }
+  /// Decodes into \p Out, reusing the capacity it already has: a receiver
+  /// that keeps one vector across messages stops allocating for it. The
+  /// up-front reserve never exceeds what the remaining bytes could hold,
+  /// so a hostile count cannot make it allocate more than the input
+  /// justifies.
+  static void decode(Decoder &D, std::vector<T> &Out) {
+    Out.clear();
+    uint32_t N = D.readU32();
     if (N > MaxSequenceElems) {
       D.fail("oversized sequence length");
-      return Out;
+      return;
     }
+    Out.reserve(std::min<size_t>(N, D.remaining() / minEncodedBytes<T>()));
     for (uint32_t I = 0; I != N && !D.failed(); ++I)
       Out.push_back(Codec<T>::decode(D));
-    return Out;
+  }
+  static size_t size(const std::vector<T> &V)
+    requires SizedCodec<T>
+  {
+    size_t N = 4;
+    for (const T &Elem : V)
+      N += Codec<T>::size(Elem);
+    return N;
   }
 };
 
@@ -137,6 +188,11 @@ template <typename A, typename B> struct Codec<std::pair<A, B>> {
     A First = Codec<A>::decode(D);
     B Second = Codec<B>::decode(D);
     return {std::move(First), std::move(Second)};
+  }
+  static size_t size(const std::pair<A, B> &V)
+    requires SizedCodec<A> && SizedCodec<B>
+  {
+    return Codec<A>::size(V.first) + Codec<B>::size(V.second);
   }
 };
 
@@ -151,6 +207,11 @@ template <typename T> struct Codec<std::optional<T>> {
       return std::nullopt;
     return Codec<T>::decode(D);
   }
+  static size_t size(const std::optional<T> &V)
+    requires SizedCodec<T>
+  {
+    return 1 + (V ? Codec<T>::size(*V) : 0);
+  }
 };
 
 template <typename... Ts> struct Codec<std::tuple<Ts...>> {
@@ -162,15 +223,27 @@ template <typename... Ts> struct Codec<std::tuple<Ts...>> {
     // Braced init guarantees left-to-right evaluation of the decodes.
     return std::tuple<Ts...>{Codec<Ts>::decode(D)...};
   }
+  static size_t size(const std::tuple<Ts...> &V)
+    requires(SizedCodec<Ts> && ...)
+  {
+    return std::apply(
+        [](const Ts &...Elems) {
+          return (size_t{0} + ... + Codec<Ts>::size(Elems));
+        },
+        V);
+  }
 };
 
 // --- Convenience entry points --------------------------------------------
 
 /// Encodes \p V into fresh bytes; returns std::nullopt if the codec failed
-/// (with \p Reason set to the failure reason).
+/// (with \p Reason set to the failure reason). A sized codec's buffer is
+/// allocated once, at its exact size (none at all for an empty encoding).
 template <Transmissible T>
 std::optional<Bytes> encodeToBytes(const T &V, std::string *Reason = nullptr) {
   Encoder E;
+  if constexpr (SizedCodec<T>)
+    E.reserve(Codec<T>::size(V));
   Codec<T>::encode(E, V);
   if (E.failed()) {
     if (Reason)

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,10 @@ namespace promises::wire {
 
 /// Raw encoded bytes.
 using Bytes = std::vector<uint8_t>;
+
+/// A read-only window onto encoded bytes someone else owns — on the
+/// receive path, a frame payload inside its datagram buffer.
+using ByteView = std::span<const uint8_t>;
 
 /// Hard cap on any single length-prefixed byte sequence or string. A
 /// corrupt or hostile length above this is rejected before allocation,
@@ -76,7 +81,12 @@ public:
       return;
     }
     writeU32(static_cast<uint32_t>(Len));
-    Buf.insert(Buf.end(), Data, Data + Len);
+    // resize + memcpy, like writeLe: GCC 12 reports a false -Warray-bounds
+    // on vector::insert's regrowth path here.
+    size_t At = Buf.size();
+    Buf.resize(At + Len);
+    if (Len != 0)
+      std::memcpy(Buf.data() + At, Data, Len);
   }
 
   /// Writes a length-prefixed string.
@@ -121,11 +131,16 @@ public:
   size_t size() const { return Buf.size(); }
 
 private:
+  /// One resize per scalar: byte-wise push_back would check capacity
+  /// (and regrow a small buffer) once per byte, and GCC 12 reports false
+  /// -Wstringop-overflow on the equivalent vector::insert.
   template <typename T> void writeLe(T V) {
     if (Failed)
       return;
+    size_t At = Buf.size();
+    Buf.resize(At + sizeof(T));
     for (size_t I = 0; I != sizeof(T); ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
+      Buf[At + I] = static_cast<uint8_t>(V >> (8 * I));
   }
 
   Bytes Buf;
@@ -138,7 +153,7 @@ private:
 class Decoder {
 public:
   Decoder(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
-  explicit Decoder(const Bytes &B) : Decoder(B.data(), B.size()) {}
+  explicit Decoder(ByteView B) : Decoder(B.data(), B.size()) {}
 
   uint8_t readU8() {
     uint8_t V = 0;

@@ -221,50 +221,75 @@ void SimNetwork::send(Address From, Address To, wire::Bytes Payload) {
         Reg.emit({Sim.now(), EventKind::DatagramCorrupted, From.Node, From.Port,
                   Bits, 0, ""});
     }
-    Sim.schedule(ArriveAt + Extra - Sim.now(),
-                 [this, D = std::move(D), SentAt]() mutable {
-      arrive(std::move(D), SentAt);
-    });
+    uint32_t Slot = park(std::move(D), SentAt);
+    Sim.schedule(ArriveAt + Extra - Sim.now(), [this, Slot] { arrive(Slot); });
   }
 }
 
-void SimNetwork::arrive(Datagram D, Time SentAt) {
+uint32_t SimNetwork::park(Datagram D, Time SentAt) {
+  uint32_t Slot = FreeFlight;
+  if (Slot == UINT32_MAX) {
+    Slot = static_cast<uint32_t>(Flights.size());
+    Flights.emplace_back();
+  } else {
+    FreeFlight = Flights[Slot].NextFree;
+  }
+  Flights[Slot].D = std::move(D);
+  Flights[Slot].SentAt = SentAt;
+  return Slot;
+}
+
+Datagram SimNetwork::unpark(uint32_t Slot) {
+  InFlight &F = Flights[Slot];
+  Datagram D = std::move(F.D);
+  F.NextFree = FreeFlight;
+  FreeFlight = Slot;
+  return D;
+}
+
+void SimNetwork::arrive(uint32_t Slot) {
   // Conditions are re-checked at arrival so that partitions and crashes
   // that happen while a datagram is in flight still drop it (the source of
   // the paper's *asynchronous* breaks).
+  const Datagram &D = Flights[Slot].D;
   Node &Receiver = node(D.To.Node);
   if (!Receiver.Up || isPartitioned(D.From.Node, D.To.Node)) {
     countDrop(D.From.Node, D.To.Node);
+    unpark(Slot);
     return;
   }
   uint64_t WireBytes = D.Payload.size() + Cfg.HeaderBytes;
   Time Busy = Cfg.RecvKernelOverhead + WireBytes * Cfg.PerByte;
   Time Start = std::max(Sim.now(), Receiver.RxFreeAt);
   Receiver.RxFreeAt = Start + Busy;
-  Sim.schedule(Start + Busy - Sim.now(),
-               [this, D = std::move(D), SentAt]() mutable {
-    Node &R = node(D.To.Node);
-    if (!R.Up) {
-      countDrop(D.From.Node, D.To.Node);
-      return;
-    }
-    // A datagram sent before a crash must not land in the post-restart
-    // incarnation, even if the new incarnation rebound the same port.
-    if (D.To.Epoch != R.Epoch) {
-      StaleDrops->inc();
-      countDrop(D.From.Node, D.To.Node);
-      return;
-    }
-    auto It = Binds.find(D.To);
-    if (It == Binds.end()) {
-      countDrop(D.From.Node, D.To.Node);
-      return;
-    }
-    Totals.Delivered->inc();
-    R.Counters.Delivered->inc();
-    if (Reg.enabled())
-      linkStats(D.From.Node, D.To.Node)
-          .LatencyUs->observe(static_cast<double>(Sim.now() - SentAt) / 1e3);
-    It->second(std::move(D));
-  });
+  Sim.schedule(Start + Busy - Sim.now(), [this, Slot] { deliver(Slot); });
+}
+
+void SimNetwork::deliver(uint32_t Slot) {
+  Time SentAt = Flights[Slot].SentAt;
+  // Out of the pool before the handler runs: it may send, and so park.
+  Datagram D = unpark(Slot);
+  Node &R = node(D.To.Node);
+  if (!R.Up) {
+    countDrop(D.From.Node, D.To.Node);
+    return;
+  }
+  // A datagram sent before a crash must not land in the post-restart
+  // incarnation, even if the new incarnation rebound the same port.
+  if (D.To.Epoch != R.Epoch) {
+    StaleDrops->inc();
+    countDrop(D.From.Node, D.To.Node);
+    return;
+  }
+  auto It = Binds.find(D.To);
+  if (It == Binds.end()) {
+    countDrop(D.From.Node, D.To.Node);
+    return;
+  }
+  Totals.Delivered->inc();
+  R.Counters.Delivered->inc();
+  if (Reg.enabled())
+    linkStats(D.From.Node, D.To.Node)
+        .LatencyUs->observe(static_cast<double>(Sim.now() - SentAt) / 1e3);
+  It->second(std::move(D));
 }

@@ -27,50 +27,60 @@ using sim::Time;
 //===----------------------------------------------------------------------===//
 
 namespace {
-constexpr uint8_t KindCallBatch = 1;
-constexpr uint8_t KindReplyBatch = 2;
-constexpr uint8_t KindCancel = 3;
-
-// Exact encoded sizes, kept in lock-step with the Codec<> definitions in
-// Messages.h (fixed-width scalars + u32 length prefixes). The size feeds
-// the encoder's reserve() so a framed encode is exactly one allocation —
-// the one-alloc regression test in hotpath_test.cpp enforces that these
-// never drift from the codecs.
-size_t encodedSizeOf(const CallReq &C) {
-  return 8 + 4 + 1 + 1 + 8 + (4 + C.Args.size());
-}
-size_t encodedSizeOf(const WireReply &R) {
-  return 8 + 1 + 4 + (4 + R.Payload.size()) + (4 + R.Reason.size());
+/// Frames the \p PayloadSize bytes \p Write encodes, sealing in place:
+/// with an exact size the whole frame is one allocation. Aborts (in every
+/// build mode) rather than transmit garbage.
+template <typename WriteFn>
+wire::Bytes sealEncoded(size_t PayloadSize, bool Checksum, WriteFn &&Write) {
+  wire::Encoder E;
+  wire::beginFrame(E, PayloadSize);
+  Write(E);
+  PROMISES_CHECK(!E.failed(), "stream messages must always encode");
+  wire::Bytes Frame = wire::finishFrame(E, Checksum);
+  PROMISES_CHECK(!E.failed(), "stream message exceeds the frame limit");
+  return Frame;
 }
 
-size_t messageSizeOf(const Message &M) {
-  if (const auto *CB = std::get_if<CallBatchMsg>(&M)) {
-    size_t N = 1 + 8 + 4 + 4 + 8 + 1 + 4;
-    for (const CallReq &C : CB->Calls)
-      N += encodedSizeOf(C);
-    return N;
-  }
-  if (const auto *RB = std::get_if<ReplyBatchMsg>(&M)) {
-    size_t N =
-        1 + 8 + 4 + 4 + 8 + 8 + 1 + 1 + (4 + RB->BreakReason.size()) + 4;
-    for (const WireReply &R : RB->Replies)
-      N += encodedSizeOf(R);
-    return N;
-  }
-  return 1 + 8 + 4 + 4 + 4 + 8 * std::get<CancelMsg>(M).Seqs.size();
+/// Seals a batch of \p Kind: header \p H, then the elements \p Visit
+/// passes to its callback, in order, behind a u32 count — the layout
+/// Codec<std::vector<Elem>> gives a built message's sequence. A first
+/// pass over the elements sizes the frame.
+template <typename Elem, typename Header, typename VisitFn>
+wire::Bytes sealBatch(MessageKind Kind, const Header &H, VisitFn &&Visit,
+                      bool Checksum) {
+  uint32_t Count = 0;
+  size_t Size = 1 + wire::Codec<Header>::size(H) + 4;
+  Visit([&](const Elem &X) {
+    ++Count;
+    Size += wire::Codec<Elem>::size(X);
+  });
+  return sealEncoded(Size, Checksum, [&](wire::Encoder &E) {
+    E.writeU8(static_cast<uint8_t>(Kind));
+    wire::Codec<Header>::encode(E, H);
+    E.writeU32(Count);
+    Visit([&](const Elem &X) { wire::Codec<Elem>::encode(E, X); });
+  });
+}
+
+MessageKind kindOf(const Message &M) {
+  return static_cast<MessageKind>(M.index() + 1);
 }
 
 void writeMessage(wire::Encoder &E, const Message &M) {
-  if (const auto *CB = std::get_if<CallBatchMsg>(&M)) {
-    E.writeU8(KindCallBatch);
-    wire::Codec<CallBatchMsg>::encode(E, *CB);
-  } else if (const auto *RB = std::get_if<ReplyBatchMsg>(&M)) {
-    E.writeU8(KindReplyBatch);
-    wire::Codec<ReplyBatchMsg>::encode(E, *RB);
-  } else {
-    E.writeU8(KindCancel);
-    wire::Codec<CancelMsg>::encode(E, std::get<CancelMsg>(M));
-  }
+  E.writeU8(static_cast<uint8_t>(kindOf(M)));
+  std::visit(
+      [&E](const auto &Msg) {
+        wire::Codec<std::decay_t<decltype(Msg)>>::encode(E, Msg);
+      },
+      M);
+}
+
+size_t messageSizeOf(const Message &M) {
+  return 1 + std::visit(
+                 [](const auto &Msg) {
+                   return wire::Codec<std::decay_t<decltype(Msg)>>::size(Msg);
+                 },
+                 M);
 }
 } // namespace
 
@@ -84,31 +94,75 @@ wire::Bytes promises::stream::encodeMessage(const Message &M) {
 
 wire::Bytes promises::stream::encodeFramedMessage(const Message &M,
                                                   bool Checksum) {
-  wire::Encoder E;
-  wire::beginFrame(E, messageSizeOf(M));
-  writeMessage(E, M);
-  PROMISES_CHECK(!E.failed(), "stream messages must always encode");
-  wire::Bytes Frame = wire::finishFrame(E, Checksum);
-  PROMISES_CHECK(!E.failed(), "stream message exceeds the frame limit");
-  return Frame;
+  return sealEncoded(messageSizeOf(M), Checksum,
+                     [&M](wire::Encoder &E) { writeMessage(E, M); });
 }
 
-std::optional<Message>
-promises::stream::decodeMessage(const wire::Bytes &B) {
+wire::Bytes promises::stream::encodeFramedCallBatch(
+    const CallBatchHeader &H, const SeqRing<CallReq> &Window, Seq From,
+    Seq Through, bool Checksum) {
+  return sealBatch<CallReq>(
+      MessageKind::CallBatch, H,
+      [&](auto &&Emit) {
+        for (Seq Q = From; Q <= Through; ++Q) {
+          const CallReq *C = Window.find(Q);
+          PROMISES_CHECK(C != nullptr, "call missing from window");
+          Emit(*C);
+        }
+      },
+      Checksum);
+}
+
+wire::Bytes promises::stream::encodeFramedReplyBatch(
+    const ReplyBatchHeader &H, const SeqRing<WireReply> &Unacked, Seq After,
+    bool Checksum) {
+  return sealBatch<WireReply>(
+      MessageKind::ReplyBatch, H,
+      [&](auto &&Emit) {
+        Unacked.forEach([&](Seq S, const WireReply &W) {
+          if (S > After)
+            Emit(W);
+        });
+      },
+      Checksum);
+}
+
+std::optional<MessageKind>
+promises::stream::decodeMessage(wire::ByteView B, MessageBuffers &Into) {
   wire::Decoder D(B);
-  uint8_t Kind = D.readU8();
-  Message M;
-  if (Kind == KindCallBatch)
-    M = wire::Codec<CallBatchMsg>::decode(D);
-  else if (Kind == KindReplyBatch)
-    M = wire::Codec<ReplyBatchMsg>::decode(D);
-  else if (Kind == KindCancel)
-    M = wire::Codec<CancelMsg>::decode(D);
-  else
+  auto Kind = static_cast<MessageKind>(D.readU8());
+  switch (Kind) {
+  case MessageKind::CallBatch:
+    wire::Codec<CallBatchMsg>::decode(D, Into.Calls);
+    break;
+  case MessageKind::ReplyBatch:
+    wire::Codec<ReplyBatchMsg>::decode(D, Into.Replies);
+    break;
+  case MessageKind::Cancel:
+    wire::Codec<CancelMsg>::decode(D, Into.Cancel);
+    break;
+  default:
     return std::nullopt;
+  }
   if (D.failed() || !D.atEnd())
     return std::nullopt;
-  return M;
+  return Kind;
+}
+
+std::optional<Message> promises::stream::decodeMessage(wire::ByteView B) {
+  MessageBuffers M;
+  std::optional<MessageKind> Kind = decodeMessage(B, M);
+  if (!Kind)
+    return std::nullopt;
+  switch (*Kind) {
+  case MessageKind::CallBatch:
+    return Message(std::move(M.Calls));
+  case MessageKind::ReplyBatch:
+    return Message(std::move(M.Replies));
+  case MessageKind::Cancel:
+    return Message(std::move(M.Cancel));
+  }
+  return std::nullopt;
 }
 
 //===----------------------------------------------------------------------===//
@@ -639,7 +693,7 @@ bool StreamTransport::cancelCall(AgentId Agent, net::Address Remote,
   M.Inc = S->Inc;
   M.Seqs.push_back(Sq);
   Counters.CancelsSent->inc();
-  sendMessage(Remote, Message(std::move(M)));
+  Net.send(Addr, Remote, encodeFramedMessage(M, Cfg.FrameChecksums));
   return true;
 }
 
@@ -664,37 +718,29 @@ void StreamTransport::transmitNewCalls(SenderStream &S, bool FlushReplies) {
 void StreamTransport::sendCallBatch(SenderStream &S, Seq FromSeq,
                                     Seq ThroughSeq, bool FlushReplies,
                                     bool IsRetransmit) {
-  CallBatchMsg M;
-  M.Agent = S.Agent;
-  M.Group = S.Group;
-  M.Inc = S.Inc;
-  M.AckReplyThrough = S.FulfilledThrough;
-  M.FlushReplies = FlushReplies;
-  for (Seq Q = FromSeq; Q <= ThroughSeq; ++Q) {
-    const CallReq *C = S.Window.find(Q);
-    PROMISES_CHECK(C != nullptr, "call missing from window");
-    M.Calls.push_back(*C);
-  }
+  CallBatchHeader H{S.Agent, S.Group, S.Inc, S.FulfilledThrough, FlushReplies};
+  wire::Bytes Frame = encodeFramedCallBatch(H, S.Window, FromSeq, ThroughSeq,
+                                            Cfg.FrameChecksums);
+  size_t Calls = ThroughSeq >= FromSeq ? ThroughSeq - FromSeq + 1 : 0;
   if (IsRetransmit) {
-    Counters.Retransmissions->inc(M.Calls.size());
-    Counters.RetransmitBatch->observe(static_cast<double>(M.Calls.size()));
+    Counters.Retransmissions->inc(Calls);
+    Counters.RetransmitBatch->observe(static_cast<double>(Calls));
     size_t Bytes = 0;
-    for (const CallReq &C : M.Calls)
-      Bytes += C.Args.size();
+    for (Seq Q = FromSeq; Q <= ThroughSeq; ++Q)
+      Bytes += S.Window.at(Q).Args.size();
     Counters.RetransmittedBytes->inc(Bytes);
   }
   S.LastAckSent = S.FulfilledThrough;
-  if (M.Calls.empty()) {
+  if (Calls == 0) {
     Counters.AckBatchesSent->inc();
   } else {
     Counters.CallBatchesSent->inc();
     if (!IsRetransmit)
-      Counters.BatchOccupancy->observe(static_cast<double>(M.Calls.size()));
+      Counters.BatchOccupancy->observe(static_cast<double>(Calls));
   }
   if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::CallBatchTx, Node, S.Agent,
-              M.Calls.size(), 0, {}});
-  sendMessage(S.Remote, Message(std::move(M)));
+    Reg.emit({Sim.now(), EventKind::CallBatchTx, Node, S.Agent, Calls, 0, {}});
+  Net.send(Addr, S.Remote, std::move(Frame));
 }
 
 void StreamTransport::armSenderFlushTimer(SenderStream &S) {
@@ -1183,13 +1229,11 @@ void StreamTransport::sendBreakerProbe(const SenderKey &K, Breaker &B) {
     Inc = RIt->second.Inc;
   B.State = 2; // Half-open: one probe in flight, any reply closes.
   Counters.BreakerProbes->inc();
-  CallBatchMsg M;
-  M.Agent = std::get<0>(K);
-  M.Group = std::get<2>(K);
-  M.Inc = Inc;
-  M.FlushReplies = true;
+  CallBatchHeader H{std::get<0>(K), std::get<2>(K), Inc, 0,
+                    /*FlushReplies=*/true};
   Counters.AckBatchesSent->inc();
-  sendMessage(std::get<1>(K), Message(std::move(M)));
+  Net.send(Addr, std::get<1>(K),
+           encodeFramedCallBatch(H, {}, 1, 0, Cfg.FrameChecksums));
 }
 
 int StreamTransport::breakerState(AgentId Agent, net::Address Remote,
@@ -1437,23 +1481,24 @@ void StreamTransport::completeCall(ReceiverStream &R, Seq S, bool NoReply,
 void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   if (Dead)
     return;
-  ReplyBatchMsg M;
-  M.Agent = R.Agent;
-  M.Group = R.Group;
-  M.Inc = R.Inc;
-  M.AckCallThrough = R.NextExpected - 1;
-  M.CompletedThrough = R.CompletedThrough;
-  M.Broken = R.Broken;
-  M.BreakIsFailure = R.BrokenIsFailure;
-  M.BreakReason = R.BreakReason;
+  ReplyBatchHeader H{R.Agent,
+                     R.Group,
+                     R.Inc,
+                     R.NextExpected - 1,
+                     R.CompletedThrough,
+                     R.Broken,
+                     R.BrokenIsFailure,
+                     R.BreakReason};
   // Normal batches are deltas (replies never sent before); recovery
   // batches — responses to a flush/probe, and break notices — carry the
   // full unacknowledged state so a stalled sender always catches up.
   bool All = ResendAll || Cfg.StateShapedReplies;
-  R.UnackedReplies.forEach([&](Seq S, const WireReply &W) {
-    if (All || S > R.LastBatchedReply)
-      M.Replies.push_back(W);
-  });
+  Seq After = All ? 0 : R.LastBatchedReply;
+  wire::Bytes Frame =
+      encodeFramedReplyBatch(H, R.UnackedReplies, After, Cfg.FrameChecksums);
+  size_t Replies = 0;
+  R.UnackedReplies.forEach(
+      [&](Seq S, const WireReply &) { Replies += S > After; });
   if (!R.UnackedReplies.empty())
     R.LastBatchedReply = std::max(R.LastBatchedReply,
                                   R.UnackedReplies.lastSeq());
@@ -1469,11 +1514,11 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
     R.AckTimerArmed = false;
   }
   Counters.ReplyBatchesSent->inc();
-  Counters.ReplyOccupancy->observe(static_cast<double>(M.Replies.size()));
+  Counters.ReplyOccupancy->observe(static_cast<double>(Replies));
   if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag,
-              M.Replies.size(), 0, {}});
-  sendMessage(R.SenderAddr, Message(std::move(M)));
+    Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag, Replies, 0,
+              {}});
+  Net.send(Addr, R.SenderAddr, std::move(Frame));
 }
 
 void StreamTransport::armReplyFlushTimer(ReceiverStream &R) {
@@ -1537,10 +1582,6 @@ void StreamTransport::breakReceiverStream(uint64_t StreamTag,
 // Datagram dispatch
 //===----------------------------------------------------------------------===//
 
-void StreamTransport::sendMessage(const net::Address &To, const Message &M) {
-  Net.send(Addr, To, encodeFramedMessage(M, Cfg.FrameChecksums));
-}
-
 void StreamTransport::onDatagram(net::Datagram D) {
   if (Dead)
     return;
@@ -1551,9 +1592,10 @@ void StreamTransport::onDatagram(net::Datagram D) {
   // Tolerant of trailing bytes: real datagram stacks can pad past the
   // sender's length, so excess beyond the declared frame is dropped and
   // counted rather than rejecting the (intact) frame in front of it.
+  // The payload is checked and decoded in place, inside D.Payload.
   wire::FrameError FE = wire::FrameError::None;
   size_t Trailing = 0;
-  std::optional<wire::Bytes> Payload =
+  std::optional<wire::ByteView> Payload =
       wire::openFrame(D.Payload, Cfg.FrameChecksums, &FE, &Trailing);
   if (Trailing != 0)
     Counters.FramesTrailingBytes->inc(Trailing);
@@ -1564,8 +1606,8 @@ void StreamTransport::onDatagram(net::Datagram D) {
                 Addr.Port, D.Payload.size(), 0, wire::frameErrorName(FE)});
     return;
   }
-  std::optional<Message> M = decodeMessage(*Payload);
-  if (!M) {
+  std::optional<MessageKind> Kind = decodeMessage(*Payload, Rx);
+  if (!Kind) {
     // The frame was intact, so the bytes are what the sender produced —
     // an undecodable message here is a local encode bug, not line noise.
     // Count and trace it distinctly; the chaos invariants treat any
@@ -1576,10 +1618,15 @@ void StreamTransport::onDatagram(net::Datagram D) {
                 Addr.Port, Payload->size(), 0, "malformed message"});
     return;
   }
-  if (auto *CB = std::get_if<CallBatchMsg>(&*M))
-    handleCallBatch(D.From, *CB);
-  else if (auto *RB = std::get_if<ReplyBatchMsg>(&*M))
-    handleReplyBatch(D.From, *RB);
-  else
-    handleCancel(D.From, std::get<CancelMsg>(*M));
+  switch (*Kind) {
+  case MessageKind::CallBatch:
+    handleCallBatch(D.From, Rx.Calls);
+    break;
+  case MessageKind::ReplyBatch:
+    handleReplyBatch(D.From, Rx.Replies);
+    break;
+  case MessageKind::Cancel:
+    handleCancel(D.From, Rx.Cancel);
+    break;
+  }
 }

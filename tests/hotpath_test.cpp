@@ -8,9 +8,13 @@
 //    wrap past capacity, sparse ranges, erase/re-insert, iteration order.
 //  * Zero-copy frame sealing: encodeFramedMessage is byte-identical to
 //    the legacy encode-then-seal pipeline, costs exactly one allocation,
-//    and copies zero payload bytes.
+//    and copies zero payload bytes; call and reply batches seal straight
+//    out of the transport's windows, byte-identical to built messages.
 //  * Promise slab: steady-state promise churn allocates nothing.
 //  * The timed-event heap: generation-checked cancellation semantics.
+//  * The datagram path: a network send→deliver allocates only its
+//    payload, an arriving frame only the buffers its decode hands on, and
+//    a flushed call batch only its frame.
 //  * End-to-end allocation budget: a full call round trip stays under an
 //    allocation ceiling (the bench's machine-independent companion).
 //
@@ -48,10 +52,16 @@ void *operator new(std::size_t N) {
   throw std::bad_alloc();
 }
 void *operator new[](std::size_t N) { return ::operator new(N); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+// Out of line, so GCC does not pair an inlined free() with the operator
+// new above and warn (-Wmismatched-new-delete) in every test body.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 static uint64_t allocCount() {
   return GAllocs.load(std::memory_order_relaxed);
@@ -241,9 +251,8 @@ TEST(ZeroCopySeal, ByteIdenticalToLegacyPipeline) {
 
 TEST(ZeroCopySeal, ExactlyOneAllocationPerSealedMessage) {
   // The exact-size reserve must keep a framed encode to a single buffer
-  // allocation. This pins the encodedSizeOf() size math in
-  // StreamTransport.cpp to the Codec<> layouts: any drift shows up here
-  // as a reallocation.
+  // allocation. This pins each message codec's size() to its encode():
+  // any drift shows up here as a reallocation.
   for (const stream::Message &M :
        {sampleCallBatch(), sampleReplyBatch(), sampleCancel()}) {
     uint64_t Before = allocCount();
@@ -251,6 +260,68 @@ TEST(ZeroCopySeal, ExactlyOneAllocationPerSealedMessage) {
     uint64_t After = allocCount();
     EXPECT_EQ(After - Before, 1u);
     EXPECT_GT(Framed.size(), wire::FrameHeaderBytes);
+  }
+}
+
+TEST(ZeroCopySeal, CallBatchSealsStraightFromTheWindow) {
+  // The send path encodes a batch out of the retransmission window, with
+  // no CallBatchMsg in between: one allocation (the frame), the same bytes
+  // as sealing the equivalent built message.
+  stream::SeqRing<stream::CallReq> Window;
+  stream::CallBatchMsg Built;
+  static_cast<stream::CallBatchHeader &>(Built) =
+      std::get<stream::CallBatchMsg>(sampleCallBatch());
+  for (uint64_t S = 40; S != 50; ++S) {
+    stream::CallReq C;
+    C.S = S;
+    C.Port = 9;
+    C.FlushReply = S % 2 == 0;
+    C.DeadlineNs = 1000 * S;
+    C.Args = wire::Bytes(20 + S, static_cast<uint8_t>(S));
+    if (S >= 42 && S <= 47)
+      Built.Calls.push_back(C);
+    Window.insert(S, std::move(C));
+  }
+  for (bool Checksum : {true, false}) {
+    uint64_t Before = allocCount();
+    wire::Bytes Framed =
+        stream::encodeFramedCallBatch(Built, Window, 42, 47, Checksum);
+    EXPECT_EQ(allocCount() - Before, 1u);
+    EXPECT_EQ(Framed, stream::encodeFramedMessage(Built, Checksum));
+  }
+  // An empty range is a pure ack/probe.
+  stream::CallBatchMsg Ack;
+  static_cast<stream::CallBatchHeader &>(Ack) = Built;
+  EXPECT_EQ(stream::encodeFramedCallBatch(Built, Window, 1, 0, true),
+            stream::encodeFramedMessage(Ack, true));
+}
+
+TEST(ZeroCopySeal, ReplyBatchSealsStraightFromTheUnackedRing) {
+  // Likewise for replies: a delta batch carries the unacked replies above
+  // a seq, read in place from a sparse ring (sends leave gaps).
+  stream::SeqRing<stream::WireReply> Unacked;
+  stream::ReplyBatchMsg Built;
+  static_cast<stream::ReplyBatchHeader &>(Built) =
+      std::get<stream::ReplyBatchMsg>(sampleReplyBatch());
+  for (uint64_t S = 10; S != 22; ++S) {
+    if (S % 3 == 0)
+      continue; // A send that completed normally: no explicit reply.
+    stream::WireReply W;
+    W.S = S;
+    W.Status = S % 2 ? stream::ReplyStatus::Normal
+                     : stream::ReplyStatus::Unavailable;
+    W.Payload = wire::Bytes(S, 0x5A);
+    W.Reason = S % 2 ? "" : "a reason too long for the small-string buffer";
+    if (S > 14)
+      Built.Replies.push_back(W);
+    Unacked.insert(S, std::move(W));
+  }
+  for (bool Checksum : {true, false}) {
+    uint64_t Before = allocCount();
+    wire::Bytes Framed =
+        stream::encodeFramedReplyBatch(Built, Unacked, 14, Checksum);
+    EXPECT_EQ(allocCount() - Before, 1u);
+    EXPECT_EQ(Framed, stream::encodeFramedMessage(Built, Checksum));
   }
 }
 
@@ -406,14 +477,146 @@ struct EchoWorld {
   }
 };
 
+/// A client transport talking to a bare port that swallows everything,
+/// so a test controls exactly which datagrams exist.
+struct SinkWorld {
+  sim::Simulation Sim;
+  net::SimNetwork Net;
+  net::NodeId ClientNode, ServerNode;
+  net::Address Sink;
+  uint64_t Delivered = 0;
+
+  SinkWorld() : Net(Sim) {
+    ClientNode = Net.addNode("client");
+    ServerNode = Net.addNode("server");
+    Sink = Net.bind(ServerNode, [this](net::Datagram D) {
+      Delivered += D.Payload.size();
+    });
+  }
+};
+
+stream::CallBatchMsg callBatchOf(uint64_t First, int K, size_t ArgBytes) {
+  stream::CallBatchMsg M;
+  M.Agent = 1;
+  M.Group = 1;
+  for (int I = 0; I != K; ++I) {
+    stream::CallReq C;
+    C.S = First + I;
+    C.Port = 1;
+    C.Args = wire::Bytes(ArgBytes, static_cast<uint8_t>(I));
+    M.Calls.push_back(std::move(C));
+  }
+  return M;
+}
+
 } // namespace
 
+TEST(HotPathBudget, NetworkSendDeliverAllocatesOnlyThePayload) {
+  // In-flight datagrams live in a pooled slab and the two scheduled
+  // closures per datagram capture only {network, slot}: with the pools
+  // warm, the payload buffer the caller hands in is the only allocation.
+  SinkWorld W;
+  net::Address Src = W.Net.bind(W.ClientNode, [](net::Datagram) {});
+  for (int I = 0; I != 128; ++I) // Warm the event heap, pool and slab.
+    W.Net.send(Src, W.Sink, wire::Bytes(32, 1));
+  W.Sim.run();
+  W.Delivered = 0;
+  uint64_t Before = allocCount();
+  constexpr int N = 100;
+  for (int I = 0; I != N; ++I)
+    W.Net.send(Src, W.Sink, wire::Bytes(32, 1));
+  W.Sim.run();
+  EXPECT_EQ(allocCount() - Before, uint64_t(N))
+      << "a datagram may allocate only its own payload";
+  EXPECT_EQ(W.Delivered, 32u * N);
+}
+
+TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
+  // The receive path checks the frame in place and decodes into reused
+  // batch storage, so a valid frame allocates exactly the Args, Payload
+  // and Reason buffers the decode hands on — no payload copy, no batch
+  // vector, no network closure.
+  SinkWorld W;
+  stream::StreamTransport Server(W.Net, W.ServerNode);
+  net::Address Src = W.Net.bind(W.ClientNode, [](net::Datagram) {});
+  constexpr int K = 4;
+
+  // Calls: with no call sink installed they park in the receive window
+  // (nothing is delivered, so nothing is acked or replied to).
+  W.Net.send(Src, Server.address(),
+             stream::encodeFramedMessage(callBatchOf(1, K, 100), true));
+  W.Sim.run(); // Warm: creates the receiver stream and its windows.
+  wire::Bytes Calls = stream::encodeFramedMessage(callBatchOf(1 + K, K, 100),
+                                                  true);
+  uint64_t Before = allocCount();
+  W.Net.send(Src, Server.address(), std::move(Calls));
+  W.Sim.run();
+  EXPECT_EQ(allocCount() - Before, uint64_t(K)) << "one per call's Args";
+
+  // Replies: a batch for a stream this transport never opened is decoded,
+  // then ignored. Each reply carries a payload and a heap-sized reason.
+  stream::ReplyBatchMsg M;
+  M.Agent = 9;
+  M.Group = 1;
+  for (int I = 0; I != K; ++I) {
+    stream::WireReply R;
+    R.S = 1 + I;
+    R.Status = stream::ReplyStatus::Failure;
+    R.Payload = wire::Bytes(50, 0xEE);
+    R.Reason = "a reason too long for the small-string buffer";
+    M.Replies.push_back(std::move(R));
+  }
+  W.Net.send(Src, Server.address(), stream::encodeFramedMessage(M, true));
+  W.Sim.run(); // Warm the reply-batch storage.
+  wire::Bytes Replies = stream::encodeFramedMessage(M, true);
+  Before = allocCount();
+  W.Net.send(Src, Server.address(), std::move(Replies));
+  W.Sim.run();
+  EXPECT_EQ(allocCount() - Before, uint64_t(2 * K))
+      << "one per reply's Payload and one per Reason";
+  EXPECT_EQ(Server.counters().MalformedDropped, 0u);
+  EXPECT_EQ(Server.counters().FramesCorruptDropped, 0u);
+}
+
+TEST(HotPathBudget, FlushedCallBatchAllocatesOnlyItsFrame) {
+  // Transmitting k buffered calls seals them straight out of the window:
+  // one frame allocation, no per-call copy, no network closure.
+  SinkWorld W;
+  stream::StreamConfig Cfg;
+  Cfg.MaxBatchCalls = 64; // Keep the calls buffered until the flush.
+  stream::StreamTransport Client(W.Net, W.ClientNode, Cfg);
+  stream::AgentId Agent = Client.newAgent();
+  auto IssueK = [&](int K) {
+    for (int I = 0; I != K; ++I)
+      ASSERT_TRUE(Client
+                      .issueCall(Agent, W.Sink, 1, 1, wire::Bytes(64, 7),
+                                 /*NoReply=*/false, /*IsRpc=*/false,
+                                 [](const stream::ReplyOutcome &) {})
+                      .Issued);
+  };
+  // Warm the event heap and pool and the in-flight slab.
+  net::Address Src = W.Net.bind(W.ClientNode, [](net::Datagram) {});
+  for (int I = 0; I != 16; ++I)
+    W.Net.send(Src, W.Sink, wire::Bytes(8, 1));
+  W.Sim.run();
+  IssueK(8);
+  Client.flush(Agent, W.Sink, 1);
+  IssueK(8);
+  uint64_t Before = allocCount();
+  Client.flush(Agent, W.Sink, 1);
+  EXPECT_EQ(allocCount() - Before, 1u) << "the sealed frame only";
+  Client.shutdown(/*Settle=*/false);
+}
+
 TEST(HotPathBudget, RpcRoundTripStaysUnderAllocationCeiling) {
-  // Machine-independent twin of bench_hotpath's allocs/call metric. The
-  // PR 7 baseline measured 96.4 allocs per RPC; the acceptance bar is a
-  // 2x reduction (<= 48.2). The measured value after the rework is ~31;
-  // the ceiling leaves headroom for stdlib variation while still failing
-  // if the old per-call node allocations creep back.
+  // Machine-independent twin of bench_hotpath's allocs/call metric. An
+  // RPC round trip measures exactly 10 allocations: the caller's argument
+  // copy and reply callback, the server's completion closure, and one
+  // frame or decoded buffer per datagram and per Args/Payload. (The echo
+  // sink completes inside delivery, so the reply also rides the
+  // flush-requested recovery batch and draws a re-ack.) The ceiling leaves
+  // one allocation of headroom for stdlib variation; a per-datagram copy
+  // or closure creeping back fails it.
   EchoWorld W;
   wire::Bytes Args(64, 0xAB);
   double PerCall = 0;
@@ -431,7 +634,6 @@ TEST(HotPathBudget, RpcRoundTripStaysUnderAllocationCeiling) {
   });
   W.Sim.run();
   EXPECT_GT(PerCall, 0.0);
-  EXPECT_LE(PerCall, 48.2) << "RPC hot path regressed past the 2x-vs-"
-                              "baseline allocation criterion";
+  EXPECT_LE(PerCall, 11.0) << "RPC hot path allocates more per call";
   EXPECT_EQ(SealCopied, 0u) << "send path must seal frames in place";
 }

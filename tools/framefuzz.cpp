@@ -34,6 +34,7 @@
 #include "promises/support/Rng.h"
 #include "promises/wire/Frame.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -212,8 +213,8 @@ int main(int Argc, char **Argv) {
     // exact payload. If this ever fails the seal/open pair itself is
     // broken and every other expectation below is meaningless.
     wire::FrameError FE = wire::FrameError::None;
-    std::optional<wire::Bytes> Opened = wire::openFrame(Frame, true, &FE);
-    if (!Opened || *Opened != Payload) {
+    std::optional<wire::ByteView> Opened = wire::openFrame(Frame, true, &FE);
+    if (!Opened || !std::ranges::equal(*Opened, Payload)) {
       violation(T, I, "pristine frame failed to open");
       continue;
     }
@@ -223,7 +224,7 @@ int main(int Argc, char **Argv) {
       ++T.FrameMutations;
       mutateBytes(R, Frame);
       FE = wire::FrameError::None;
-      std::optional<wire::Bytes> P = wire::openFrame(Frame, true, &FE);
+      std::optional<wire::ByteView> P = wire::openFrame(Frame, true, &FE);
       if (!P) {
         if (FE == wire::FrameError::None)
           violation(T, I, "rejected frame carried no error cause");
@@ -246,8 +247,8 @@ int main(int Argc, char **Argv) {
       mutateBytes(R, Damaged);
       wire::Bytes Sealed = wire::sealFrame(Damaged);
       FE = wire::FrameError::None;
-      std::optional<wire::Bytes> P = wire::openFrame(Sealed, true, &FE);
-      if (!P || *P != Damaged) {
+      std::optional<wire::ByteView> P = wire::openFrame(Sealed, true, &FE);
+      if (!P || !std::ranges::equal(*P, Damaged)) {
         violation(T, I, "honestly sealed payload failed to open");
         break;
       }
@@ -283,9 +284,9 @@ int main(int Argc, char **Argv) {
       // counted, and the checksum never covers the appended bytes.
       size_t Trailing = 0;
       FE = wire::FrameError::None;
-      std::optional<wire::Bytes> P =
+      std::optional<wire::ByteView> P =
           wire::openFrame(Padded, true, &FE, &Trailing);
-      if (!P || *P != Payload)
+      if (!P || !std::ranges::equal(*P, Payload))
         violation(T, I, "tolerant openFrame failed on trailing bytes");
       else if (Trailing != Extra)
         violation(T, I, "trailing byte count misreported");
@@ -295,7 +296,7 @@ int main(int Argc, char **Argv) {
       ++T.Garbage;
       wire::Bytes Junk = randomBytes(R, 64);
       FE = wire::FrameError::None;
-      std::optional<wire::Bytes> P = wire::openFrame(Junk, true, &FE);
+      std::optional<wire::ByteView> P = wire::openFrame(Junk, true, &FE);
       if (!P) {
         if (FE == wire::FrameError::None)
           violation(T, I, "rejected garbage carried no error cause");
