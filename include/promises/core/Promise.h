@@ -104,6 +104,16 @@ public:
     return *St->Value;
   }
 
+  /// Claims, then moves the outcome out of the shared state instead of
+  /// returning a reference into it, saving the copy of a heap-sized
+  /// result. Only for a claimer holding the sole Promise handle (an RPC's
+  /// own promise): any other copy would afterwards claim a moved-from
+  /// outcome.
+  OutcomeType take() && {
+    claim();
+    return std::move(*St->Value);
+  }
+
   /// Bounded claim: waits until the promise is ready or until \p Duration
   /// of virtual time has elapsed, whichever comes first. Returns the
   /// outcome, or nullptr on timeout. A timeout leaves the promise

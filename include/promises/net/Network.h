@@ -283,9 +283,9 @@ private:
   /// One datagram copy between send() and its delivery or drop, pooled
   /// in Flights and recycled through a freelist. The two schedule()
   /// closures a copy needs (arrival at the receiver, then delivery once
-  /// its receive path frees) capture only {this, slot}, which fits
-  /// std::function's inline buffer: with the pool warm, a datagram costs
-  /// the network no allocation at all.
+  /// its receive path frees) capture only {this, slot}, stored inline in
+  /// the kernel's event record: with the pool warm, a datagram costs the
+  /// network no allocation at all.
   struct InFlight {
     Datagram D;
     sim::Time SentAt = 0;

@@ -199,7 +199,7 @@ public:
   /// Spawns a process owned by this guardian; it is killed if the
   /// guardian's node crashes.
   sim::ProcessHandle spawnProcess(std::string ProcName,
-                                  std::function<void()> Body);
+                                  InlineFunction<void()> Body);
 
   /// Number of handler calls this guardian has started executing (a thin
   /// view of the registry's runtime.calls_executed cell).

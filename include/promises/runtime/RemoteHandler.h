@@ -36,6 +36,9 @@
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 namespace promises::runtime {
@@ -185,7 +188,7 @@ public:
            "RPC must be made from a simulated process");
     PromiseT P = issue(/*NoReply=*/false, /*IsRpc=*/true, nullptr,
                        std::forward<As>(Args)...);
-    return P.claim();
+    return std::move(P).take(); // The only handle: move, don't copy.
   }
 
   /// Send: a stream call whose normal result is discarded and never
@@ -306,6 +309,27 @@ private:
     }
   }
 
+  /// \p V as the declared parameter type \p T: the argument itself when
+  /// its type already matches, else a converted temporary.
+  template <typename T, typename A> static decltype(auto) asParam(A &&V) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<A>, T>)
+      return static_cast<const T &>(V);
+    else
+      return T(std::forward<A>(V));
+  }
+
+  /// Encodes the arguments straight from the caller's values, byte for
+  /// byte as the ArgsTuple codec would.
+  template <typename... Ts, typename... As>
+  static std::optional<wire::Bytes>
+  encodeArgs(std::type_identity<std::tuple<Ts...>>, std::string *Why,
+             As &&...Args) {
+    static_assert(sizeof...(Ts) == sizeof...(As),
+                  "wrong number of arguments for the handler signature");
+    return wire::encodeValuesToBytes<Ts...>(
+        Why, asParam<Ts>(std::forward<As>(Args))...);
+  }
+
   template <typename... As>
   PromiseT issue(bool NoReply, bool IsRpc, CallHandle *HandleOut,
                  As &&...Args) {
@@ -318,8 +342,8 @@ private:
     if (sim::Simulation::inProcess() && Local->config().EncodeCpu != 0)
       Local->simulation().sleep(Local->config().EncodeCpu);
     std::string Why;
-    auto ArgsB =
-        wire::encodeToBytes(ArgsTuple(std::forward<As>(Args)...), &Why);
+    auto ArgsB = encodeArgs(std::type_identity<ArgsTuple>{}, &Why,
+                            std::forward<As>(Args)...);
     if (!ArgsB) // Encode failure: fail without making the call (step 1).
       return PromiseT::makeReady(
           OutcomeT(core::Failure{"could not encode: " + Why}));

@@ -39,15 +39,14 @@
 #define PROMISES_SIM_SIMULATION_H
 
 #include "promises/sim/Time.h"
+#include "promises/support/InlineFunction.h"
 #include "promises/support/Metrics.h"
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace promises::sim {
 
@@ -169,7 +168,15 @@ private:
 /// execution turn, so no locking is needed beyond the backend's own
 /// turn-handoff machinery.
 class Process {
+  /// Names the constructor, which make_shared needs public, but only the
+  /// kernel can create one.
+  struct SpawnKey {
+    explicit SpawnKey() = default;
+  };
+
 public:
+  Process(SpawnKey, Simulation &S, uint64_t Id, std::string Name,
+          InlineFunction<void()> Body);
   Process(const Process &) = delete;
   Process &operator=(const Process &) = delete;
   ~Process();
@@ -197,9 +204,6 @@ private:
   friend class CriticalSection;
   friend struct detail::BackendAccess;
 
-  Process(Simulation &S, uint64_t Id, std::string Name,
-          std::function<void()> Body);
-
   /// The shared trampoline core, run inside the process's own execution
   /// context (fiber or thread): delivers a pre-start kill, runs the body,
   /// absorbs ProcessKilled, marks Finished, and wakes joiners. The backend
@@ -216,7 +220,7 @@ private:
   Simulation &Sim;
   const uint64_t Id;
   const std::string Name;
-  std::function<void()> Body;
+  InlineFunction<void()> Body;
 
   /// Backend-owned execution state (fiber stack + saved context, or the
   /// thread + handoff pair). Null once the process has been reaped.
@@ -243,6 +247,12 @@ private:
 
   WaitQueue JoinQ;  ///< Waiters in Simulation::join.
   WaitQueue SleepQ; ///< Private queue backing sleep().
+
+  /// The kernel's own reference, held from spawn until reap so a process
+  /// runs to completion even when every external handle is dropped.
+  std::shared_ptr<Process> KernelRef;
+  Process *LivePrev = nullptr; ///< Intrusive links in the kernel's list of
+  Process *LiveNext = nullptr; ///< unreaped processes, in spawn order.
 };
 
 using ProcessHandle = std::shared_ptr<Process>;
@@ -294,7 +304,12 @@ public:
 
   /// Creates a process that will start running at the current time (once
   /// the event loop reaches its start event).
-  ProcessHandle spawn(std::string Name, std::function<void()> Body);
+  ///
+  /// A spawn makes one allocation: the Process and its shared_ptr control
+  /// block together. The body is stored in the Process itself (only a
+  /// capture over InlineFunctionBytes goes to the heap), and the fiber
+  /// backend reuses the execution records and stacks of reaped processes.
+  ProcessHandle spawn(std::string Name, InlineFunction<void()> Body);
 
   /// Runs the event loop until no events remain or stop() is called.
   /// Must be called from outside any simulated process.
@@ -368,7 +383,7 @@ public:
 
   /// Schedules \p Fn to run in scheduler context after \p Delay. The
   /// callback must not block. Returns an id usable with cancel().
-  uint64_t schedule(Time Delay, std::function<void()> Fn);
+  uint64_t schedule(Time Delay, InlineFunction<void()> Fn);
 
   /// Cancels a scheduled callback; no-op if it already ran or was
   /// cancelled.
@@ -395,9 +410,9 @@ private:
 
   /// One armed schedule() callback in the timed heap. Entries are small
   /// PODs ordered by (At, Seq) — the exact dispatch order the former
-  /// std::map<QueueKey, function> gave — while the closure lives in a
-  /// pooled EventRecord slot, so arming a timer costs no node allocations
-  /// (the old representation paid a tree node plus a hash-map node per
+  /// std::map<QueueKey, function> gave — while the closure lives inline in
+  /// a pooled EventRecord slot, so arming a timer costs no allocation at
+  /// all (the old representation paid a tree node plus a hash-map node per
   /// event, on a path the transport hits several times per call).
   struct TimedEvent {
     Time At;
@@ -412,7 +427,7 @@ private:
   /// surfaces. The generation makes stale ids (event already ran, slot
   /// reused) miss, which is what the old hash-map lookup provided.
   struct EventRecord {
-    std::function<void()> Fn;
+    InlineFunction<void()> Fn;
     uint32_t Gen = 0;      ///< Bumped on slot release; validates ids.
     uint32_t NextFree = 0; ///< Freelist link while free.
     bool Armed = false;
@@ -422,7 +437,7 @@ private:
   // moves heap entries, so they stay a small POD; a record is its closure
   // plus 16 bytes of pool bookkeeping.
   static_assert(sizeof(TimedEvent) <= 24, "TimedEvent grew");
-  static_assert(sizeof(EventRecord) <= sizeof(std::function<void()>) + 16,
+  static_assert(sizeof(EventRecord) <= sizeof(InlineFunction<void()>) + 16,
                 "EventRecord grew");
 
   static bool timedAfter(const TimedEvent &A, const TimedEvent &B) {
@@ -469,13 +484,17 @@ private:
   /// drains; used by the destructor.
   void shutdown();
 
+  /// Unlinks \p P from the live list and drops the kernel's reference,
+  /// which destroys \p P unless an external handle holds it.
+  void release(Process *P);
+
   /// Declared first so instrument handles outlive everything else.
   MetricsRegistry Metrics;
   Counter *CtxSwitches = nullptr; ///< sim.context_switches.
 
   SimConfig Cfg;
-  /// Declared before the process table so the ~Process fail-safe (which
-  /// runs while AllProcs clears) can still reach it.
+  /// The ~Process fail-safe reaches it; ~Simulation's shutdown() drops
+  /// the kernel's reference to every process before any member dies.
   std::unique_ptr<detail::ExecutionBackend> Backend;
 
   Time NowNs = 0;
@@ -504,10 +523,16 @@ private:
   uint32_t FreeEventHead = UINT32_MAX; ///< Head of the free-slot list.
   size_t LiveTimed = 0; ///< Armed, not-cancelled events in TimedHeap.
 
-  /// Unfinished processes by id (finished ones are reaped eagerly, so at
-  /// quiescence this is empty even after millions of spawns).
-  std::map<uint64_t, ProcessHandle> AllProcs;
+  /// Unreaped processes in spawn order, linked through the processes
+  /// (finished ones are reaped eagerly, so at quiescence this is empty
+  /// even after millions of spawns). Shutdown kills in this order.
+  Process *LiveHead = nullptr;
+  Process *LiveTail = nullptr;
 };
+
+// The body is stored inline; every Process a 1M-process run keeps alive
+// costs this plus its fiber stack page (BENCH_6's RSS per process).
+static_assert(sizeof(Process) <= 288, "Process grew");
 
 } // namespace promises::sim
 

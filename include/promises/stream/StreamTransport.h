@@ -39,6 +39,7 @@
 
 #include "promises/net/Network.h"
 #include "promises/stream/Messages.h"
+#include "promises/support/InlineFunction.h"
 #include "promises/support/Metrics.h"
 #include "promises/support/Rng.h"
 
@@ -159,8 +160,29 @@ struct ReplyOutcome {
 };
 
 /// Invoked (in scheduler context, exactly once, in call order per stream)
-/// when a call's outcome becomes known.
-using ReplyCallback = std::function<void(const ReplyOutcome &)>;
+/// when a call's outcome becomes known. Stored inline in the sender's
+/// per-call slot: a typed call's callback captures 8-16 bytes.
+using ReplyCallback = InlineFunction<void(const ReplyOutcome &)>;
+
+class StreamTransport;
+
+/// Completes one delivered call: a direct call into the transport that
+/// delivered it, naming the call by (stream tag, seq). Completing a call
+/// on a shut-down transport, a superseded stream incarnation, or after
+/// the sender cancelled it is a no-op.
+class CallCompletion {
+public:
+  void operator()(ReplyStatus St, uint32_t ExTag, wire::Bytes Payload,
+                  std::string Reason) const;
+
+private:
+  friend class StreamTransport;
+  StreamTransport *T = nullptr;
+  uint64_t Tag = 0;
+  Seq S = 0;
+  bool NoReply = false;
+  bool FlushReply = false;
+};
 
 /// A call delivered to the receiving entity's runtime.
 struct IncomingCall {
@@ -177,9 +199,7 @@ struct IncomingCall {
   /// The runtime must invoke this exactly once when the call completes.
   /// Out-of-order completions within a stream are buffered; the sender
   /// still observes outcomes in call order.
-  std::function<void(ReplyStatus, uint32_t ExTag, wire::Bytes Payload,
-                     std::string Reason)>
-      Complete;
+  CallCompletion Complete;
 };
 
 /// Result of synch (paper Section 2/3): AllNormal unless some call in the
@@ -383,6 +403,7 @@ public:
   size_t openBreakerCount() const;
 
 private:
+  friend class CallCompletion;
   struct SenderStream;
   struct ReceiverStream;
 

@@ -236,21 +236,32 @@ template <typename... Ts> struct Codec<std::tuple<Ts...>> {
 
 // --- Convenience entry points --------------------------------------------
 
-/// Encodes \p V into fresh bytes; returns std::nullopt if the codec failed
-/// (with \p Reason set to the failure reason). A sized codec's buffer is
-/// allocated once, at its exact size (none at all for an empty encoding).
-template <Transmissible T>
-std::optional<Bytes> encodeToBytes(const T &V, std::string *Reason = nullptr) {
+/// Encodes \p Vs one after another into fresh bytes; returns std::nullopt
+/// if a codec failed (with \p Reason set to the failure reason). The bytes
+/// are exactly encodeToBytes(std::tuple<Ts...>(Vs...)): the tuple codec
+/// writes its elements in order, with no framing of its own, so a caller
+/// holding the values need not copy them into a tuple first. When every
+/// codec is sized the buffer is allocated once, at its exact size (none at
+/// all for an empty encoding).
+template <Transmissible... Ts>
+std::optional<Bytes> encodeValuesToBytes(std::string *Reason,
+                                         const Ts &...Vs) {
   Encoder E;
-  if constexpr (SizedCodec<T>)
-    E.reserve(Codec<T>::size(V));
-  Codec<T>::encode(E, V);
+  if constexpr ((SizedCodec<Ts> && ...))
+    E.reserve((size_t{0} + ... + Codec<Ts>::size(Vs)));
+  (Codec<Ts>::encode(E, Vs), ...);
   if (E.failed()) {
     if (Reason)
       *Reason = E.failReason();
     return std::nullopt;
   }
   return E.take();
+}
+
+/// Encodes \p V into fresh bytes (see encodeValuesToBytes).
+template <Transmissible T>
+std::optional<Bytes> encodeToBytes(const T &V, std::string *Reason = nullptr) {
+  return encodeValuesToBytes<T>(Reason, V);
 }
 
 /// Decodes a whole value from \p B; returns std::nullopt on failure or

@@ -68,7 +68,7 @@ void Guardian::onNodeCrash() {
 }
 
 sim::ProcessHandle Guardian::spawnProcess(std::string ProcName,
-                                          std::function<void()> Body) {
+                                          InlineFunction<void()> Body) {
   assert(!Crashed && "spawnProcess on a crashed guardian");
   sim::ProcessHandle P =
       Sim.spawn(Name + "/" + ProcName, std::move(Body));
@@ -121,10 +121,10 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
   }
   // One process (and agent) per call. The process waits for its turn so
   // that calls on the same stream appear to execute in call order; calls
-  // on different streams (different tags) proceed concurrently.
+  // on different streams (different tags) proceed concurrently. Both
+  // bodies capture 32 bytes and are stored inline in the Process; the
+  // constant name needs no formatting.
   auto Call = std::make_shared<stream::IncomingCall>(std::move(IC));
-  std::string PN = strprintf("call#%llu",
-                             static_cast<unsigned long long>(Call->CallSeq));
   sim::ProcessHandle P;
   // A handler killed mid-flight (node crash, orphan destruction) unwinds
   // out of the body without reaching trailing statements, so the executor
@@ -142,12 +142,12 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
   if (D.Parallel) {
     // Explicit override: no gating; the transport reorders completions
     // back into call order for the sender.
-    P = Sim.spawn(Name + "/" + PN, [this, Call, &D] {
+    P = Sim.spawn("call", [this, Call, &D] {
       Cleanup C{*this, D, Call->CallSeq};
       runCall(*Call);
     });
   } else {
-    P = Sim.spawn(Name + "/" + PN, [this, Call, &D] {
+    P = Sim.spawn("call", [this, Call, &D] {
       stream::Seq Mine = Call->CallSeq;
       Cleanup C{*this, D, Mine};
       if (D.DoneThrough + 1 != Mine) {

@@ -13,11 +13,14 @@
 //
 //  * Stack slabs. vm.max_map_count (~65k) forbids one mmap per stack at
 //    1M-process scale, so stacks are carved from 64 MiB MAP_NORESERVE
-//    slabs and recycled through a freelist. MADV_NOHUGEPAGE keeps a single
-//    touched page from ballooning to a 2 MiB huge page spanning sixteen
-//    neighboring stacks. An optional guard-page mode (SimConfig /
-//    PROMISES_FIBER_GUARD=1) maps each stack separately with an
-//    inaccessible low page for overflow detection in debugging runs.
+//    slabs. Each stack stays with its execution record, and a reaped
+//    process's record (stack included) goes on a freelist for the next
+//    spawn, so a steady spawn rate allocates nothing here.
+//    MADV_NOHUGEPAGE keeps a single touched page from ballooning to a
+//    2 MiB huge page spanning sixteen neighboring stacks. An optional
+//    guard-page mode (SimConfig / PROMISES_FIBER_GUARD=1) maps each stack
+//    separately with an inaccessible low page for overflow detection in
+//    debugging runs.
 //
 //  * Exception-state isolation. A fiber can suspend while an exception is
 //    in flight (SimCondVar::wait catches ProcessKilled, reacquires the
@@ -163,15 +166,16 @@ extern "C" void promises_fiber_switch(void **SaveSP, void *RestoreSP);
 // Stack pool
 //===----------------------------------------------------------------------===//
 
-/// Recycles fiber stacks. Two modes:
+/// Maps fiber stacks; they are never returned, only recycled with their
+/// execution records (FiberBackend::reclaim). Two modes:
 ///
 ///  * Slab (default): stacks carved from 64 MiB MAP_NORESERVE anonymous
 ///    slabs — ~512 stacks per mapping, so 1M concurrent fibers use ~2000
 ///    mappings, far under vm.max_map_count. Only touched pages are
 ///    resident.
 ///  * Guard: each stack is its own mapping with a PROT_NONE low page, so
-///    overflow faults deterministically. One mapping per pooled stack;
-///    meant for debugging, not 1M scale.
+///    overflow faults deterministically. One mapping per stack; meant for
+///    debugging, not 1M scale.
 class StackPool {
 public:
   StackPool(size_t StackBytes, bool Guard)
@@ -188,17 +192,8 @@ public:
 
   size_t stackBytes() const { return StackBytes; }
 
-  /// Returns the low address of a usable StackBytes region.
-  void *allocate() {
-    if (!Free.empty()) {
-      void *S = Free.back();
-      Free.pop_back();
-      return S;
-    }
-    return Guard ? allocateGuarded() : carveFromSlab();
-  }
-
-  void release(void *Stack) { Free.push_back(Stack); }
+  /// Returns the low address of a fresh StackBytes region.
+  void *allocate() { return Guard ? allocateGuarded() : carveFromSlab(); }
 
 private:
   static size_t roundUp(size_t N, size_t To) { return (N + To - 1) / To * To; }
@@ -249,7 +244,6 @@ private:
   const size_t PageSize;
   const size_t StackBytes;
   const bool Guard;
-  std::vector<void *> Free;
   std::vector<std::pair<void *, size_t>> Mappings;
   unsigned char *SlabCur = nullptr;
   size_t SlabLeft = 0;
@@ -259,20 +253,21 @@ private:
 // FiberBackend
 //===----------------------------------------------------------------------===//
 
-/// Per-fiber execution state (heap-allocated; ~64 bytes — the stack itself
-/// lives in the pool).
+/// Per-fiber execution state (~40 bytes; the stack itself lives in the
+/// pool). Allocated once and recycled, stack and all, through the
+/// backend's freelist.
 struct FiberExec {
 #if PROMISES_FIBER_ASM
   void *SP = nullptr; ///< Saved stack pointer while not running.
 #else
   ucontext_t Ctx;
 #endif
-  void *Stack = nullptr; ///< Low address of the pooled stack region.
-  bool Started = false;
+  void *Stack = nullptr; ///< Low address of this record's stack region.
   EhGlobals Eh; ///< This fiber's exception state while suspended.
 #if PROMISES_ASAN
   void *FakeStack = nullptr;
 #endif
+  FiberExec *NextFree = nullptr; ///< Freelist link while unused.
 };
 
 class FiberBackend;
@@ -289,9 +284,24 @@ public:
   explicit FiberBackend(const SimConfig &Cfg)
       : Pool(Cfg.FiberStackBytes, Cfg.FiberGuardPages) {}
 
+  ~FiberBackend() override {
+    while (FiberExec *E = FreeExecs) {
+      FreeExecs = E->NextFree;
+      delete E;
+    }
+  }
+
   void start(Process &P) override {
-    auto *E = new FiberExec();
-    E->Stack = Pool.allocate();
+    FiberExec *E = FreeExecs;
+    if (E) {
+      FreeExecs = E->NextFree;
+      void *Stk = E->Stack;
+      *E = FiberExec();
+      E->Stack = Stk;
+    } else {
+      E = new FiberExec();
+      E->Stack = Pool.allocate();
+    }
 #if PROMISES_FIBER_ASM
     // Craft an initial frame the switch's pops+ret will "return" into:
     // six zeroed callee-saved registers below the entry address, and a
@@ -373,8 +383,8 @@ public:
     if (!E)
       return;
     assert(BackendAccess::finished(P) && "reclaiming an unfinished process");
-    Pool.release(E->Stack);
-    delete E;
+    E->NextFree = FreeExecs;
+    FreeExecs = E;
     BackendAccess::exec(P) = nullptr;
   }
 
@@ -396,14 +406,12 @@ public:
   /// unwinder walk off the crafted stack base.
   void fiberMain() noexcept {
     Process &P = *Active;
-    FiberExec *E = ActiveExec;
 #if PROMISES_ASAN
     // First gain of control: complete the scheduler's start_switch and
     // learn the scheduler stack's bounds for the hops back.
     __sanitizer_finish_switch_fiber(nullptr, &SchedStackBottom,
                                     &SchedStackSize);
 #endif
-    E->Started = true;
     BackendAccess::runBody(P);
     // Finished. Switch home for good; resume() observes Finished and the
     // scheduler reclaims the stack.
@@ -414,7 +422,7 @@ public:
     void *Discard;
     promises_fiber_switch(&Discard, SchedSP);
 #else
-    swapcontext(&E->Ctx, &SchedCtx);
+    swapcontext(&ActiveExec->Ctx, &SchedCtx); // Still this fiber's record.
 #endif
     // A finished fiber must never be handed the turn again.
     std::abort();
@@ -422,6 +430,7 @@ public:
 
 private:
   StackPool Pool;
+  FiberExec *FreeExecs = nullptr; ///< Records of reaped fibers.
   Process *Active = nullptr;
   FiberExec *ActiveExec = nullptr;
 #if PROMISES_FIBER_ASM

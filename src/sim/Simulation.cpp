@@ -92,8 +92,8 @@ Time MonotonicClock::read() {
 // Process
 //===----------------------------------------------------------------------===//
 
-Process::Process(Simulation &S, uint64_t Id, std::string Name,
-                 std::function<void()> Body)
+Process::Process(SpawnKey, Simulation &S, uint64_t Id, std::string Name,
+                 InlineFunction<void()> Body)
     : Sim(S), Id(Id), Name(std::move(Name)), Body(std::move(Body)), JoinQ(S),
       SleepQ(S) {}
 
@@ -277,15 +277,26 @@ Simulation::~Simulation() { shutdown(); }
 Process *Simulation::current() { return detail::CurrentProcTL; }
 
 ProcessHandle Simulation::spawn(std::string Name,
-                                std::function<void()> Body) {
-  auto P = std::shared_ptr<Process>(
-      new Process(*this, NextProcId++, std::move(Name), std::move(Body)));
+                                InlineFunction<void()> Body) {
+  auto P = std::make_shared<Process>(Process::SpawnKey{}, *this, NextProcId++,
+                                     std::move(Name), std::move(Body));
   Backend->start(*P);
   ++LiveProcs;
-  AllProcs.emplace(P->id(), P);
+  P->KernelRef = P;
+  P->LivePrev = LiveTail;
+  (LiveTail ? LiveTail->LiveNext : LiveHead) = P.get();
+  LiveTail = P.get();
   // The start wake: the process first runs when the loop reaches it.
   pushReady(P.get());
   return P;
+}
+
+void Simulation::release(Process *P) {
+  (P->LivePrev ? P->LivePrev->LiveNext : LiveHead) = P->LiveNext;
+  (P->LiveNext ? P->LiveNext->LivePrev : LiveTail) = P->LivePrev;
+  P->LivePrev = P->LiveNext = nullptr;
+  // Moved out first: the reset may destroy *P.
+  ProcessHandle Ref = std::move(P->KernelRef);
 }
 
 void Simulation::pushReady(Process *P) {
@@ -298,7 +309,7 @@ void Simulation::pushReady(Process *P) {
   ++ReadyCount;
 }
 
-uint64_t Simulation::schedule(Time Delay, std::function<void()> Fn) {
+uint64_t Simulation::schedule(Time Delay, InlineFunction<void()> Fn) {
   uint32_t Slot;
   if (FreeEventHead != UINT32_MAX) {
     Slot = FreeEventHead;
@@ -380,14 +391,16 @@ void Simulation::switchTo(Process *P) {
     reap(P);
 }
 
-void Simulation::reap(Process *P) {
+// Kept out of line: it runs once per process, and inlined into switchTo
+// it slowed every scheduler round trip by about 15 ns (GCC 12, -O3).
+[[gnu::noinline]] void Simulation::reap(Process *P) {
   Backend->reclaim(*P);
   assert(P->Exec == nullptr && "backend left exec state behind");
   // Joiners were woken by runBody (their wake events hold raw Process*
   // but any external joiner reached via Simulation::join holds the
   // shared_ptr); dropping the kernel handle frees the Process once the
   // last external handle goes away.
-  AllProcs.erase(P->id());
+  release(P);
 }
 
 bool Simulation::step(Time Horizon) {
@@ -426,7 +439,7 @@ bool Simulation::step(Time Horizon) {
   uint32_t Slot = Ev->Slot;
   std::pop_heap(TimedHeap.begin(), TimedHeap.end(), timedAfter);
   TimedHeap.pop_back();
-  std::function<void()> Fn = std::move(EventPool[Slot].Fn);
+  InlineFunction<void()> Fn = std::move(EventPool[Slot].Fn);
   releaseEventSlot(Slot);
   --LiveTimed;
   Fn();
@@ -558,11 +571,12 @@ void Simulation::shutdown() {
   ShuttingDown = true;
   // Killing one process can unblock others that then block elsewhere, so
   // iterate to a fixpoint (bounded for safety). Finished processes are
-  // reaped (and erased from AllProcs) inside step(), so each round only
-  // sees the still-unfinished ones.
-  for (int Round = 0; Round < 64 && !AllProcs.empty(); ++Round) {
-    for (auto &[Id, P] : AllProcs)
-      killImpl(P.get());
+  // reaped (and unlinked from the live list) inside step(), so each round
+  // only sees the still-unfinished ones. Killing never reaps, so the walk
+  // is safe.
+  for (int Round = 0; Round < 64 && LiveHead; ++Round) {
+    for (Process *P = LiveHead; P; P = P->LiveNext)
+      killImpl(P);
     StopRequested = false;
     while (step(UINT64_MAX)) {
     }
@@ -571,5 +585,6 @@ void Simulation::shutdown() {
   // fail-safe destructor path frees the processes they point at.
   ReadyHead = ReadyTail = nullptr;
   ReadyCount = 0;
-  AllProcs.clear(); // Anything left goes through the ~Process fail-safe.
+  while (LiveHead) // Anything left goes through the ~Process fail-safe.
+    release(LiveHead);
 }

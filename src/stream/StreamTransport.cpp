@@ -1370,26 +1370,29 @@ void StreamTransport::deliverReadyCalls(ReceiverStream &R) {
     IC.NoReply = C.NoReply;
     IC.DeadlineNs = C.DeadlineNs;
     IC.Args = std::move(C.Args);
-    uint64_t Tag = R.Tag;
-    Seq S = C.S;
-    bool NoReply = C.NoReply;
-    bool FlushReply = C.FlushReply;
-    IC.Complete = [this, Tag, S, NoReply, FlushReply](
-                      ReplyStatus St, uint32_t ExTag, wire::Bytes Payload,
-                      std::string Reason) {
-      if (Dead)
-        return;
-      auto It = ReceiversByTag.find(Tag);
-      if (It == ReceiversByTag.end())
-        return; // Superseded incarnation.
-      if (It->second->Cancelled.count(S))
-        return; // Already completed as cancelled; the call process was
-                // killed but unwound late (critical section).
-      completeCall(*It->second, S, NoReply, FlushReply, St, ExTag,
-                   std::move(Payload), std::move(Reason));
-    };
+    IC.Complete.T = this;
+    IC.Complete.Tag = R.Tag;
+    IC.Complete.S = C.S;
+    IC.Complete.NoReply = C.NoReply;
+    IC.Complete.FlushReply = C.FlushReply;
     CallSink(std::move(IC));
   }
+}
+
+void CallCompletion::operator()(ReplyStatus St, uint32_t ExTag,
+                                wire::Bytes Payload,
+                                std::string Reason) const {
+  assert(T && "completing a call no transport delivered");
+  if (T->Dead)
+    return;
+  auto It = T->ReceiversByTag.find(Tag);
+  if (It == T->ReceiversByTag.end())
+    return; // Superseded incarnation.
+  if (It->second->Cancelled.count(S))
+    return; // Already completed as cancelled; the call process was killed
+            // but unwound late (critical section).
+  T->completeCall(*It->second, S, NoReply, FlushReply, St, ExTag,
+                  std::move(Payload), std::move(Reason));
 }
 
 void StreamTransport::handleCancel(const net::Address &From,

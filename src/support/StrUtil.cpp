@@ -37,19 +37,23 @@ std::string promises::join(const std::vector<std::string> &Parts,
 }
 
 std::string promises::strprintf(const char *Fmt, ...) {
+  // One pass into a stack buffer covers almost every caller; only longer
+  // output is formatted a second time, straight into the string.
+  char Buf[256];
   va_list Args;
   va_start(Args, Fmt);
   va_list Copy;
   va_copy(Copy, Args);
-  int Needed = std::vsnprintf(nullptr, 0, Fmt, Copy);
+  int Needed = std::vsnprintf(Buf, sizeof(Buf), Fmt, Copy);
   va_end(Copy);
   std::string Out;
-  if (Needed > 0) {
+  if (Needed > 0 && static_cast<size_t>(Needed) < sizeof(Buf)) {
+    Out.assign(Buf, static_cast<size_t>(Needed));
+  } else if (Needed > 0) {
+    // C++11 strings keep a writable terminator slot at data()[size()], so
+    // vsnprintf's NUL lands in storage the string owns.
     Out.resize(static_cast<size_t>(Needed));
-    // vsnprintf writes the terminating NUL past size(); use a buffer.
-    std::vector<char> Buf(static_cast<size_t>(Needed) + 1);
-    std::vsnprintf(Buf.data(), Buf.size(), Fmt, Args);
-    Out.assign(Buf.data(), static_cast<size_t>(Needed));
+    std::vsnprintf(Out.data(), Out.size() + 1, Fmt, Args);
   }
   va_end(Args);
   return Out;

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,6 +149,55 @@ TEST_P(BackendTest, JoinAndKillOnReapedProcessesAreSafe) {
   S.run();
   EXPECT_TRUE(Joined);
   EXPECT_FALSE(Early->wounded());
+}
+
+TEST_P(BackendTest, KilledBeforeFirstTurnReleasesItsCaptures) {
+  // The body lives inside the Process, which our handle keeps alive after
+  // the run. A process killed before its first turn never enters its
+  // body, yet finishing must still release the captures, inline or
+  // heap-stored.
+  Simulation S(config());
+  auto Shared = std::make_shared<int>(7);
+  std::array<char, 64> Pad{}; // Pushes the second body past the inline size.
+  bool Ran = false;
+  ProcessHandle Small = S.spawn("small", [Shared, &Ran] { Ran = true; });
+  ProcessHandle Big = S.spawn("big", [Shared, Pad, &Ran] {
+    Ran = Pad[0] == 0;
+  });
+  EXPECT_EQ(Shared.use_count(), 3);
+  S.kill(Small);
+  S.kill(Big);
+  S.run();
+  EXPECT_TRUE(Small->finished());
+  EXPECT_TRUE(Big->finished());
+  EXPECT_FALSE(Ran);
+  EXPECT_EQ(Shared.use_count(), 1) << "a killed process kept its captures";
+}
+
+TEST_P(BackendTest, ShutdownKillsUnfinishedProcessesInSpawnOrder) {
+  // The kernel's live list keeps spawn order through reaps from its
+  // middle, so teardown unwinds the survivors oldest first.
+  std::vector<int> Unwound;
+  {
+    Simulation S(config());
+    WaitQueue Forever(S);
+    for (int I = 0; I != 5; ++I)
+      S.spawn("p" + std::to_string(I), [&, I] {
+        struct Note {
+          std::vector<int> &Out;
+          int Id;
+          ~Note() { Out.push_back(Id); }
+        } N{Unwound, I};
+        if (I % 2 == 0)
+          Forever.wait();
+        else
+          S.sleep(usec(1)); // Odd ones finish and are reaped.
+      });
+    S.run();
+    EXPECT_EQ(S.liveProcessCount(), 3u);
+    Unwound.clear(); // Drop the odd ones' normal exits.
+  }
+  EXPECT_EQ(Unwound, (std::vector<int>{0, 2, 4}));
 }
 
 TEST_P(BackendTest, SpawnClaimStress) {

@@ -4,12 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "promises/support/InlineFunction.h"
 #include "promises/support/Rng.h"
 #include "promises/support/Stats.h"
 #include "promises/support/StrUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <set>
 
 using namespace promises;
@@ -193,6 +196,164 @@ TEST(StrUtil, Strprintf) {
   EXPECT_EQ(strprintf("%s", ""), "");
   std::string Big(300, 'a');
   EXPECT_EQ(strprintf("%s", Big.c_str()), Big);
+}
+
+TEST(StrUtil, StrprintfAroundTheStackBuffer) {
+  // The output fits the 256-byte stack buffer up to 255 characters (plus
+  // the NUL); from 256 on it is formatted a second time, into the string.
+  for (size_t N : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
+                   size_t{257}, size_t{1024}, size_t{5000}}) {
+    std::string Body(N, 'x');
+    for (size_t I = 0; I < N; I += 7)
+      Body[I] = static_cast<char>('a' + I % 26);
+    EXPECT_EQ(strprintf("%s", Body.c_str()), Body) << N;
+    // Arguments after a long one must still be consumed correctly on the
+    // second pass.
+    std::string Want = "<" + Body + "|" + std::to_string(N) + "|end>";
+    EXPECT_EQ(strprintf("<%s|%zu|%s>", Body.c_str(), N, "end"), Want) << N;
+  }
+  EXPECT_EQ(strprintf("%*d", 300, 7), std::string(299, ' ') + "7");
+}
+
+//===----------------------------------------------------------------------===//
+// InlineFunction
+//===----------------------------------------------------------------------===//
+
+/// Counts live instances and destructions of a capture of \p Pad bytes.
+template <size_t Pad> struct Tracked {
+  static inline int Live = 0;
+  static inline int Constructed = 0;
+  static inline int Destroyed = 0;
+  std::array<char, Pad> Bytes{};
+  int Id = 0;
+
+  explicit Tracked(int Id) : Id(Id) { born(); }
+  Tracked(const Tracked &O) : Bytes(O.Bytes), Id(O.Id) { born(); }
+  Tracked(Tracked &&O) noexcept : Bytes(O.Bytes), Id(O.Id) { born(); }
+  ~Tracked() {
+    --Live;
+    ++Destroyed;
+  }
+  static void born() {
+    ++Live;
+    ++Constructed;
+  }
+  static void reset() { Live = Constructed = Destroyed = 0; }
+};
+
+using Small = Tracked<8>; // Stored inline.
+using Large = Tracked<64>; // Over InlineFunctionBytes: on the heap.
+
+static_assert(InlineFunction<void()>::fitsInline<Small>);
+static_assert(!InlineFunction<void()>::fitsInline<Large>);
+
+TEST(InlineFunction, CallsForwardArgumentsAndResults) {
+  int Sum = 0;
+  InlineFunction<int(int, const std::string &)> Add =
+      [&Sum](int X, const std::string &S) {
+        Sum += X;
+        return X + static_cast<int>(S.size());
+      };
+  EXPECT_EQ(Add(3, "abcd"), 7);
+  EXPECT_EQ(Sum, 3);
+  // Move-only arguments and mutable state.
+  InlineFunction<int(std::unique_ptr<int>)> Acc =
+      [Total = 0](std::unique_ptr<int> P) mutable { return Total += *P; };
+  EXPECT_EQ(Acc(std::make_unique<int>(2)), 2);
+  EXPECT_EQ(Acc(std::make_unique<int>(5)), 7);
+  // A callable returning a value may back a void signature.
+  InlineFunction<void()> Discard = [] { return 42; };
+  Discard();
+  EXPECT_FALSE(InlineFunction<void()>());
+  EXPECT_FALSE(InlineFunction<void()>(nullptr));
+  void (*Null)() = nullptr;
+  EXPECT_FALSE(InlineFunction<void()>(Null));
+}
+
+template <typename Capture> void checkMoveEmptiesTheSource() {
+  Capture::reset();
+  {
+    int Seen = 0;
+    InlineFunction<void()> A = [C = Capture(7), &Seen] { Seen = C.Id; };
+    EXPECT_EQ(Capture::Live, 1);
+    InlineFunction<void()> B = std::move(A);
+    EXPECT_FALSE(A); // NOLINT: moved-from state is specified.
+    ASSERT_TRUE(B);
+    EXPECT_EQ(Capture::Live, 1);
+    B();
+    EXPECT_EQ(Seen, 7);
+    InlineFunction<void()> C;
+    C = std::move(B);
+    EXPECT_FALSE(B); // NOLINT
+    ASSERT_TRUE(C);
+    Seen = 0;
+    C();
+    EXPECT_EQ(Seen, 7);
+  }
+  EXPECT_EQ(Capture::Live, 0);
+}
+
+TEST(InlineFunction, MoveEmptiesTheSource) {
+  checkMoveEmptiesTheSource<Small>();
+  checkMoveEmptiesTheSource<Large>();
+}
+
+template <typename Capture> void checkCapturesDestroyedOnce() {
+  Capture::reset();
+  for (bool ByReset : {false, true}) {
+    {
+      InlineFunction<void()> F = [C = Capture(1)] { (void)C; };
+      int Base = Capture::Destroyed; // After the lambda's own temporaries.
+      InlineFunction<void()> G = std::move(F);
+      InlineFunction<void()> H;
+      H = std::move(G);
+      H();
+      EXPECT_EQ(Capture::Live, 1);
+      // An inline capture is moved and its source destroyed at each
+      // relocation; a heap capture never moves.
+      EXPECT_EQ(Capture::Destroyed - Base,
+                InlineFunction<void()>::fitsInline<Capture> ? 2 : 0);
+      Base = Capture::Destroyed;
+      if (ByReset) {
+        H = nullptr;
+        EXPECT_EQ(Capture::Live, 0);
+        EXPECT_EQ(Capture::Destroyed, Base + 1);
+      }
+    }
+    EXPECT_EQ(Capture::Live, 0); // Destroyed by ~InlineFunction otherwise.
+    EXPECT_EQ(Capture::Constructed, Capture::Destroyed);
+  }
+}
+
+TEST(InlineFunction, CapturesAreDestroyedExactlyOnce) {
+  checkCapturesDestroyedOnce<Small>();
+  checkCapturesDestroyedOnce<Large>();
+}
+
+TEST(InlineFunction, ReassignmentReplacesTheCallable) {
+  Small::reset();
+  Large::reset();
+  std::string Log;
+  InlineFunction<void()> F = [S = Small(1), &Log] { Log += "s"; };
+  F();
+  F = [L = Large(2), &Log] { Log += "L"; }; // Inline -> heap.
+  EXPECT_EQ(Small::Live, 0);
+  EXPECT_EQ(Large::Live, 1);
+  F();
+  F = [&Log] { Log += "p"; }; // Heap -> trivially copyable inline.
+  EXPECT_EQ(Large::Live, 0);
+  F();
+  InlineFunction<void()> G = [S = Small(3), &Log] { Log += "g"; };
+  F = std::move(G);
+  F();
+  InlineFunction<void()> &Self = F;
+  F = std::move(Self); // Self-move keeps the callable.
+  ASSERT_TRUE(F);
+  F();
+  F = nullptr;
+  EXPECT_FALSE(F);
+  EXPECT_EQ(Small::Live, 0);
+  EXPECT_EQ(Log, "sLpgg");
 }
 
 } // namespace

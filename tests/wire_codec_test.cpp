@@ -76,6 +76,29 @@ TEST(WireCodec, TupleRoundTripsInOrder) {
   EXPECT_EQ(roundTrip(T), T);
 }
 
+TEST(WireCodec, ValuesEncodeExactlyAsTheirTuple) {
+  // RemoteHandler encodes call arguments from the caller's values; the
+  // bytes must be the argument tuple's, including an unsized element and
+  // a failing one.
+  std::string S(40, 'q');
+  std::vector<std::pair<std::string, double>> V{{"ann", 91.5}};
+  auto Tuple = encodeToBytes(std::make_tuple(S, int32_t{-7}, V, Unit{}));
+  auto Values = encodeValuesToBytes<std::string, int32_t, decltype(V), Unit>(
+      nullptr, S, -7, V, Unit{});
+  ASSERT_TRUE(Tuple && Values);
+  EXPECT_EQ(*Values, *Tuple);
+  Fragile Bad;
+  Bad.FailEncode = true;
+  std::string TupleWhy, ValuesWhy;
+  EXPECT_FALSE(encodeToBytes(std::make_tuple(S, Bad), &TupleWhy));
+  EXPECT_FALSE((encodeValuesToBytes<std::string, Fragile>(&ValuesWhy, S, Bad)));
+  EXPECT_EQ(ValuesWhy, TupleWhy);
+  EXPECT_FALSE(ValuesWhy.empty());
+  auto Empty = encodeValuesToBytes<>(nullptr);
+  ASSERT_TRUE(Empty);
+  EXPECT_TRUE(Empty->empty());
+}
+
 TEST(WireCodec, UnitRoundTrips) {
   auto B = encodeToBytes(Unit{});
   ASSERT_TRUE(B.has_value());

@@ -3,7 +3,7 @@
 
 Usage: check_bench.py <fresh.json> <committed-baseline.json>
 
-Handles two record schemas, dispatched on the "bench" field:
+Handles five record schemas, dispatched on the "bench" field:
 
 bench_hotpath (BENCH_7): wall-clock ns/call is machine-dependent, so it
 only fails on a large (>25%) regression against the committed number.
@@ -29,6 +29,15 @@ durable put is virtual time, hence deterministic, and may grow at most
 25%. Recovery wall time and append cost are machine-dependent; they may
 regress up to 3x before CI fails (replay is a cold-start batch job, so
 shared-runner noise dominates more than on the hot path).
+
+BM_SpawnScale (BENCH_6): the fiber backend's scale numbers. Every spawned
+process must reach its blocked state (max_live_procs == procs). The spawn
+rate is a cold-start number dominated by first-touch page faults, so it
+may drop to a third of the baseline; the scheduler round trip is a hot
+path and may grow at most 25%; resident bytes per blocked process (its
+stack page plus its share of the heap) may grow at most 10%. The thread
+backend's numbers are kernel handoffs and stay informational. The fresh
+run must use the baseline's --procs: RSS per process depends on it.
 """
 import json
 import sys
@@ -39,6 +48,9 @@ OVERLOAD_GOODPUT_LIMIT = 1.25
 OVERLOAD_TAIL_LIMIT = 1.5
 RECOVERY_OVERHEAD_LIMIT = 1.25
 RECOVERY_WALL_LIMIT = 3.0
+SPAWN_RATE_LIMIT = 3.0
+SWITCH_NS_LIMIT = 1.25
+RSS_PER_PROC_LIMIT = 1.10
 
 
 def fail(msg):
@@ -125,6 +137,34 @@ def check_recovery(fresh, base):
     print("check_bench: OK")
 
 
+def check_spawn_scale(fresh, base):
+    f_fib, b_fib = fresh["fiber"], base["fiber"]
+    if f_fib["procs"] != b_fib["procs"]:
+        fail(f"spawn-scale run used {f_fib['procs']} processes, the "
+             f"baseline {b_fib['procs']}; rerun with --procs {b_fib['procs']}")
+    if f_fib["max_live_procs"] != f_fib["procs"]:
+        fail(f"only {f_fib['max_live_procs']} of {f_fib['procs']} processes "
+             f"were live at once")
+    rate_f, rate_b = f_fib["spawn_per_s"], b_fib["spawn_per_s"]
+    if rate_f < rate_b / SPAWN_RATE_LIMIT:
+        fail(f"fiber spawn rate {rate_f:.0f}/s is below baseline "
+             f"{rate_b:.0f}/s by more than {SPAWN_RATE_LIMIT:.0f}x")
+    sw_f, sw_b = f_fib["switch_ns"], b_fib["switch_ns"]
+    if sw_f > sw_b * SWITCH_NS_LIMIT:
+        fail(f"fiber switch {sw_f:.1f}ns exceeds baseline {sw_b:.1f}ns by "
+             f"more than {SWITCH_NS_LIMIT:.2f}x")
+    per_f = f_fib["rss_bytes"] / f_fib["procs"]
+    per_b = b_fib["rss_bytes"] / b_fib["procs"]
+    if per_f > per_b * RSS_PER_PROC_LIMIT:
+        fail(f"RSS per blocked process {per_f:.0f}B exceeds baseline "
+             f"{per_b:.0f}B by more than {RSS_PER_PROC_LIMIT:.2f}x")
+    print(f"check_bench: spawn-scale {f_fib['procs']} fibers: spawn "
+          f"{rate_f:.0f}/s (baseline {rate_b:.0f}), switch {sw_f:.1f}ns "
+          f"(baseline {sw_b:.1f}), RSS/proc {per_f:.0f}B (baseline "
+          f"{per_b:.0f}); thread switch {fresh['thread']['switch_ns']:.1f}ns")
+    print("check_bench: OK")
+
+
 def main():
     if len(sys.argv) != 3:
         fail(f"usage: {sys.argv[0]} <fresh.json> <committed-baseline.json>")
@@ -140,6 +180,9 @@ def main():
         return
     if fresh.get("bench") == "bench_recovery":
         check_recovery(fresh, base)
+        return
+    if fresh.get("bench") == "BM_SpawnScale":
+        check_spawn_scale(fresh, base)
         return
     for path in ("rpc", "stream"):
         f_row, b_row = fresh[path], base[path]
