@@ -39,9 +39,9 @@ using namespace promises;
 // Allocation counting hook
 //===----------------------------------------------------------------------===//
 
-// Counts every heap allocation in the process. Relaxed atomic: the fiber
-// backend runs everything on one thread, and the thread backend hands the
-// single execution turn across threads with proper synchronization.
+// Counts every heap allocation in the process. The simulation runs on one
+// thread; the relaxed atomic keeps the count exact should anything
+// allocate off it.
 static std::atomic<uint64_t> GAllocs{0};
 
 void *operator new(std::size_t N) {

@@ -4,8 +4,8 @@
 //
 // Measures the kernel numbers the fiber runtime exists for (ROADMAP item
 // 1, docs/RUNTIME.md): how fast processes spawn, what a scheduler context
-// switch costs on each backend, and how many concurrently-blocked
-// processes fit in memory. Unlike the E-series benchmarks these measure
+// switch costs, and how many concurrently-blocked processes fit in
+// memory. Unlike the E-series benchmarks these measure
 // *wall-clock* cost of the scheduler itself, not virtual-time behavior of
 // the protocol stack, so this is a bespoke driver rather than a
 // google-benchmark harness:
@@ -42,11 +42,9 @@ using namespace promises::sim;
 namespace {
 
 struct Options {
-  size_t Procs = 1'000'000;       ///< Fiber spawn-scale process count.
-  size_t ThreadProcs = 2'000;     ///< Thread-backend comparison count.
-  size_t SwitchProcs = 64;        ///< Round-robin yielders (both backends).
-  size_t SwitchIters = 2'000'000; ///< Fiber total yields across yielders.
-  size_t ThreadSwitchIters = 20'000; ///< Thread total yields.
+  size_t Procs = 1'000'000;       ///< Spawn-scale process count.
+  size_t SwitchProcs = 64;        ///< Round-robin yielders.
+  size_t SwitchIters = 2'000'000; ///< Total yields across yielders.
   std::string Out; ///< JSON output path ("" = stdout only).
 };
 
@@ -54,11 +52,9 @@ void usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --procs N              fiber spawn-scale processes (default 1M)\n"
-      "  --thread-procs N       thread-backend comparison (default 2000)\n"
+      "  --procs N              spawn-scale processes (default 1M)\n"
       "  --switch-procs N       round-robin yielder count (default 64)\n"
-      "  --switch-iters N       fiber total yields (default 2M)\n"
-      "  --thread-switch-iters N  thread total yields (default 20k)\n"
+      "  --switch-iters N       total yields (default 2M)\n"
       "  --out FILE             also write the JSON record to FILE\n",
       Argv0);
 }
@@ -78,10 +74,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       if (!(V = Need(A)))
         return false;
       O.Procs = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--thread-procs")) {
-      if (!(V = Need(A)))
-        return false;
-      O.ThreadProcs = std::strtoull(V, nullptr, 10);
     } else if (!std::strcmp(A, "--switch-procs")) {
       if (!(V = Need(A)))
         return false;
@@ -90,25 +82,19 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       if (!(V = Need(A)))
         return false;
       O.SwitchIters = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--thread-switch-iters")) {
-      if (!(V = Need(A)))
-        return false;
-      O.ThreadSwitchIters = std::strtoull(V, nullptr, 10);
     } else if (!std::strcmp(A, "--out")) {
       if (!(V = Need(A)))
         return false;
       O.Out = V;
     } else {
       std::fprintf(stderr,
-                   "error: unknown flag %s (valid: --procs --thread-procs "
-                   "--switch-procs --switch-iters --thread-switch-iters "
-                   "--out)\n",
+                   "error: unknown flag %s (valid: --procs --switch-procs "
+                   "--switch-iters --out)\n",
                    A);
       return false;
     }
   }
-  if (O.Procs == 0 || O.ThreadProcs == 0 || O.SwitchProcs == 0 ||
-      O.SwitchIters == 0 || O.ThreadSwitchIters == 0) {
+  if (O.Procs == 0 || O.SwitchProcs == 0 || O.SwitchIters == 0) {
     std::fprintf(stderr, "error: all counts must be > 0\n");
     return false;
   }
@@ -143,8 +129,8 @@ struct SpawnResult {
 
 /// Spawns N processes that all block on one queue, measures the rate at
 /// which they reach their blocked state, then wakes and drains them.
-SpawnResult runSpawnScale(BackendKind K, size_t N) {
-  Simulation S(SimConfig{.Backend = K});
+SpawnResult runSpawnScale(size_t N) {
+  Simulation S;
   WaitQueue Q(S);
   size_t Woken = 0;
   size_t Rss0 = rssBytes();
@@ -174,11 +160,10 @@ SpawnResult runSpawnScale(BackendKind K, size_t N) {
 
 /// K processes yielding round-robin: wall-clock ns per scheduler round
 /// trip (suspend, event dispatch, resume). The multi-process ready set is
-/// what a real simulation's scheduler sees — a 1-process ping-pong would
-/// flatter the thread backend, whose two-thread handoff stays warm in a
-/// way a thousand-thread runqueue never is.
-double runSwitchRoundRobin(BackendKind K, size_t Procs, size_t TotalIters) {
-  Simulation S(SimConfig{.Backend = K});
+/// what a real simulation's scheduler sees, not a single warm ping-pong
+/// pair.
+double runSwitchRoundRobin(size_t Procs, size_t TotalIters) {
+  Simulation S;
   size_t PerProc = std::max<size_t>(1, TotalIters / Procs);
   for (size_t P = 0; P != Procs; ++P)
     S.spawn("rr", [&S, PerProc] {
@@ -191,9 +176,8 @@ double runSwitchRoundRobin(BackendKind K, size_t Procs, size_t TotalIters) {
   return Secs * 1e9 / static_cast<double>(S.contextSwitches());
 }
 
-std::string jsonRecord(const Options &O, const SpawnResult &FiberSpawn,
-                       const SpawnResult &ThreadSpawn, double FiberSwitchNs,
-                       double ThreadSwitchNs, size_t PeakRssBytes) {
+std::string jsonRecord(const Options &O, const SpawnResult &Spawn,
+                       double SwitchNs, size_t PeakRssBytes) {
   char Buf[1024];
   std::snprintf(
       Buf, sizeof(Buf),
@@ -201,13 +185,9 @@ std::string jsonRecord(const Options &O, const SpawnResult &FiberSpawn,
       " \"fiber\": {\"procs\": %zu, \"spawn_per_s\": %.0f, "
       "\"max_live_procs\": %zu, \"rss_bytes\": %zu, \"switch_ns\": %.1f, "
       "\"switch_iters\": %zu},\n"
-      " \"thread\": {\"procs\": %zu, \"spawn_per_s\": %.0f, "
-      "\"switch_ns\": %.1f, \"switch_iters\": %zu},\n"
-      " \"switch_speedup\": %.1f, \"peak_rss_bytes\": %zu}\n",
-      O.SwitchProcs, O.Procs, FiberSpawn.SpawnPerSec, FiberSpawn.MaxLive,
-      FiberSpawn.RssDeltaBytes, FiberSwitchNs, O.SwitchIters, O.ThreadProcs,
-      ThreadSpawn.SpawnPerSec, ThreadSwitchNs, O.ThreadSwitchIters,
-      ThreadSwitchNs / FiberSwitchNs, PeakRssBytes);
+      " \"peak_rss_bytes\": %zu}\n",
+      O.SwitchProcs, O.Procs, Spawn.SpawnPerSec, Spawn.MaxLive,
+      Spawn.RssDeltaBytes, SwitchNs, O.SwitchIters, PeakRssBytes);
   return Buf;
 }
 
@@ -220,28 +200,19 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // Thread-backend comparisons first, fiber spawn-scale last, so the
-  // process-wide ru_maxrss peak reflects the 1M-process run.
-  std::fprintf(stderr, "BM_SwitchRoundRobin[thread] %zu procs, %zu iters...\n",
-               O.SwitchProcs, O.ThreadSwitchIters);
-  double ThreadSwitchNs = runSwitchRoundRobin(BackendKind::Thread,
-                                              O.SwitchProcs,
-                                              O.ThreadSwitchIters);
-  std::fprintf(stderr, "BM_SpawnScale[thread] %zu procs...\n", O.ThreadProcs);
-  SpawnResult ThreadSpawn = runSpawnScale(BackendKind::Thread, O.ThreadProcs);
-  std::fprintf(stderr, "BM_SwitchRoundRobin[fiber] %zu procs, %zu iters...\n",
+  // Spawn-scale last, so the process-wide ru_maxrss peak reflects the
+  // large run.
+  std::fprintf(stderr, "BM_SwitchRoundRobin %zu procs, %zu iters...\n",
                O.SwitchProcs, O.SwitchIters);
-  double FiberSwitchNs =
-      runSwitchRoundRobin(BackendKind::Fiber, O.SwitchProcs, O.SwitchIters);
-  std::fprintf(stderr, "BM_SpawnScale[fiber] %zu procs...\n", O.Procs);
-  SpawnResult FiberSpawn = runSpawnScale(BackendKind::Fiber, O.Procs);
+  double SwitchNs = runSwitchRoundRobin(O.SwitchProcs, O.SwitchIters);
+  std::fprintf(stderr, "BM_SpawnScale %zu procs...\n", O.Procs);
+  SpawnResult Spawn = runSpawnScale(O.Procs);
 
   struct rusage RU;
   getrusage(RUSAGE_SELF, &RU);
   size_t PeakRss = static_cast<size_t>(RU.ru_maxrss) * 1024; // KB on Linux.
 
-  std::string Json = jsonRecord(O, FiberSpawn, ThreadSpawn, FiberSwitchNs,
-                                ThreadSwitchNs, PeakRss);
+  std::string Json = jsonRecord(O, Spawn, SwitchNs, PeakRss);
   std::fputs(Json.c_str(), stdout);
   if (!O.Out.empty()) {
     FILE *F = std::fopen(O.Out.c_str(), "w");

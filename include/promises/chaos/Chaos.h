@@ -80,10 +80,6 @@ struct ChaosOptions {
   bool Storage = false;
   double TornRate = 0.3;
   double LostRate = 0.7;
-  /// Execution backend for the run's Simulation. Scheduling is
-  /// backend-independent, so the same seed must produce the same trace
-  /// hash on either — CI diffs them (see docs/RUNTIME.md).
-  sim::BackendKind Backend = sim::SimConfig::defaultBackend();
 };
 
 /// The fault plan a run of \p O injects.

@@ -35,7 +35,6 @@
 #include "promises/core/Outcome.h"
 #include "promises/sim/Simulation.h"
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -176,9 +175,8 @@ private:
   /// wait queue, per promise). acquire()/release() recycle states for the
   /// process lifetime; one slab allocation amortizes over SlabStates
   /// promises. The refcount is deliberately non-atomic: the simulation
-  /// runs at most one simulated process at a time (single-runner
-  /// discipline — the thread backend serializes through mutex handoffs
-  /// that establish happens-before), so contended increments cannot occur.
+  /// runs at most one simulated process at a time, all on one thread, so
+  /// contended increments cannot occur.
   struct State {
     std::optional<OutcomeType> Value;
     std::optional<sim::WaitQueue> Waiters; ///< Engaged unless born-ready.
@@ -201,19 +199,10 @@ private:
       if (!Head) {
         static_assert(sizeof(State) >= sizeof(void *) &&
                       alignof(State) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-        // A link in front of the states keeps every slab on one global
-        // list: a freelist dies with its thread (the thread backend runs
-        // each process on its own), and its slab must stay reachable.
-        constexpr size_t Link = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
-        char *Slab = static_cast<char *>(
-            ::operator new(Link + SlabStates * sizeof(State)));
-        static std::atomic<void *> Slabs{nullptr};
-        void *Next = Slabs.load(std::memory_order_relaxed);
-        do
-          *reinterpret_cast<void **>(Slab) = Next;
-        while (!Slabs.compare_exchange_weak(Next, Slab));
+        char *Slab =
+            static_cast<char *>(::operator new(SlabStates * sizeof(State)));
         for (size_t I = 0; I != SlabStates; ++I) {
-          void *P = Slab + Link + I * sizeof(State);
+          void *P = Slab + I * sizeof(State);
           *static_cast<void **>(P) = Head;
           Head = P;
         }
@@ -224,9 +213,9 @@ private:
     }
 
   private:
-    /// thread_local so the thread execution backend needs no locking; a
-    /// state released on a different thread than it was acquired on simply
-    /// migrates freelists. Slabs are never returned to the heap.
+    /// thread_local because a Simulation is confined to the thread that
+    /// runs it, so simulations on separate threads never share a freelist.
+    /// Slabs are never returned to the heap.
     static void *&freeHead() {
       thread_local void *Head = nullptr;
       return Head;

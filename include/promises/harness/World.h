@@ -64,8 +64,8 @@ public:
   /// and the server and client nodes (srv0.., then cli0..). No guardian
   /// exists yet: set ServerConfig and add the slots' media, then install
   /// the servers, then add the clients.
-  World(uint64_t Seed, sim::BackendKind Backend, net::NetConfig NC,
-        size_t Servers, size_t Clients, InstallFn Install);
+  World(uint64_t Seed, net::NetConfig NC, size_t Servers, size_t Clients,
+        InstallFn Install);
 
   /// Gives \p Slot one more stable store.
   void addMedia(size_t Slot, storage::StorageConfig SC);

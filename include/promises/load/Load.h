@@ -143,7 +143,7 @@ struct LoadOptions {
   LoadScenario Scenario;
   double RateScale = 1.0;     ///< Scales every tenant's RateCps.
   double DurationScale = 1.0; ///< Scales the scenario Duration.
-  sim::BackendKind Backend = sim::SimConfig::defaultBackend();
+  sim::BackendKind Backend = sim::BackendKind::Fiber; ///< The only engine.
   /// Force durable storage onto a scenario that does not enable it
   /// (loadsim --storage-faults); negative rates defer to the scenario.
   bool ForceStorage = false;

@@ -114,22 +114,24 @@ bool outcomeToWire(const core::Outcome<Ret, Exs...> &O,
 template <typename OutcomeT, core::ExceptionType... Exs>
 OutcomeT decodeExceptionOutcome(uint32_t Tag, const wire::Bytes &Payload) {
   OutcomeT Result{core::Failure{"unknown exception tag"}};
-  uint32_t I = 0;
-  bool Found = false;
-  (
-      [&] {
-        if (!Found && I == Tag) {
-          Found = true;
-          std::string Why;
-          auto Dec = wire::decodeFromBytes<Exs>(Payload, &Why);
-          if (Dec)
-            Result = OutcomeT(std::move(*Dec));
-          else
-            Result = OutcomeT(core::Failure{"could not decode: " + Why});
-        }
-        ++I;
-      }(),
-      ...);
+  if constexpr (sizeof...(Exs) != 0) {
+    uint32_t I = 0;
+    bool Found = false;
+    (
+        [&] {
+          if (!Found && I == Tag) {
+            Found = true;
+            std::string Why;
+            auto Dec = wire::decodeFromBytes<Exs>(Payload, &Why);
+            if (Dec)
+              Result = OutcomeT(std::move(*Dec));
+            else
+              Result = OutcomeT(core::Failure{"could not decode: " + Why});
+          }
+          ++I;
+        }(),
+        ...);
+  }
   return Result;
 }
 

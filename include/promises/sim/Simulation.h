@@ -13,14 +13,9 @@
 /// blocking code (Argus processes block in `claim`, queue `deq`, `synch`,
 /// ...) together with fully deterministic virtual time.
 ///
-/// How a process is *executed* is an implementation seam (see
-/// docs/RUNTIME.md): the default FiberBackend runs every process as a
-/// stackful fiber on the scheduler's own OS thread (a context switch is a
-/// few dozen instructions, so millions of concurrent processes are
-/// practical), while the ThreadBackend backs each process with a parked OS
-/// thread (one kernel handoff per turn; retained for sanitizer and
-/// debugging runs). Both backends drive the same event loop in the same
-/// order, so a seed produces bit-identical traces on either.
+/// Every process runs as a stackful fiber on the scheduler's own OS thread
+/// (docs/RUNTIME.md): a context switch is a few dozen instructions, so
+/// millions of concurrent processes are practical.
 ///
 /// The kernel also implements the termination machinery the paper's coenter
 /// needs (Section 4.2): a process can be *wounded* and then killed, but the
@@ -45,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace promises::sim {
@@ -56,22 +50,19 @@ class Process;
 class ClockDriver;
 
 namespace detail {
-class ExecutionBackend;
-struct BackendAccess;
+class FiberBackend;
+struct FiberExec;
 } // namespace detail
 
-/// How simulated processes are executed (docs/RUNTIME.md).
-enum class BackendKind : uint8_t {
-  Fiber,  ///< Stackful fibers on one OS thread (default; scales to 1M+).
-  Thread, ///< One parked OS thread per process (sanitizer/debug fallback).
-};
+/// How simulated processes are executed: always as stackful fibers on one
+/// OS thread (docs/RUNTIME.md). The single value survives only because
+/// existing callers still assign it.
+enum class BackendKind : uint8_t { Fiber };
 
 /// Kernel configuration. Plain data; pass to the Simulation constructor.
 struct SimConfig {
-  /// Execution backend. Defaults to the PROMISES_BACKEND environment
-  /// variable ("fiber" or "thread"; anything else aborts), or Fiber when
-  /// unset.
-  BackendKind Backend = defaultBackend();
+  /// Execution engine; Fiber is the only one.
+  BackendKind Backend = BackendKind::Fiber;
 
   /// Virtual-address reservation per fiber stack (rounded up to a page).
   /// Stacks are carved from large MAP_NORESERVE slabs and pooled, so only
@@ -87,14 +78,8 @@ struct SimConfig {
   /// scale.
   bool FiberGuardPages = defaultGuardPages();
 
-  /// PROMISES_BACKEND-resolved default (Fiber when unset).
-  static BackendKind defaultBackend();
   /// PROMISES_FIBER_GUARD-resolved default (false when unset).
   static bool defaultGuardPages();
-  /// Parses "fiber"/"thread" into \p Out; false on anything else.
-  static bool parseBackend(std::string_view Name, BackendKind &Out);
-  /// "fiber" or "thread".
-  static const char *backendName(BackendKind K);
 };
 
 /// Internal control-flow exception used to unwind a forcibly terminated
@@ -164,9 +149,8 @@ private:
 /// A cooperative simulated process.
 ///
 /// Created via Simulation::spawn. All members are manipulated only while
-/// the owning execution context (or the scheduler) holds the single
-/// execution turn, so no locking is needed beyond the backend's own
-/// turn-handoff machinery.
+/// the process's fiber (or the scheduler) holds the single execution
+/// turn, so no locking is needed.
 class Process {
   /// Names the constructor, which make_shared needs public, but only the
   /// kernel can create one.
@@ -202,12 +186,12 @@ private:
   friend class Simulation;
   friend class WaitQueue;
   friend class CriticalSection;
-  friend struct detail::BackendAccess;
+  friend class detail::FiberBackend;
 
-  /// The shared trampoline core, run inside the process's own execution
-  /// context (fiber or thread): delivers a pre-start kill, runs the body,
-  /// absorbs ProcessKilled, marks Finished, and wakes joiners. The backend
-  /// then returns the turn to the scheduler for good.
+  /// The trampoline core, run on the process's own fiber: delivers a
+  /// pre-start kill, runs the body, absorbs ProcessKilled, marks Finished,
+  /// and wakes joiners. The fiber then returns the turn to the scheduler
+  /// for good.
   void runBody();
 
   /// Gives the turn back to the scheduler and blocks until it is returned.
@@ -222,9 +206,9 @@ private:
   const std::string Name;
   InlineFunction<void()> Body;
 
-  /// Backend-owned execution state (fiber stack + saved context, or the
-  /// thread + handoff pair). Null once the process has been reaped.
-  void *Exec = nullptr;
+  /// The fiber's execution record (stack and saved context). Null once
+  /// the process has been reaped.
+  detail::FiberExec *Exec = nullptr;
 
   // Simulation-side state; single-runner discipline, no locks needed.
   ProcState State = ProcState::Created;
@@ -275,8 +259,8 @@ private:
 };
 
 /// The discrete-event simulator: virtual clock, event queue, and process
-/// scheduler. One Simulation per test/benchmark/example; not thread-safe
-/// across Simulations sharing threads (each owns its execution backend).
+/// scheduler. One Simulation per test/benchmark/example; a Simulation is
+/// confined to the thread that runs it (its fibers all run there).
 class Simulation {
 public:
   Simulation();
@@ -287,14 +271,6 @@ public:
 
   /// Current virtual time.
   Time now() const { return NowNs; }
-
-  /// The execution backend this world runs on.
-  BackendKind backend() const { return Cfg.Backend; }
-
-  /// "fiber" or "thread".
-  const char *backendName() const {
-    return SimConfig::backendName(Cfg.Backend);
-  }
 
   /// The observability registry shared by every layer of this world (see
   /// docs/OBSERVABILITY.md). The kernel registers sim.context_switches,
@@ -406,7 +382,6 @@ public:
 private:
   friend class Process;
   friend class WaitQueue;
-  friend struct detail::BackendAccess;
 
   /// One armed schedule() callback in the timed heap. Entries are small
   /// PODs ordered by (At, Seq) — the exact dispatch order the former
@@ -492,10 +467,9 @@ private:
   MetricsRegistry Metrics;
   Counter *CtxSwitches = nullptr; ///< sim.context_switches.
 
-  SimConfig Cfg;
   /// The ~Process fail-safe reaches it; ~Simulation's shutdown() drops
   /// the kernel's reference to every process before any member dies.
-  std::unique_ptr<detail::ExecutionBackend> Backend;
+  std::unique_ptr<detail::FiberBackend> Backend;
 
   Time NowNs = 0;
   ClockDriver *Clock = nullptr; ///< Non-null => real-time mode.

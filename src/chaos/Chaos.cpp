@@ -141,8 +141,7 @@ net::NetConfig netConfig(const ChaosOptions &O) {
 }
 
 World::World(const ChaosOptions &Opt)
-    : harness::World(Opt.Seed, Opt.Backend, netConfig(Opt), Opt.Servers,
-                     Opt.Clients,
+    : harness::World(Opt.Seed, netConfig(Opt), Opt.Servers, Opt.Clients,
                      [this](size_t Slot, uint32_t Gen, runtime::Guardian &G) {
                        installApps(Slot, Gen, G);
                      }),
@@ -522,12 +521,11 @@ ChaosReport chaos::runChaos(const ChaosOptions &O) {
 
 std::string chaos::replayCommand(const ChaosOptions &O) {
   return strprintf("chaossim --seed %llu --profile %s --ops %zu --clients "
-                   "%zu --servers %zu --horizon-ms %llu --backend %s%s%s%s%s",
+                   "%zu --servers %zu --horizon-ms %llu%s%s%s%s",
                    static_cast<unsigned long long>(O.Seed),
                    O.Profile.Name.c_str(), O.OpsPerClient, O.Clients,
                    O.Servers,
                    static_cast<unsigned long long>(O.Horizon / 1000000),
-                   sim::SimConfig::backendName(O.Backend),
                    O.Deadlines ? " --deadlines" : "",
                    O.Corrupt ? " --corrupt" : "", O.Dup ? " --dup" : "",
                    O.Reorder ? " --reorder" : "") +

@@ -46,10 +46,10 @@ net::NetConfig seeded(net::NetConfig NC, uint64_t Seed) {
 
 } // namespace
 
-World::World(uint64_t Seed, sim::BackendKind Backend, net::NetConfig NC,
-             size_t Servers, size_t Clients, InstallFn Install)
-    : S(sim::SimConfig{.Backend = Backend}), Net(S, seeded(NC, Seed)),
-      Slots(Servers), Seed(Seed), Install(std::move(Install)) {
+World::World(uint64_t Seed, net::NetConfig NC, size_t Servers,
+             size_t Clients, InstallFn Install)
+    : Net(S, seeded(NC, Seed)), Slots(Servers), Seed(Seed),
+      Install(std::move(Install)) {
   // The trace-event stream is the determinism oracle; always record it.
   S.metrics().setEnabled(true);
   for (size_t I = 0; I != Servers; ++I)

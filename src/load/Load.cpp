@@ -332,8 +332,8 @@ net::NetConfig netConfig(const LoadScenario &Sc) {
 }
 
 World::World(const LoadOptions &Opt)
-    : harness::World(Opt.Seed, Opt.Backend, netConfig(Opt.Scenario),
-                     Opt.Scenario.Servers, Opt.Scenario.Tenants.size(),
+    : harness::World(Opt.Seed, netConfig(Opt.Scenario), Opt.Scenario.Servers,
+                     Opt.Scenario.Tenants.size(),
                      [this](size_t Slot, uint32_t, runtime::Guardian &G) {
                        installApps(Slot, G);
                      }),
@@ -968,10 +968,9 @@ LoadReport load::runLoad(const LoadOptions &O) {
 }
 
 std::string load::replayCommand(const LoadOptions &O) {
-  std::string Cmd = strprintf(
-      "loadsim --scenario %s --seed %llu --backend %s",
-      O.Scenario.Name.c_str(), static_cast<unsigned long long>(O.Seed),
-      sim::SimConfig::backendName(O.Backend));
+  std::string Cmd = strprintf("loadsim --scenario %s --seed %llu",
+                              O.Scenario.Name.c_str(),
+                              static_cast<unsigned long long>(O.Seed));
   if (O.RateScale != 1.0)
     Cmd += strprintf(" --rate-scale %g", O.RateScale);
   if (O.DurationScale != 1.0)
@@ -1029,15 +1028,14 @@ std::string load::benchJson(const LoadOptions &O, const LoadReport &R) {
   }
   return strprintf(
       "{\"bench\": \"bench_overload\", \"scenario\": \"%s\", "
-      "\"seed\": %llu, \"backend\": \"%s\", \"capacity_cps\": %.1f, "
+      "\"seed\": %llu, \"capacity_cps\": %.1f, "
       "\"base_goodput_cps\": %.1f, \"overload_goodput_cps\": %.1f, "
       "\"goodput_ratio\": %.4f, \"goodput_floor\": %.4f, "
       "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
       "\"offered\": %llu, \"normal\": %llu, \"shed\": %llu, "
       "\"retries\": %llu, \"battery_violations\": %zu, \"tenants\": [%s]}",
       O.Scenario.Name.c_str(), static_cast<unsigned long long>(O.Seed),
-      sim::SimConfig::backendName(O.Backend), R.CapacityCps,
-      R.BaseGoodputCps, R.OverGoodputCps, R.GoodputRatio,
+      R.CapacityCps, R.BaseGoodputCps, R.OverGoodputCps, R.GoodputRatio,
       O.Scenario.GoodputFloor, R.P50Us, R.P99Us, R.P999Us,
       (unsigned long long)R.Offered, (unsigned long long)R.Normal,
       (unsigned long long)R.Shed, (unsigned long long)R.Retries,

@@ -2,12 +2,12 @@
 //
 // Part of the promises project (PLDI 1988 reproduction).
 //
-// The default execution backend (docs/RUNTIME.md): every simulated process
-// is a stackful fiber, and the scheduler plus all fibers share one OS
-// thread. A turn handoff is a userspace context switch — save six callee-
-// saved registers, swap the stack pointer, restore — so switching costs
-// tens of nanoseconds instead of the thread backend's two kernel context
-// switches, and a million concurrent blocked processes fit in a few GB.
+// The process engine (docs/RUNTIME.md): every simulated process is a
+// stackful fiber, and the scheduler plus all fibers share one OS thread. A
+// turn handoff is a userspace context switch — save six callee-saved
+// registers, swap the stack pointer, restore — so switching costs tens of
+// nanoseconds instead of two kernel context switches, and a million
+// concurrent blocked processes fit in a few GB.
 //
 // Three pieces of machinery make this safe:
 //
@@ -30,44 +30,26 @@
 //
 //  * ASan fiber annotations. Under AddressSanitizer every switch brackets
 //    the hop with __sanitizer_start_switch_fiber/finish_switch_fiber so
-//    the fake-stack machinery follows the fiber, keeping the sanitize CI
-//    job green on this backend (see the satellite note in docs/RUNTIME.md).
+//    the fake-stack machinery follows the fiber, and start() unpoisons
+//    each stack it hands out (see docs/RUNTIME.md).
 //
 // The context switch itself is hand-written System V x86-64 assembly; on
-// other architectures the backend falls back to ucontext, which is
+// other architectures the engine falls back to ucontext, which is
 // makecontext/swapcontext — slower (it saves the signal mask) but portable.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ExecBackend.h"
+#include "FiberBackend.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include <sys/mman.h>
 #include <unistd.h>
-
-#if defined(__x86_64__) && defined(__ELF__)
-#define PROMISES_FIBER_ASM 1
-#else
-#define PROMISES_FIBER_ASM 0
-#include <ucontext.h>
-#endif
-
-#ifdef __SANITIZE_ADDRESS__
-#define PROMISES_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PROMISES_ASAN 1
-#endif
-#endif
-#ifndef PROMISES_ASAN
-#define PROMISES_ASAN 0
-#endif
 
 #if PROMISES_ASAN
 extern "C" {
@@ -75,6 +57,7 @@ void __sanitizer_start_switch_fiber(void **FakeStackSave, const void *Bottom,
                                     size_t Size);
 void __sanitizer_finish_switch_fiber(void *FakeStackSave,
                                      const void **BottomOld, size_t *SizeOld);
+void __asan_unpoison_memory_region(const volatile void *Addr, size_t Size);
 }
 #endif
 
@@ -124,7 +107,7 @@ inline void swapEhGlobals(EhGlobals &Saved) {
 // address on the current stack, stores the resulting stack pointer in
 // *SaveSP, installs RestoreSP, and continues in the restored context. The
 // SSE control words (mxcsr/x87) are left alone: the kernel never changes
-// rounding modes, and neither backend offers that knob. No CFI is emitted
+// rounding modes, and the engine offers no such knob. No CFI is emitted
 // — no exception ever crosses a switch (ProcessKilled is caught inside
 // the fiber by the trampoline), so the unwinder never walks through here.
 //
@@ -162,100 +145,34 @@ extern "C" void promises_fiber_switch(void **SaveSP, void *RestoreSP);
 
 #endif // PROMISES_FIBER_ASM
 
-//===----------------------------------------------------------------------===//
-// Stack pool
-//===----------------------------------------------------------------------===//
+/// The engine whose fiber currently holds (or is taking) the turn on this
+/// thread. Set around every resume so the naked trampoline entry — which
+/// receives no arguments — can find its world.
+thread_local FiberBackend *CurBackend = nullptr;
 
-/// Maps fiber stacks; they are never returned, only recycled with their
-/// execution records (FiberBackend::reclaim). Two modes:
-///
-///  * Slab (default): stacks carved from 64 MiB MAP_NORESERVE anonymous
-///    slabs — ~512 stacks per mapping, so 1M concurrent fibers use ~2000
-///    mappings, far under vm.max_map_count. Only touched pages are
-///    resident.
-///  * Guard: each stack is its own mapping with a PROT_NONE low page, so
-///    overflow faults deterministically. One mapping per stack; meant for
-///    debugging, not 1M scale.
-class StackPool {
-public:
-  StackPool(size_t StackBytes, bool Guard)
-      : PageSize(static_cast<size_t>(sysconf(_SC_PAGESIZE))),
-        StackBytes(roundUp(StackBytes, PageSize)), Guard(Guard) {}
+/// The address the crafted initial frame "returns" into. Naked entry: no
+/// arguments (the switch zeroed all callee-saved registers), so the fiber
+/// finds its engine through the thread-local set by resume().
+extern "C" void promisesFiberEntry() {
+  CurBackend->fiberMain();
+  std::abort(); // fiberMain never returns control here.
+}
 
-  StackPool(const StackPool &) = delete;
-  StackPool &operator=(const StackPool &) = delete;
+size_t roundUp(size_t N, size_t To) { return (N + To - 1) / To * To; }
 
-  ~StackPool() {
-    for (const auto &[Base, Len] : Mappings)
-      munmap(Base, Len);
-  }
+[[noreturn]] void dieOOM(size_t Len) {
+  std::fprintf(stderr,
+               "promises: fiber stack mmap of %zu bytes failed; lower the "
+               "process count or SimConfig::FiberStackBytes\n",
+               Len);
+  std::abort();
+}
 
-  size_t stackBytes() const { return StackBytes; }
-
-  /// Returns the low address of a fresh StackBytes region.
-  void *allocate() { return Guard ? allocateGuarded() : carveFromSlab(); }
-
-private:
-  static size_t roundUp(size_t N, size_t To) { return (N + To - 1) / To * To; }
-
-  [[noreturn]] static void dieOOM(size_t Len) {
-    std::fprintf(stderr,
-                 "promises: fiber stack mmap of %zu bytes failed; lower the "
-                 "process count or SimConfig::FiberStackBytes\n",
-                 Len);
-    std::abort();
-  }
-
-  void *map(size_t Len, int ExtraFlags) {
-    void *P = mmap(nullptr, Len, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | ExtraFlags, -1, 0);
-    if (P == MAP_FAILED)
-      dieOOM(Len);
-    Mappings.emplace_back(P, Len);
-    return P;
-  }
-
-  void *allocateGuarded() {
-    auto *Base = static_cast<unsigned char *>(map(StackBytes + PageSize, 0));
-    if (mprotect(Base, PageSize, PROT_NONE) != 0) {
-      std::fprintf(stderr, "promises: fiber guard mprotect failed\n");
-      std::abort();
-    }
-    return Base + PageSize;
-  }
-
-  void *carveFromSlab() {
-    if (SlabLeft < StackBytes) {
-      size_t SlabBytes = std::max<size_t>(64ull << 20, StackBytes);
-      SlabCur = static_cast<unsigned char *>(map(SlabBytes, MAP_NORESERVE));
-      SlabLeft = SlabBytes;
-#ifdef MADV_NOHUGEPAGE
-      // A transparent huge page spanning sixteen 128 KiB stacks would make
-      // each fiber's single touched page cost 2 MiB of RSS.
-      madvise(SlabCur, SlabBytes, MADV_NOHUGEPAGE);
-#endif
-    }
-    void *S = SlabCur;
-    SlabCur += StackBytes;
-    SlabLeft -= StackBytes;
-    return S;
-  }
-
-  const size_t PageSize;
-  const size_t StackBytes;
-  const bool Guard;
-  std::vector<std::pair<void *, size_t>> Mappings;
-  unsigned char *SlabCur = nullptr;
-  size_t SlabLeft = 0;
-};
-
-//===----------------------------------------------------------------------===//
-// FiberBackend
-//===----------------------------------------------------------------------===//
+} // namespace
 
 /// Per-fiber execution state (~40 bytes; the stack itself lives in the
 /// pool). Allocated once and recycled, stack and all, through the
-/// backend's freelist.
+/// engine's freelist.
 struct FiberExec {
 #if PROMISES_FIBER_ASM
   void *SP = nullptr; ///< Saved stack pointer while not running.
@@ -270,193 +187,207 @@ struct FiberExec {
   FiberExec *NextFree = nullptr; ///< Freelist link while unused.
 };
 
-class FiberBackend;
+//===----------------------------------------------------------------------===//
+// Stack pool
+//===----------------------------------------------------------------------===//
 
-/// The backend whose fiber currently holds (or is taking) the turn on this
-/// thread. Set around every resume so the naked trampoline entry — which
-/// receives no arguments — can find its world.
-thread_local FiberBackend *CurBackend = nullptr;
+StackPool::StackPool(size_t StackBytes, bool Guard)
+    : PageSize(static_cast<size_t>(sysconf(_SC_PAGESIZE))),
+      StackBytes(roundUp(StackBytes, PageSize)), Guard(Guard) {}
 
-extern "C" void promisesFiberEntry();
-
-class FiberBackend final : public ExecutionBackend {
-public:
-  explicit FiberBackend(const SimConfig &Cfg)
-      : Pool(Cfg.FiberStackBytes, Cfg.FiberGuardPages) {}
-
-  ~FiberBackend() override {
-    while (FiberExec *E = FreeExecs) {
-      FreeExecs = E->NextFree;
-      delete E;
-    }
-  }
-
-  void start(Process &P) override {
-    FiberExec *E = FreeExecs;
-    if (E) {
-      FreeExecs = E->NextFree;
-      void *Stk = E->Stack;
-      *E = FiberExec();
-      E->Stack = Stk;
-    } else {
-      E = new FiberExec();
-      E->Stack = Pool.allocate();
-    }
-#if PROMISES_FIBER_ASM
-    // Craft an initial frame the switch's pops+ret will "return" into:
-    // six zeroed callee-saved registers below the entry address, and a
-    // zero fake return address above it so the frame base is recognizable.
-    // After ret, rsp ≡ 8 (mod 16) — exactly the ABI state on function
-    // entry — so the trampoline may call anything, SSE spills included.
-    auto Top = reinterpret_cast<uintptr_t>(E->Stack) + Pool.stackBytes();
-    auto *Slot = reinterpret_cast<uintptr_t *>(Top & ~uintptr_t(15));
-    *--Slot = 0; // Fake return address: end of the line.
-    *--Slot = reinterpret_cast<uintptr_t>(&promisesFiberEntry);
-    for (int I = 0; I < 6; ++I)
-      *--Slot = 0; // rbp, rbx, r12-r15.
-    E->SP = Slot;
-#else
-    getcontext(&E->Ctx);
-    E->Ctx.uc_stack.ss_sp = E->Stack;
-    E->Ctx.uc_stack.ss_size = Pool.stackBytes();
-    E->Ctx.uc_link = nullptr; // The trampoline switches home explicitly.
-    makecontext(&E->Ctx, reinterpret_cast<void (*)()>(&promisesFiberEntry),
-                0);
-#endif
-    BackendAccess::exec(P) = E;
-  }
-
-  void resume(Process &P) override {
-    auto *E = static_cast<FiberExec *>(BackendAccess::exec(P));
-    assert(E && "resume on a reaped process");
-    assert(Active == nullptr && "nested fiber resume");
-    FiberBackend *PrevBackend = CurBackend;
-    CurBackend = this;
-    Active = &P;
-    ActiveExec = E;
-    CurrentProcTL = &P;
-    // Install the fiber's exception state (zeroed on first run); ours is
-    // restored on the way back out.
-    swapEhGlobals(E->Eh);
-#if PROMISES_ASAN
-    __sanitizer_start_switch_fiber(&SchedFakeStack, E->Stack,
-                                   Pool.stackBytes());
-#endif
-#if PROMISES_FIBER_ASM
-    promises_fiber_switch(&SchedSP, E->SP);
-#else
-    swapcontext(&SchedCtx, &E->Ctx);
-#endif
-    // Back in scheduler context: the fiber either suspended or finished.
-#if PROMISES_ASAN
-    __sanitizer_finish_switch_fiber(SchedFakeStack, nullptr, nullptr);
-#endif
-    swapEhGlobals(E->Eh);
-    CurrentProcTL = nullptr;
-    ActiveExec = nullptr;
-    Active = nullptr;
-    CurBackend = PrevBackend;
-  }
-
-  void suspend(Process &P) override {
-    auto *E = static_cast<FiberExec *>(BackendAccess::exec(P));
-    assert(CurBackend == this && Active == &P &&
-           "suspend from a fiber that lacks the turn");
-#if PROMISES_ASAN
-    __sanitizer_start_switch_fiber(&E->FakeStack, SchedStackBottom,
-                                   SchedStackSize);
-#endif
-#if PROMISES_FIBER_ASM
-    promises_fiber_switch(&E->SP, SchedSP);
-#else
-    swapcontext(&E->Ctx, &SchedCtx);
-#endif
-    // Resumed for another turn.
-#if PROMISES_ASAN
-    __sanitizer_finish_switch_fiber(E->FakeStack, &SchedStackBottom,
-                                    &SchedStackSize);
-#endif
-  }
-
-  void reclaim(Process &P) override {
-    auto *E = static_cast<FiberExec *>(BackendAccess::exec(P));
-    if (!E)
-      return;
-    assert(BackendAccess::finished(P) && "reclaiming an unfinished process");
-    E->NextFree = FreeExecs;
-    FreeExecs = E;
-    BackendAccess::exec(P) = nullptr;
-  }
-
-  void forceUnwind(Process &P) override {
-    // One final turn with an unconditional kill armed: the trampoline (if
-    // never started) or the blocking point the fiber sits in delivers
-    // ProcessKilled, the body unwinds, and the trampoline switches home
-    // for good.
-    BackendAccess::armKill(P);
-    resume(P);
-    assert(BackendAccess::finished(P) && "forced unwind did not finish");
-  }
-
-  const char *name() const override { return "fiber"; }
-
-  /// Runs on the fiber's own stack; the outermost frame of every process.
-  /// noexcept is the backstop that turns an escaped non-ProcessKilled
-  /// exception into std::terminate at this frame instead of letting the
-  /// unwinder walk off the crafted stack base.
-  void fiberMain() noexcept {
-    Process &P = *Active;
-#if PROMISES_ASAN
-    // First gain of control: complete the scheduler's start_switch and
-    // learn the scheduler stack's bounds for the hops back.
-    __sanitizer_finish_switch_fiber(nullptr, &SchedStackBottom,
-                                    &SchedStackSize);
-#endif
-    BackendAccess::runBody(P);
-    // Finished. Switch home for good; resume() observes Finished and the
-    // scheduler reclaims the stack.
-#if PROMISES_ASAN
-    __sanitizer_start_switch_fiber(nullptr, SchedStackBottom, SchedStackSize);
-#endif
-#if PROMISES_FIBER_ASM
-    void *Discard;
-    promises_fiber_switch(&Discard, SchedSP);
-#else
-    swapcontext(&ActiveExec->Ctx, &SchedCtx); // Still this fiber's record.
-#endif
-    // A finished fiber must never be handed the turn again.
-    std::abort();
-  }
-
-private:
-  StackPool Pool;
-  FiberExec *FreeExecs = nullptr; ///< Records of reaped fibers.
-  Process *Active = nullptr;
-  FiberExec *ActiveExec = nullptr;
-#if PROMISES_FIBER_ASM
-  void *SchedSP = nullptr; ///< Scheduler context while a fiber runs.
-#else
-  ucontext_t SchedCtx;
-#endif
-#if PROMISES_ASAN
-  void *SchedFakeStack = nullptr;
-  const void *SchedStackBottom = nullptr;
-  size_t SchedStackSize = 0;
-#endif
-};
-
-/// The address the crafted initial frame "returns" into. Naked entry: no
-/// arguments (the switch zeroed all callee-saved registers), so the fiber
-/// finds its backend through the thread-local set by resume().
-extern "C" void promisesFiberEntry() {
-  CurBackend->fiberMain();
-  std::abort(); // fiberMain never returns control here.
+StackPool::~StackPool() {
+  for (const auto &[Base, Len] : Mappings)
+    munmap(Base, Len);
 }
 
-} // namespace
+void *StackPool::map(size_t Len, int ExtraFlags) {
+  void *P = mmap(nullptr, Len, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | ExtraFlags, -1, 0);
+  if (P == MAP_FAILED)
+    dieOOM(Len);
+  Mappings.emplace_back(P, Len);
+  return P;
+}
 
-std::unique_ptr<ExecutionBackend> makeFiberBackend(const SimConfig &Cfg) {
-  return std::make_unique<FiberBackend>(Cfg);
+void *StackPool::allocateGuarded() {
+  auto *Base = static_cast<unsigned char *>(map(StackBytes + PageSize, 0));
+  if (mprotect(Base, PageSize, PROT_NONE) != 0) {
+    std::fprintf(stderr, "promises: fiber guard mprotect failed\n");
+    std::abort();
+  }
+  return Base + PageSize;
+}
+
+void *StackPool::carveFromSlab() {
+  if (SlabLeft < StackBytes) {
+    size_t SlabBytes = std::max<size_t>(64ull << 20, StackBytes);
+    SlabCur = static_cast<unsigned char *>(map(SlabBytes, MAP_NORESERVE));
+    SlabLeft = SlabBytes;
+#ifdef MADV_NOHUGEPAGE
+    // A transparent huge page spanning sixteen 128 KiB stacks would make
+    // each fiber's single touched page cost 2 MiB of RSS.
+    madvise(SlabCur, SlabBytes, MADV_NOHUGEPAGE);
+#endif
+  }
+  void *S = SlabCur;
+  SlabCur += StackBytes;
+  SlabLeft -= StackBytes;
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// FiberBackend
+//===----------------------------------------------------------------------===//
+
+FiberBackend::FiberBackend(const SimConfig &Cfg)
+    : Pool(Cfg.FiberStackBytes, Cfg.FiberGuardPages) {}
+
+FiberBackend::~FiberBackend() {
+  while (FiberExec *E = FreeExecs) {
+    FreeExecs = E->NextFree;
+    delete E;
+  }
+}
+
+void FiberBackend::start(Process &P) {
+  FiberExec *E = FreeExecs;
+  if (E) {
+    FreeExecs = E->NextFree;
+    void *Stk = E->Stack;
+    *E = FiberExec();
+    E->Stack = Stk;
+  } else {
+    E = new FiberExec();
+    E->Stack = Pool.allocate();
+  }
+#if PROMISES_ASAN
+  // A finished fiber's outermost frames (promisesFiberEntry, fiberMain)
+  // never return, so their redzones stay poisoned on a recycled stack; a
+  // fresh stack may lie where an earlier pool unmapped one, and munmap
+  // leaves ASan's shadow behind. Either way the initial frame below would
+  // trip a false stack-buffer-overflow.
+  __asan_unpoison_memory_region(E->Stack, Pool.stackBytes());
+#endif
+#if PROMISES_FIBER_ASM
+  // Craft an initial frame the switch's pops+ret will "return" into:
+  // six zeroed callee-saved registers below the entry address, and a
+  // zero fake return address above it so the frame base is recognizable.
+  // After ret, rsp ≡ 8 (mod 16) — exactly the ABI state on function
+  // entry — so the trampoline may call anything, SSE spills included.
+  auto Top = reinterpret_cast<uintptr_t>(E->Stack) + Pool.stackBytes();
+  auto *Slot = reinterpret_cast<uintptr_t *>(Top & ~uintptr_t(15));
+  *--Slot = 0; // Fake return address: end of the line.
+  *--Slot = reinterpret_cast<uintptr_t>(&promisesFiberEntry);
+  for (int I = 0; I < 6; ++I)
+    *--Slot = 0; // rbp, rbx, r12-r15.
+  E->SP = Slot;
+#else
+  getcontext(&E->Ctx);
+  E->Ctx.uc_stack.ss_sp = E->Stack;
+  E->Ctx.uc_stack.ss_size = Pool.stackBytes();
+  E->Ctx.uc_link = nullptr; // The trampoline switches home explicitly.
+  makecontext(&E->Ctx, reinterpret_cast<void (*)()>(&promisesFiberEntry), 0);
+#endif
+  P.Exec = E;
+}
+
+void FiberBackend::resume(Process &P) {
+  FiberExec *E = P.Exec;
+  assert(E && "resume on a reaped process");
+  assert(Active == nullptr && "nested fiber resume");
+  FiberBackend *PrevBackend = CurBackend;
+  CurBackend = this;
+  Active = &P;
+  ActiveExec = E;
+  CurrentProcTL = &P;
+  // Install the fiber's exception state (zeroed on first run); ours is
+  // restored on the way back out.
+  swapEhGlobals(E->Eh);
+#if PROMISES_ASAN
+  __sanitizer_start_switch_fiber(&SchedFakeStack, E->Stack, Pool.stackBytes());
+#endif
+#if PROMISES_FIBER_ASM
+  promises_fiber_switch(&SchedSP, E->SP);
+#else
+  swapcontext(&SchedCtx, &E->Ctx);
+#endif
+  // Back in scheduler context: the fiber either suspended or finished.
+#if PROMISES_ASAN
+  __sanitizer_finish_switch_fiber(SchedFakeStack, nullptr, nullptr);
+#endif
+  swapEhGlobals(E->Eh);
+  CurrentProcTL = nullptr;
+  ActiveExec = nullptr;
+  Active = nullptr;
+  CurBackend = PrevBackend;
+}
+
+void FiberBackend::suspend(Process &P) {
+  FiberExec *E = P.Exec;
+  assert(CurBackend == this && Active == &P &&
+         "suspend from a fiber that lacks the turn");
+#if PROMISES_ASAN
+  __sanitizer_start_switch_fiber(&E->FakeStack, SchedStackBottom,
+                                 SchedStackSize);
+#endif
+#if PROMISES_FIBER_ASM
+  promises_fiber_switch(&E->SP, SchedSP);
+#else
+  swapcontext(&E->Ctx, &SchedCtx);
+#endif
+  // Resumed for another turn.
+#if PROMISES_ASAN
+  __sanitizer_finish_switch_fiber(E->FakeStack, &SchedStackBottom,
+                                  &SchedStackSize);
+#endif
+}
+
+void FiberBackend::reclaim(Process &P) {
+  FiberExec *E = P.Exec;
+  if (!E)
+    return;
+  assert(P.finished() && "reclaiming an unfinished process");
+  E->NextFree = FreeExecs;
+  FreeExecs = E;
+  P.Exec = nullptr;
+}
+
+void FiberBackend::forceUnwind(Process &P) {
+  // One final turn with an unconditional kill armed: the trampoline (if
+  // never started) or the blocking point the fiber sits in delivers
+  // ProcessKilled, the body unwinds, and the trampoline switches home for
+  // good.
+  P.KillPending = true;
+  P.CriticalDepth = 0; // Destruction overrides critical sections.
+  resume(P);
+  assert(P.finished() && "forced unwind did not finish");
+}
+
+/// noexcept is the backstop that turns an escaped non-ProcessKilled
+/// exception into std::terminate at this frame instead of letting the
+/// unwinder walk off the crafted stack base.
+void FiberBackend::fiberMain() noexcept {
+  Process &P = *Active;
+#if PROMISES_ASAN
+  // First gain of control: complete the scheduler's start_switch and
+  // learn the scheduler stack's bounds for the hops back.
+  __sanitizer_finish_switch_fiber(nullptr, &SchedStackBottom,
+                                  &SchedStackSize);
+#endif
+  P.runBody();
+  // Finished. Switch home for good; resume() observes Finished and the
+  // scheduler reclaims the stack.
+#if PROMISES_ASAN
+  __sanitizer_start_switch_fiber(nullptr, SchedStackBottom, SchedStackSize);
+#endif
+#if PROMISES_FIBER_ASM
+  void *Discard;
+  promises_fiber_switch(&Discard, SchedSP);
+#else
+  swapcontext(&ActiveExec->Ctx, &SchedCtx); // Still this fiber's record.
+#endif
+  // A finished fiber must never be handed the turn again.
+  std::abort();
 }
 
 } // namespace promises::sim::detail

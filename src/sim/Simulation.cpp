@@ -8,11 +8,10 @@
 
 #include "promises/sim/Clock.h"
 
-#include "ExecBackend.h"
+#include "FiberBackend.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -21,51 +20,15 @@
 using namespace promises::sim;
 
 namespace promises::sim::detail {
-/// The process currently holding the execution turn on this thread.
-/// nullptr in scheduler context. With the fiber backend everything runs on
-/// one OS thread and the backend flips this around each switch (writing
-/// the slot directly — see ExecBackend.h); with the thread backend each
-/// process thread sets its own copy via BackendAccess::setCurrent.
+/// The process currently holding the execution turn on this thread;
+/// nullptr in scheduler context. FiberBackend::resume flips it around
+/// each switch.
 thread_local Process *CurrentProcTL = nullptr;
 } // namespace promises::sim::detail
 
 //===----------------------------------------------------------------------===//
 // SimConfig
 //===----------------------------------------------------------------------===//
-
-bool SimConfig::parseBackend(std::string_view Name, BackendKind &Out) {
-  if (Name == "fiber") {
-    Out = BackendKind::Fiber;
-    return true;
-  }
-  if (Name == "thread") {
-    Out = BackendKind::Thread;
-    return true;
-  }
-  return false;
-}
-
-const char *SimConfig::backendName(BackendKind K) {
-  return K == BackendKind::Fiber ? "fiber" : "thread";
-}
-
-BackendKind SimConfig::defaultBackend() {
-  static BackendKind K = [] {
-    const char *E = std::getenv("PROMISES_BACKEND");
-    if (!E || !*E)
-      return BackendKind::Fiber;
-    BackendKind Out;
-    if (!parseBackend(E, Out)) {
-      std::fprintf(stderr,
-                   "promises: bad PROMISES_BACKEND '%s' (valid: fiber, "
-                   "thread)\n",
-                   E);
-      std::abort();
-    }
-    return Out;
-  }();
-  return K;
-}
 
 bool SimConfig::defaultGuardPages() {
   static bool G = [] {
@@ -101,7 +64,7 @@ Process::~Process() {
   if (!Exec)
     return;
   // Fail-safe for destruction without a clean reap (shutdown's fixpoint
-  // exhausted, or a Simulation torn down mid-run): grant the context one
+  // exhausted, or a Simulation torn down mid-run): grant the fiber one
   // final turn with a kill pending so it unwinds and exits, then release
   // its resources. The Simulation is necessarily still alive here — reaped
   // processes have Exec == nullptr, and shutdown() reaps everything it
@@ -256,10 +219,8 @@ CriticalSection::~CriticalSection() noexcept(false) {
 
 Simulation::Simulation() : Simulation(SimConfig()) {}
 
-Simulation::Simulation(SimConfig C) : Cfg(C) {
-  Backend = Cfg.Backend == BackendKind::Thread
-                ? detail::makeThreadBackend()
-                : detail::makeFiberBackend(Cfg);
+Simulation::Simulation(SimConfig Cfg)
+    : Backend(std::make_unique<detail::FiberBackend>(Cfg)) {
   CtxSwitches = &Metrics.counter("sim.context_switches");
   Metrics.gaugeProbe("sim.event_queue_depth", [this] {
     return static_cast<double>(LiveTimed + ReadyCount);
@@ -395,7 +356,7 @@ void Simulation::switchTo(Process *P) {
 // it slowed every scheduler round trip by about 15 ns (GCC 12, -O3).
 [[gnu::noinline]] void Simulation::reap(Process *P) {
   Backend->reclaim(*P);
-  assert(P->Exec == nullptr && "backend left exec state behind");
+  assert(P->Exec == nullptr && "reclaim left exec state behind");
   // Joiners were woken by runBody (their wake events hold raw Process*
   // but any external joiner reached via Simulation::join holds the
   // shared_ptr); dropping the kernel handle frees the Process once the

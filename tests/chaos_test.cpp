@@ -147,27 +147,6 @@ TEST(ChaosRunTest, DeadlinesReplayIsByteIdentical) {
   EXPECT_NE(replayCommand(O).find("--deadlines"), std::string::npos);
 }
 
-TEST(ChaosRunTest, TraceHashIsBackendIndependent) {
-  // The execution backend is invisible to scheduling: the same seed must
-  // drive the identical event sequence — and therefore the identical
-  // trace-stream hash — whether processes run as fibers or as parked OS
-  // threads. CI pins the same property over many seeds via chaossim.
-  for (uint64_t Seed : {1u, 7u}) {
-    ChaosOptions O = smallRun(Seed, ChaosProfile::mixed());
-    O.Backend = BackendKind::Fiber;
-    ChaosReport F = runChaos(O);
-    O.Backend = BackendKind::Thread;
-    ChaosReport T = runChaos(O);
-    ASSERT_TRUE(F.ok()) << F.summary();
-    ASSERT_TRUE(T.ok()) << T.summary();
-    EXPECT_EQ(F.TraceHash, T.TraceHash) << "seed " << Seed;
-    EXPECT_EQ(F.TraceEvents, T.TraceEvents) << "seed " << Seed;
-    EXPECT_EQ(F.VirtualEnd, T.VirtualEnd) << "seed " << Seed;
-    // The replay command pins the backend it ran on.
-    EXPECT_NE(replayCommand(O).find("--backend thread"), std::string::npos);
-  }
-}
-
 TEST(ChaosRunTest, WireIntegrityWorkloadSatisfiesInvariants) {
   // Byte-level damage on top of the fault plan: bit-flip corruption
   // (ambient + bursts), heavy duplication, and bounded reordering all at

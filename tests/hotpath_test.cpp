@@ -703,7 +703,7 @@ TEST(HotPathBudget, TypedStreamCallAllocations) {
   //  * one call-batch and one reply-batch frame per 16 calls (0.125).
   // The spawn's exec record and stack, the reply callback, the
   // completion, and the EncodeCpu sleep timer allocate nothing.
-  sim::Simulation Sim(sim::SimConfig{.Backend = sim::BackendKind::Fiber});
+  sim::Simulation Sim;
   Sim.metrics().setEnabled(false);
   net::SimNetwork Net(Sim);
   runtime::Guardian Server(Net, Net.addNode("server"), "server");

@@ -604,8 +604,9 @@ TEST_F(WorldFixture, CrashEmitsBreakAndNodeEvents) {
   EXPECT_EQ(countKind(R, EventKind::NodeRestart), 1u);
   // The break event carries the reason in Detail.
   for (const TraceEvent &E : R.events())
-    if (E.Kind == EventKind::SenderBreak)
+    if (E.Kind == EventKind::SenderBreak) {
       EXPECT_FALSE(E.Detail.empty());
+    }
 }
 
 TEST_F(WorldFixture, FulfilledCallEmitsSpanWithLatency) {
@@ -622,8 +623,9 @@ TEST_F(WorldFixture, FulfilledCallEmitsSpanWithLatency) {
   const MetricsRegistry &R = S.metrics();
   ASSERT_GE(countKind(R, EventKind::CallSpan), 1u);
   for (const TraceEvent &E : R.events())
-    if (E.Kind == EventKind::CallSpan)
+    if (E.Kind == EventKind::CallSpan) {
       EXPECT_GT(E.DurNs, 0u); // Issue -> outcome took virtual time.
+    }
   // The call-latency histogram observed the same span.
   Histogram &H = S.metrics().histogram(
       "stream.call_latency_us",
@@ -702,8 +704,9 @@ TEST_F(OrphanFixture, ExplicitReceiverBreakEmitsEvent) {
   const MetricsRegistry &R = S.metrics();
   ASSERT_EQ(countKind(R, EventKind::ReceiverBreak), 1u);
   for (const TraceEvent &E : R.events())
-    if (E.Kind == EventKind::ReceiverBreak)
+    if (E.Kind == EventKind::ReceiverBreak) {
       EXPECT_EQ(E.Detail, "poisoned");
+    }
 }
 
 //===----------------------------------------------------------------------===//

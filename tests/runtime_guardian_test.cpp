@@ -225,8 +225,9 @@ TEST_F(RuntimeFixture, PromiseReadinessIsOrderedUnderJitter) {
     // Poll: whenever promise i+1 is ready, promise i must be ready.
     while (!Ps.back().ready()) {
       for (size_t I = 0; I + 1 < Ps.size(); ++I)
-        if (Ps[I + 1].ready())
+        if (Ps[I + 1].ready()) {
           EXPECT_TRUE(Ps[I].ready()) << "readiness order violated at " << I;
+        }
       S.sleep(msec(1));
     }
   });
@@ -301,7 +302,6 @@ TEST_F(RuntimeFixture, ResultEncodeFailureBreaksStream) {
   build();
   bool SawFailure = false;
   Client->spawnProcess("main", [&] {
-    auto H = bindHandler(*Client, Client->newAgent(), Echo);
     wire::Fragile F;
     F.Value = 3;
     F.FailEncode = false;

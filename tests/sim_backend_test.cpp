@@ -1,12 +1,10 @@
-//===- sim_backend_test.cpp - Execution-backend parity tests --------------===//
+//===- sim_backend_test.cpp - Fiber engine tests --------------------------===//
 //
 // Part of the promises project (PLDI 1988 reproduction).
 //
-// The kill/wound/critical-section machinery (paper Section 4.2) must
-// behave identically on both execution backends (docs/RUNTIME.md): the
-// fiber backend unwinds ProcessKilled through a userspace stack switch,
-// the thread backend through a parked OS thread — user code must not be
-// able to tell the difference. Every test here runs under both, plus
+// The kill/wound/critical-section machinery (paper Section 4.2) on the
+// fiber engine (docs/RUNTIME.md): ProcessKilled unwinds through a
+// userspace stack switch, and user code must not be able to tell. Plus
 // reaping semantics (a finished process releases its execution resources
 // immediately, so join/kill on a reaped process must stay safe) and a
 // 100k-process spawn/claim stress.
@@ -30,27 +28,11 @@ using namespace promises::sim;
 
 namespace {
 
-class BackendTest : public ::testing::TestWithParam<BackendKind> {
-protected:
-  SimConfig config() const {
-    SimConfig C;
-    C.Backend = GetParam();
-    return C;
-  }
-};
-
-TEST_P(BackendTest, ReportsItsKind) {
-  Simulation S(config());
-  EXPECT_EQ(S.backend(), GetParam());
-  EXPECT_STREQ(S.backendName(),
-               GetParam() == BackendKind::Fiber ? "fiber" : "thread");
-}
-
-TEST_P(BackendTest, KillUnwindsABlockedProcessThroughTheSwitch) {
+TEST(FiberBackend, KillUnwindsABlockedProcessThroughTheSwitch) {
   // The victim suspends mid-body (a context switch with live stack frames,
   // including an RAII guard); the kill must resume it, throw ProcessKilled
   // from the blocking point, and run the destructors on the way out.
-  Simulation S(config());
+  Simulation S;
   WaitQueue Q(S);
   bool CleanupRan = false, ReachedEnd = false;
   struct Guard {
@@ -71,8 +53,8 @@ TEST_P(BackendTest, KillUnwindsABlockedProcessThroughTheSwitch) {
   EXPECT_EQ(S.liveProcessCount(), 0u);
 }
 
-TEST_P(BackendTest, KillIsDeferredInsideACriticalSection) {
-  Simulation S(config());
+TEST(FiberBackend, KillIsDeferredInsideACriticalSection) {
+  Simulation S;
   bool SectionCompleted = false, AfterSection = false;
   ProcessHandle Victim = S.spawn("victim", [&] {
     CriticalSection CS;
@@ -93,12 +75,12 @@ TEST_P(BackendTest, KillIsDeferredInsideACriticalSection) {
   EXPECT_TRUE(AfterSection);
 }
 
-TEST_P(BackendTest, KillUnwindsThroughANestedMutexWait) {
+TEST(FiberBackend, KillUnwindsThroughANestedMutexWait) {
   // SimCondVar::wait catches ProcessKilled, reacquires the mutex (another
   // suspension point — mid-unwind state must survive the switch), and
   // rethrows. This is the pattern that forces per-fiber exception-state
   // isolation.
-  Simulation S(config());
+  Simulation S;
   SimMutex M(S);
   SimCondVar Cv(S);
   bool LockReleased = false;
@@ -119,8 +101,8 @@ TEST_P(BackendTest, KillUnwindsThroughANestedMutexWait) {
   EXPECT_TRUE(LockReleased);
 }
 
-TEST_P(BackendTest, FinishedProcessesAreReapedEagerly) {
-  Simulation S(config());
+TEST(FiberBackend, FinishedProcessesAreReapedEagerly) {
+  Simulation S;
   std::vector<ProcessHandle> Hs;
   for (int I = 0; I < 64; ++I)
     Hs.push_back(S.spawn("p" + std::to_string(I), [&] { S.sleep(usec(5)); }));
@@ -134,8 +116,8 @@ TEST_P(BackendTest, FinishedProcessesAreReapedEagerly) {
   }
 }
 
-TEST_P(BackendTest, JoinAndKillOnReapedProcessesAreSafe) {
-  Simulation S(config());
+TEST(FiberBackend, JoinAndKillOnReapedProcessesAreSafe) {
+  Simulation S;
   ProcessHandle Early = S.spawn("early", [] {});
   S.run(); // Early finishes and is reaped.
   ASSERT_TRUE(Early->finished());
@@ -151,12 +133,12 @@ TEST_P(BackendTest, JoinAndKillOnReapedProcessesAreSafe) {
   EXPECT_FALSE(Early->wounded());
 }
 
-TEST_P(BackendTest, KilledBeforeFirstTurnReleasesItsCaptures) {
+TEST(FiberBackend, KilledBeforeFirstTurnReleasesItsCaptures) {
   // The body lives inside the Process, which our handle keeps alive after
   // the run. A process killed before its first turn never enters its
   // body, yet finishing must still release the captures, inline or
   // heap-stored.
-  Simulation S(config());
+  Simulation S;
   auto Shared = std::make_shared<int>(7);
   std::array<char, 64> Pad{}; // Pushes the second body past the inline size.
   bool Ran = false;
@@ -174,12 +156,12 @@ TEST_P(BackendTest, KilledBeforeFirstTurnReleasesItsCaptures) {
   EXPECT_EQ(Shared.use_count(), 1) << "a killed process kept its captures";
 }
 
-TEST_P(BackendTest, ShutdownKillsUnfinishedProcessesInSpawnOrder) {
+TEST(FiberBackend, ShutdownKillsUnfinishedProcessesInSpawnOrder) {
   // The kernel's live list keeps spawn order through reaps from its
   // middle, so teardown unwinds the survivors oldest first.
   std::vector<int> Unwound;
   {
-    Simulation S(config());
+    Simulation S;
     WaitQueue Forever(S);
     for (int I = 0; I != 5; ++I)
       S.spawn("p" + std::to_string(I), [&, I] {
@@ -200,33 +182,25 @@ TEST_P(BackendTest, ShutdownKillsUnfinishedProcessesInSpawnOrder) {
   EXPECT_EQ(Unwound, (std::vector<int>{0, 2, 4}));
 }
 
-TEST_P(BackendTest, SpawnClaimStress) {
-  // The scale satellite: many call processes blocked in claim() at once.
-  // The fiber backend holds all 100k concurrently (at ~1 touched stack
-  // page each); the thread backend — bounded by OS thread cost — runs the
-  // same total spawn count in bounded concurrent waves.
-  const bool IsFiber = GetParam() == BackendKind::Fiber;
-  const size_t Total = IsFiber ? 100'000 : 20'000;
-  const size_t Wave = IsFiber ? Total : 1'000;
-  Simulation S(config());
+TEST(FiberBackend, SpawnClaimStress) {
+  // The scale satellite: many call processes blocked in claim() at once,
+  // all 100k concurrently (at ~1 touched stack page each).
+  const size_t Total = 100'000;
+  Simulation S;
   size_t Claimed = 0;
   S.spawn("driver", [&] {
-    for (size_t Done = 0; Done != Total;) {
-      size_t N = std::min(Wave, Total - Done);
-      auto [P, R] = makePromise<int>(S);
-      std::vector<ProcessHandle> Batch;
-      Batch.reserve(N);
-      for (size_t I = 0; I != N; ++I)
-        Batch.push_back(S.spawn("claimer", [&, P] {
-          if (P.claim().isNormal())
-            ++Claimed;
-        }));
-      S.sleep(usec(1)); // Let every claimer block on the promise.
-      R.fulfill(Outcome<int>(7));
-      for (const ProcessHandle &H : Batch)
-        S.join(H);
-      Done += N;
-    }
+    auto [P, R] = makePromise<int>(S);
+    std::vector<ProcessHandle> Batch;
+    Batch.reserve(Total);
+    for (size_t I = 0; I != Total; ++I)
+      Batch.push_back(S.spawn("claimer", [&, P] {
+        if (P.claim().isNormal())
+          ++Claimed;
+      }));
+    S.sleep(usec(1)); // Let every claimer block on the promise.
+    R.fulfill(Outcome<int>(7));
+    for (const ProcessHandle &H : Batch)
+      S.join(H);
   });
   S.run();
   EXPECT_EQ(Claimed, Total);
@@ -234,20 +208,11 @@ TEST_P(BackendTest, SpawnClaimStress) {
   EXPECT_EQ(S.processesSpawned(), Total + 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
-                         ::testing::Values(BackendKind::Fiber,
-                                           BackendKind::Thread),
-                         [](const auto &Info) {
-                           return std::string(
-                               SimConfig::backendName(Info.param));
-                         });
-
 TEST(FiberGuardPages, SmokeUnderGuardMode) {
   // Guard-page mode gives every stack its own mapping with a PROT_NONE
   // low page; functionally identical, just different allocation. Small N:
   // each pooled stack costs a map entry.
   SimConfig C;
-  C.Backend = BackendKind::Fiber;
   C.FiberGuardPages = true;
   Simulation S(C);
   WaitQueue Q(S);
@@ -264,17 +229,6 @@ TEST(FiberGuardPages, SmokeUnderGuardMode) {
   S.run();
   EXPECT_EQ(Ran, 32);
   EXPECT_EQ(S.liveProcessCount(), 0u);
-}
-
-TEST(FiberConfig, ParseBackendRejectsUnknownNames) {
-  BackendKind K;
-  EXPECT_TRUE(SimConfig::parseBackend("fiber", K));
-  EXPECT_EQ(K, BackendKind::Fiber);
-  EXPECT_TRUE(SimConfig::parseBackend("thread", K));
-  EXPECT_EQ(K, BackendKind::Thread);
-  EXPECT_FALSE(SimConfig::parseBackend("", K));
-  EXPECT_FALSE(SimConfig::parseBackend("fibers", K));
-  EXPECT_FALSE(SimConfig::parseBackend("Thread", K));
 }
 
 } // namespace

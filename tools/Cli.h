@@ -16,7 +16,6 @@
 #ifndef PROMISES_TOOLS_CLI_H
 #define PROMISES_TOOLS_CLI_H
 
-#include "promises/sim/Simulation.h"
 #include "promises/support/StrUtil.h"
 
 #include <algorithm>
@@ -128,20 +127,6 @@ inline Flag choice(std::string Name, std::string Arg, std::string Help,
               return strprintf("unknown %s %s (valid: %s)", What.c_str(), V,
                                Commas.c_str());
             Out = V;
-            return "";
-          }};
-}
-
-/// --backend, the execution backend of the run's simulation.
-inline Flag backend(sim::BackendKind &Out) {
-  return {"--backend", "B",
-          "fiber|thread execution backend (default:\n"
-          "$PROMISES_BACKEND, else fiber); trace hashes are\n"
-          "backend-independent",
-          [&Out](const char *V) -> std::string {
-            if (!sim::SimConfig::parseBackend(V, Out))
-              return strprintf("unknown backend %s (valid: fiber, thread)",
-                               V);
             return "";
           }};
 }

@@ -42,7 +42,6 @@ int main(int Argc, char **Argv) {
                     1, 1000),
        cli::integer("--horizon-ms", "T", "fault-injection window (default 300)",
                     HorizonMs, 0, 1000000000),
-       cli::backend(CO.Backend),
        cli::toggle("--deadlines",
                    "resilience workload: deadlines, cancels, retries,\n"
                    "breakers, admission control (see docs/FAULTS.md)",

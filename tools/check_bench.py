@@ -30,13 +30,12 @@ durable put is virtual time, hence deterministic, and may grow at most
 regress up to 3x before CI fails (replay is a cold-start batch job, so
 shared-runner noise dominates more than on the hot path).
 
-BM_SpawnScale (BENCH_6): the fiber backend's scale numbers. Every spawned
+BM_SpawnScale (BENCH_6): the fiber runtime's scale numbers. Every spawned
 process must reach its blocked state (max_live_procs == procs). The spawn
 rate is a cold-start number dominated by first-touch page faults, so it
 may drop to a third of the baseline; the scheduler round trip is a hot
 path and may grow at most 25%; resident bytes per blocked process (its
-stack page plus its share of the heap) may grow at most 10%. The thread
-backend's numbers are kernel handoffs and stay informational. The fresh
+stack page plus its share of the heap) may grow at most 10%. The fresh
 run must use the baseline's --procs: RSS per process depends on it.
 """
 import json
@@ -161,7 +160,7 @@ def check_spawn_scale(fresh, base):
     print(f"check_bench: spawn-scale {f_fib['procs']} fibers: spawn "
           f"{rate_f:.0f}/s (baseline {rate_b:.0f}), switch {sw_f:.1f}ns "
           f"(baseline {sw_b:.1f}), RSS/proc {per_f:.0f}B (baseline "
-          f"{per_b:.0f}); thread switch {fresh['thread']['switch_ns']:.1f}ns")
+          f"{per_b:.0f})")
     print("check_bench: OK")
 
 

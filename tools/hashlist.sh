@@ -7,8 +7,9 @@
 # every changed battery status shows up. A change that deletes code should
 # leave the list identical (see ROADMAP.md).
 #
+#   tools/hashlist.sh before/build/tools > before.txt
 #   tools/hashlist.sh build/tools > after.txt
-#   tools/hashlist.sh build/tools --backend thread
+#   diff before.txt after.txt
 #
 # Extra flags are appended to every command. Seeds run once each
 # (--no-replay); the list itself is the determinism check.

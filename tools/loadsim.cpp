@@ -8,7 +8,7 @@
 // exactly by the printed replay command:
 //
 //   loadsim --scenario storm --seeds 10
-//   loadsim --scenario tenants --seed 42 --backend thread
+//   loadsim --scenario tenants --seed 42
 //   loadsim --scenario storm --bench-out BENCH_9.json
 //
 //===----------------------------------------------------------------------===//
@@ -43,7 +43,6 @@ int main(int Argc, char **Argv) {
        cli::number("--duration-scale", "F",
                    "scale the scenario duration (default 1)",
                    LO.DurationScale, 1e-6, 1e6),
-       cli::backend(LO.Backend),
        cli::toggle("--storage-faults",
                    "force durable WAL-backed servers onto the\n"
                    "scenario (see docs/DURABILITY.md)",

@@ -53,7 +53,6 @@ struct Options {
   double Dup = 0.0;
   uint64_t JitterUs = 0;
   uint64_t Seed = 1;
-  sim::BackendKind Backend = sim::SimConfig::defaultBackend();
   size_t Window = 0;       ///< MaxInFlightCalls; 0 = unbounded.
   size_t WindowBytes = 0;  ///< MaxInFlightBytes; 0 = unbounded.
   double Backoff = 2.0;    ///< Retransmit backoff multiplier.
@@ -104,7 +103,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       cli::integer("--jitter-us", "T", "max extra delivery delay (default 0)",
                    O.JitterUs),
       cli::integer("--seed", "S", "fault RNG seed (default 1)", O.Seed),
-      cli::backend(O.Backend),
       cli::integer("--window", "N",
                    "max in-flight (unacked) calls; 0 = unbounded", O.Window),
       cli::integer("--window-bytes", "B",
@@ -196,7 +194,7 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, O))
     return 2;
 
-  sim::Simulation S(sim::SimConfig{.Backend = O.Backend});
+  sim::Simulation S;
   if (O.observabilityOn())
     S.metrics().setEnabled(true);
 
@@ -368,11 +366,11 @@ int main(int Argc, char **Argv) {
   const auto &TC = Client.transport().counters();
   double Secs = static_cast<double>(S.now()) / 1e9;
   std::printf("mode=%s calls=%d batch=%zu payload=%zuB service=%lluus "
-              "loss=%.2f dup=%.2f jitter=%lluus seed=%llu backend=%s",
+              "loss=%.2f dup=%.2f jitter=%lluus seed=%llu",
               O.Mode.c_str(), O.Calls, O.Batch, O.PayloadBytes,
               static_cast<unsigned long long>(O.ServiceUs), O.Loss, O.Dup,
               static_cast<unsigned long long>(O.JitterUs),
-              static_cast<unsigned long long>(O.Seed), S.backendName());
+              static_cast<unsigned long long>(O.Seed));
   if (O.Net == "udp")
     std::printf(" net=udp role=%s", O.Role.c_str());
   std::printf("\n");
