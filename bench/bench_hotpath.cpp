@@ -12,11 +12,14 @@
 //  * seal-copied bytes/call — payload bytes memcpy'd while sealing frames
 //    (wire::frameStats()); the zero-copy send path must keep this at 0.
 //
-// Emits the PR 7+ perf-trajectory point (BENCH_7.json): run with --out.
-// CI's perf-smoke job fails if ns/call regresses >25% against the
-// committed baseline (tools/check_bench.py).
+// Writes the BENCH_7 record (tools/Cli.h); tools/check_bench.py gates it
+// against the committed baseline:
+//
+//   bench_hotpath --calls 50000 --warmup 5000 --out BENCH_7.fresh.json
 //
 //===----------------------------------------------------------------------===//
+
+#include "Cli.h"
 
 #include "promises/core/Promise.h"
 #include "promises/net/Network.h"
@@ -28,7 +31,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
@@ -178,52 +180,40 @@ Sample measure(const Options &Opt, Fn &&Run) {
   return Out;
 }
 
-void printSample(const char *Name, const Sample &S) {
-  std::printf("%-8s ns/call %9.1f   allocs/call %6.2f   "
-              "seal-copied B/call %8.1f   wire B/call %8.1f\n",
-              Name, S.NsPerCall, S.AllocsPerCall, S.SealCopiedPerCall,
-              S.WireBytesPerCall);
-}
-
-void writeJson(std::FILE *F, const char *Name, const Sample &S,
-               const char *Trail) {
-  std::fprintf(F,
-               " \"%s\": {\"ns_per_call\": %.1f, \"allocs_per_call\": %.2f, "
-               "\"seal_copied_bytes_per_call\": %.1f, "
-               "\"wire_bytes_per_call\": %.1f}%s\n",
-               Name, S.NsPerCall, S.AllocsPerCall, S.SealCopiedPerCall,
-               S.WireBytesPerCall, Trail);
+/// The record's rows for one path: wall ns/call may drift 25%; the
+/// allocation and seal-copy counts are deterministic and must not grow.
+void addMetrics(std::vector<cli::Metric> &Out, const std::string &Path,
+                const Sample &S) {
+  Out.push_back({Path + "_ns_per_call", S.NsPerCall, "ns", cli::Lower, 0.25});
+  Out.push_back({Path + "_allocs_per_call", S.AllocsPerCall, "allocs",
+                 cli::Lower, 0});
+  Out.push_back({Path + "_seal_copied_bytes_per_call", S.SealCopiedPerCall,
+                 "bytes", cli::Lower, 0});
+  Out.push_back({Path + "_wire_bytes_per_call", S.WireBytesPerCall, "bytes",
+                 cli::Lower, cli::ReportOnly});
 }
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int Argc, char **Argv) {
   Options Opt;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", A.c_str());
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (A == "--calls")
-      Opt.Calls = std::strtoull(Next(), nullptr, 10);
-    else if (A == "--warmup")
-      Opt.Warmup = std::strtoull(Next(), nullptr, 10);
-    else if (A == "--arg-bytes")
-      Opt.ArgBytes = std::strtoull(Next(), nullptr, 10);
-    else if (A == "--pipeline")
-      Opt.Pipeline = std::strtoull(Next(), nullptr, 10);
-    else if (A == "--out")
-      Opt.Out = Next();
-    else {
-      std::fprintf(stderr,
-                   "usage: bench_hotpath [--calls N] [--warmup N] "
-                   "[--arg-bytes N] [--pipeline N] [--out FILE]\n");
-      return A == "--help" ? 0 : 2;
-    }
+  bool Help = false;
+  cli::Table Flags = {
+      cli::integer("--calls", "N", "timed calls per path (default 50000)",
+                   Opt.Calls, 1),
+      cli::integer("--warmup", "N", "untimed calls first (default 5000)",
+                   Opt.Warmup),
+      cli::integer("--arg-bytes", "N", "echo argument size (default 64)",
+                   Opt.ArgBytes, 0, 1 << 20),
+      cli::integer("--pipeline", "N",
+                   "stream calls in flight (default 64)", Opt.Pipeline, 1),
+      cli::text("--out", "FILE", "also write the JSON record to FILE",
+                Opt.Out),
+      cli::toggle("--help", "print this text", Help)};
+  bool Parsed = cli::parse(Argc, Argv, Flags);
+  if (!Parsed || Help) {
+    cli::usage(Argv[0], Flags);
+    return Parsed ? 0 : 2;
   }
 
   Sample Rpc = measure(Opt, [](World &W, const wire::Bytes &Args,
@@ -233,27 +223,15 @@ int main(int argc, char **argv) {
         runStream(W, Args, N, Opt.Pipeline);
       });
 
-  std::printf("bench_hotpath: %llu calls, %zu-byte args, pipeline %zu\n",
-              static_cast<unsigned long long>(Opt.Calls), Opt.ArgBytes,
-              Opt.Pipeline);
-  printSample("rpc", Rpc);
-  printSample("stream", Stream);
-
-  if (!Opt.Out.empty()) {
-    std::FILE *F = std::fopen(Opt.Out.c_str(), "w");
-    if (!F) {
-      std::perror("open --out");
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\"bench\": \"bench_hotpath\", \"pr\": 7, \"calls\": %llu, "
-                 "\"arg_bytes\": %zu, \"pipeline\": %zu,\n",
-                 static_cast<unsigned long long>(Opt.Calls), Opt.ArgBytes,
-                 Opt.Pipeline);
-    writeJson(F, "rpc", Rpc, ",");
-    writeJson(F, "stream", Stream, "}");
-    std::fclose(F);
-    std::printf("wrote %s\n", Opt.Out.c_str());
-  }
-  return 0;
+  std::vector<cli::Metric> Metrics;
+  addMetrics(Metrics, "rpc", Rpc);
+  addMetrics(Metrics, "stream", Stream);
+  std::string Record = cli::benchRecord("bench_hotpath", 7,
+                                        {{"calls", Opt.Calls},
+                                         {"warmup", Opt.Warmup},
+                                         {"arg_bytes", Opt.ArgBytes},
+                                         {"pipeline", Opt.Pipeline}},
+                                        Metrics);
+  std::fputs(Record.c_str(), stdout);
+  return Opt.Out.empty() || cli::writeRecord(Opt.Out, Record) ? 0 : 1;
 }

@@ -128,41 +128,6 @@ void BM_Composed(benchmark::State &State) {
   }
 }
 
-// Wire-integrity ablation on the same hot path: every datagram the cascade
-// sends is sealed in a checksummed frame and verified on receipt
-// (wire/Frame.h). Arg(1) toggles StreamConfig::FrameChecksums; comparing
-// the two rows isolates the CRC32C cost. Virtual time ("vms") is identical
-// by construction — the checksum is pure CPU — so the interesting number
-// is real time per iteration. With the byte-at-a-time table CRC the "on"
-// rows ran up to about 20% slower; with the SSE4.2 path (x86-64 CPUs that
-// have it) the two rows agree within noise (docs/PROTOCOL.md "Checksum
-// cost").
-void BM_ChecksumOverhead(benchmark::State &State) {
-  const int N = static_cast<int>(State.range(0));
-  const bool Checksums = State.range(1) != 0;
-  const int Levels = 2;
-  for (auto _ : State) {
-    GuardianConfig GC;
-    GC.Stream.FrameChecksums = Checksums;
-    CascadeWorld W(Levels, GC);
-    W.Client->spawnProcess("main", [&] {
-      auto A = W.Client->newAgent();
-      for (int L = 0; L < Levels; ++L) {
-        auto H = bindHandler(*W.Client, A, W.Stage[static_cast<size_t>(L)]);
-        std::vector<Promise<int32_t>> Ps;
-        for (int32_t I = 0; I < N; ++I)
-          Ps.push_back(H.streamCall(I));
-        H.flush();
-        for (auto &P : Ps)
-          P.claim();
-      }
-    });
-    W.S.run();
-    State.counters["vms"] = sim::toMillis(W.S.now());
-  }
-  State.SetLabel(Checksums ? "checksums on" : "checksums off");
-}
-
 } // namespace
 
 // The third dimension is the in-flight window (0 = unbounded): pipelining
@@ -174,8 +139,5 @@ BENCHMARK(BM_Sequential)
 BENCHMARK(BM_Composed)
     ->ArgsProduct({{32, 128, 512}, {2, 3, 4}, {0, 32}})
     ->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ChecksumOverhead)
-    ->ArgsProduct({{512, 2048}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

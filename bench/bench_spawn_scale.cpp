@@ -17,20 +17,20 @@
 //                      the ready set looks like a real simulation's, not a
 //                      single warm ping-pong pair.
 //
-// Writes the repo's first BENCH_*.json trajectory point:
+// Writes the BENCH_6 record (tools/Cli.h, gated by tools/check_bench.py):
 //
-//   bench_spawn_scale --procs 1000000 --out BENCH_6.json
+//   bench_spawn_scale --procs 300000 --out BENCH_6.fresh.json
 //
 //===----------------------------------------------------------------------===//
+
+#include "Cli.h"
 
 #include "promises/sim/Simulation.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include <sys/resource.h>
@@ -47,59 +47,6 @@ struct Options {
   size_t SwitchIters = 2'000'000; ///< Total yields across yielders.
   std::string Out; ///< JSON output path ("" = stdout only).
 };
-
-void usage(const char *Argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --procs N              spawn-scale processes (default 1M)\n"
-      "  --switch-procs N       round-robin yielder count (default 64)\n"
-      "  --switch-iters N       total yields (default 2M)\n"
-      "  --out FILE             also write the JSON record to FILE\n",
-      Argv0);
-}
-
-bool parseArgs(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    auto Need = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Flag);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *A = Argv[I];
-    const char *V = nullptr;
-    if (!std::strcmp(A, "--procs")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Procs = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--switch-procs")) {
-      if (!(V = Need(A)))
-        return false;
-      O.SwitchProcs = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--switch-iters")) {
-      if (!(V = Need(A)))
-        return false;
-      O.SwitchIters = std::strtoull(V, nullptr, 10);
-    } else if (!std::strcmp(A, "--out")) {
-      if (!(V = Need(A)))
-        return false;
-      O.Out = V;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown flag %s (valid: --procs --switch-procs "
-                   "--switch-iters --out)\n",
-                   A);
-      return false;
-    }
-  }
-  if (O.Procs == 0 || O.SwitchProcs == 0 || O.SwitchIters == 0) {
-    std::fprintf(stderr, "error: all counts must be > 0\n");
-    return false;
-  }
-  return true;
-}
 
 double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
@@ -124,7 +71,6 @@ struct SpawnResult {
   double SpawnPerSec = 0;
   size_t MaxLive = 0;
   size_t RssDeltaBytes = 0;
-  double DrainSeconds = 0;
 };
 
 /// Spawns N processes that all block on one queue, measures the rate at
@@ -146,10 +92,8 @@ SpawnResult runSpawnScale(size_t N) {
   R.MaxLive = S.liveProcessCount();
   R.RssDeltaBytes = rssBytes() - Rss0;
   R.SpawnPerSec = static_cast<double>(N) / SpawnSecs;
-  auto T1 = std::chrono::steady_clock::now();
   Q.notifyAll();
   S.run();
-  R.DrainSeconds = secondsSince(T1);
   if (Woken != N || S.liveProcessCount() != 0) {
     std::fprintf(stderr, "error: spawn-scale run incomplete (%zu/%zu)\n",
                  Woken, N);
@@ -176,27 +120,22 @@ double runSwitchRoundRobin(size_t Procs, size_t TotalIters) {
   return Secs * 1e9 / static_cast<double>(S.contextSwitches());
 }
 
-std::string jsonRecord(const Options &O, const SpawnResult &Spawn,
-                       double SwitchNs, size_t PeakRssBytes) {
-  char Buf[1024];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"bench\": \"BM_SpawnScale\", \"pr\": 6, \"switch_procs\": %zu,\n"
-      " \"fiber\": {\"procs\": %zu, \"spawn_per_s\": %.0f, "
-      "\"max_live_procs\": %zu, \"rss_bytes\": %zu, \"switch_ns\": %.1f, "
-      "\"switch_iters\": %zu},\n"
-      " \"peak_rss_bytes\": %zu}\n",
-      O.SwitchProcs, O.Procs, Spawn.SpawnPerSec, Spawn.MaxLive,
-      Spawn.RssDeltaBytes, SwitchNs, O.SwitchIters, PeakRssBytes);
-  return Buf;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   Options O;
-  if (!parseArgs(Argc, Argv, O)) {
-    usage(Argv[0]);
+  cli::Table Flags = {
+      cli::integer("--procs", "N", "spawn-scale processes (default 1M)",
+                   O.Procs, 1),
+      cli::integer("--switch-procs", "N",
+                   "round-robin yielder count (default 64)", O.SwitchProcs,
+                   1),
+      cli::integer("--switch-iters", "N", "total yields (default 2M)",
+                   O.SwitchIters, 1),
+      cli::text("--out", "FILE", "also write the JSON record to FILE",
+                O.Out)};
+  if (!cli::parse(Argc, Argv, Flags)) {
+    cli::usage(Argv[0], Flags);
     return 2;
   }
 
@@ -212,16 +151,23 @@ int main(int Argc, char **Argv) {
   getrusage(RUSAGE_SELF, &RU);
   size_t PeakRss = static_cast<size_t>(RU.ru_maxrss) * 1024; // KB on Linux.
 
-  std::string Json = jsonRecord(O, Spawn, SwitchNs, PeakRss);
-  std::fputs(Json.c_str(), stdout);
-  if (!O.Out.empty()) {
-    FILE *F = std::fopen(O.Out.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.Out.c_str());
-      return 1;
-    }
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  }
-  return 0;
+  // Resident bytes per blocked process depend on the count, so --procs is
+  // part of the config the gate matches.
+  std::string Record = cli::benchRecord(
+      "BM_SpawnScale", 6,
+      {{"procs", O.Procs},
+       {"switch_procs", O.SwitchProcs},
+       {"switch_iters", O.SwitchIters}},
+      {{"live_procs", static_cast<double>(Spawn.MaxLive), "procs",
+        cli::Higher, 0},
+       {"spawn_per_s", Spawn.SpawnPerSec, "procs/s", cli::Higher, 2.0},
+       {"switch_ns", SwitchNs, "ns", cli::Lower, 0.25},
+       {"rss_per_proc_bytes",
+        static_cast<double>(Spawn.RssDeltaBytes) /
+            static_cast<double>(O.Procs),
+        "bytes", cli::Lower, 0.10},
+       {"peak_rss_bytes", static_cast<double>(PeakRss), "bytes", cli::Lower,
+        cli::ReportOnly}});
+  std::fputs(Record.c_str(), stdout);
+  return O.Out.empty() || cli::writeRecord(O.Out, Record) ? 0 : 1;
 }

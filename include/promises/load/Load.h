@@ -213,11 +213,6 @@ LoadReport runLoad(const LoadOptions &O);
 /// The loadsim command line that reproduces \p O.
 std::string replayCommand(const LoadOptions &O);
 
-/// The BENCH_9 record (bench "bench_overload") for one run, as a JSON
-/// object string: goodput floor/ratio, tails, shed/retry volumes, and the
-/// per-tenant goodput/p99/SLO table. check_bench.py gates it.
-std::string benchJson(const LoadOptions &O, const LoadReport &R);
-
 } // namespace promises::load
 
 #endif // PROMISES_LOAD_LOAD_H

@@ -43,32 +43,8 @@
 
 namespace promises::runtime {
 
-/// Result of synch: AllNormal, or why not (paper: synch "signals
-/// exception_reply" when some call in the window raised; breaks surface as
-/// the break exception).
-struct SynchResult {
-  enum class Kind : uint8_t { AllNormal, ExceptionReply, Unavailable,
-                              Failure };
-  Kind K = Kind::AllNormal;
-  std::string Reason;
-
-  bool ok() const { return K == Kind::AllNormal; }
-
-  /// Converts to an untyped exception for coenter arms (nullopt when ok).
-  std::optional<core::Exn> toExn() const {
-    switch (K) {
-    case Kind::AllNormal:
-      return std::nullopt;
-    case Kind::ExceptionReply:
-      return core::Exn{"exception_reply", Reason};
-    case Kind::Unavailable:
-      return core::Exn{"unavailable", Reason};
-    case Kind::Failure:
-      return core::Exn{"failure", Reason};
-    }
-    return std::nullopt;
-  }
-};
+/// What RemoteHandler::synch reports: the transport's own result.
+using stream::SynchResult;
 
 /// Client retry policy for calls through one RemoteHandler. Retries only
 /// re-issue calls that terminated with `unavailable` (transient,
@@ -217,25 +193,7 @@ public:
   /// whether any terminated exceptionally since the last synch point.
   SynchResult synch() {
     assert(valid());
-    stream::SynchOutcome SO =
-        Local->transport().synch(Agent, Ref.Entity, Ref.Group);
-    SynchResult R;
-    switch (SO.S) {
-    case stream::SynchOutcome::Status::AllNormal:
-      R.K = SynchResult::Kind::AllNormal;
-      break;
-    case stream::SynchOutcome::Status::ExceptionReply:
-      R.K = SynchResult::Kind::ExceptionReply;
-      break;
-    case stream::SynchOutcome::Status::Unavailable:
-      R.K = SynchResult::Kind::Unavailable;
-      break;
-    case stream::SynchOutcome::Status::Failure:
-      R.K = SynchResult::Kind::Failure;
-      break;
-    }
-    R.Reason = SO.Reason;
-    return R;
+    return Local->transport().synch(Agent, Ref.Entity, Ref.Group);
   }
 
   /// Calls issued on this stream whose outcome is not yet known.

@@ -173,10 +173,10 @@ wire::Bytes encodeMessage(const Message &M);
 /// reserves the frame header up front, presized from the exact encoded
 /// size, then the length and CRC32C are patched in place — one buffer
 /// allocation and zero payload copies per message, byte-identical to
-/// `sealFrame(encodeMessage(M), Checksum)`. Aborts (in every build mode)
-/// if the message fails to encode or exceeds the frame payload limit;
-/// garbage is never transmitted.
-wire::Bytes encodeFramedMessage(const Message &M, bool Checksum);
+/// `sealFrame(encodeMessage(M))`. Aborts (in every build mode) if the
+/// message fails to encode or exceeds the frame payload limit; garbage is
+/// never transmitted.
+wire::Bytes encodeFramedMessage(const Message &M);
 
 /// Seals a call batch carrying the calls \p Window holds for seqs
 /// \p From..\p Through (none when From > Through; each must be present),
@@ -185,7 +185,7 @@ wire::Bytes encodeFramedMessage(const Message &M, bool Checksum);
 /// \p H and those calls.
 wire::Bytes encodeFramedCallBatch(const CallBatchHeader &H,
                                   const SeqRing<CallReq> &Window, Seq From,
-                                  Seq Through, bool Checksum);
+                                  Seq Through);
 
 /// Seals a reply batch carrying every reply in \p Unacked above seq
 /// \p After, in seq order, encoded straight out of the ring. One
@@ -193,7 +193,7 @@ wire::Bytes encodeFramedCallBatch(const CallBatchHeader &H,
 /// ReplyBatchMsg.
 wire::Bytes encodeFramedReplyBatch(const ReplyBatchHeader &H,
                                    const SeqRing<WireReply> &Unacked,
-                                   Seq After, bool Checksum);
+                                   Seq After);
 
 /// Decodes a stream message; std::nullopt on malformed input.
 std::optional<Message> decodeMessage(wire::ByteView B);

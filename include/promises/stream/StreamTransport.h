@@ -37,6 +37,7 @@
 #ifndef PROMISES_STREAM_STREAMTRANSPORT_H
 #define PROMISES_STREAM_STREAMTRANSPORT_H
 
+#include "promises/core/Exceptions.h"
 #include "promises/net/Network.h"
 #include "promises/stream/Messages.h"
 #include "promises/support/InlineFunction.h"
@@ -47,6 +48,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace promises::stream {
@@ -107,14 +109,6 @@ struct StreamConfig {
   /// Delay between a breaker opening (or a fail-fast finding it open) and
   /// the next half-open probe.
   sim::Time BreakerCooldown = sim::msec(50);
-  /// Wire integrity: seal every outgoing datagram in a checksummed frame
-  /// and verify arriving frames before decode (wire/Frame.h). Both sides
-  /// follow *their own* config — the flag is deliberately not carried on
-  /// the wire, so corruption cannot forge a "skip verification" bit. Off
-  /// is an ablation knob for measuring checksum cost (BM_ChecksumOverhead);
-  /// frames are still sealed, with a zero CRC field that the receiver
-  /// ignores.
-  bool FrameChecksums = true;
 };
 
 /// Next retransmission timeout after an unproductive round: Cur * Factor,
@@ -203,12 +197,30 @@ struct IncomingCall {
 };
 
 /// Result of synch (paper Section 2/3): AllNormal unless some call in the
-/// synch window terminated exceptionally or the stream broke.
-struct SynchOutcome {
-  enum class Status : uint8_t { AllNormal, ExceptionReply, Unavailable,
-                                Failure };
-  Status S = Status::AllNormal;
+/// synch window terminated exceptionally (synch "signals exception_reply")
+/// or the stream broke (the break exception).
+struct SynchResult {
+  enum class Kind : uint8_t { AllNormal, ExceptionReply, Unavailable,
+                              Failure };
+  Kind K = Kind::AllNormal;
   std::string Reason;
+
+  bool ok() const { return K == Kind::AllNormal; }
+
+  /// Converts to an untyped exception for coenter arms (nullopt when ok).
+  std::optional<core::Exn> toExn() const {
+    switch (K) {
+    case Kind::AllNormal:
+      return std::nullopt;
+    case Kind::ExceptionReply:
+      return core::Exn{"exception_reply", Reason};
+    case Kind::Unavailable:
+      return core::Exn{"unavailable", Reason};
+    case Kind::Failure:
+      return core::Exn{"failure", Reason};
+    }
+    return std::nullopt;
+  }
 };
 
 /// Traffic and event counters for one transport. A thin value view of the
@@ -338,7 +350,7 @@ public:
   /// ExceptionReply for the window since the last synch point (a synch or
   /// an RPC); a break inside the window reports the break kind. Must be
   /// called from a simulated process.
-  SynchOutcome synch(AgentId Agent, net::Address Remote, GroupId Group);
+  SynchResult synch(AgentId Agent, net::Address Remote, GroupId Group);
 
   /// Explicitly breaks (as if by the sender) and reincarnates the stream
   /// (paper's `restart`). Outstanding calls terminate with `unavailable`.

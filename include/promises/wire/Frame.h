@@ -169,10 +169,8 @@ inline const char *frameErrorName(FrameError E) {
   return "unknown";
 }
 
-/// Wraps \p Payload in a frame header. With \p Checksum false the CRC
-/// field is written as zero (the ablation knob for measuring checksum
-/// cost); the receiver must then also skip verification.
-inline Bytes sealFrame(const Bytes &Payload, bool Checksum = true) {
+/// Wraps \p Payload in a checksummed frame header.
+inline Bytes sealFrame(const Bytes &Payload) {
   frameStats().FramesSealed++;
   frameStats().PayloadBytesCopied += Payload.size();
   Bytes Out;
@@ -182,7 +180,7 @@ inline Bytes sealFrame(const Bytes &Payload, bool Checksum = true) {
   uint32_t Len = static_cast<uint32_t>(Payload.size());
   for (size_t I = 0; I != 4; ++I)
     Out.push_back(static_cast<uint8_t>(Len >> (8 * I)));
-  uint32_t Crc = Checksum ? crc32c(Payload) : 0;
+  uint32_t Crc = crc32c(Payload);
   for (size_t I = 0; I != 4; ++I)
     Out.push_back(static_cast<uint8_t>(Crc >> (8 * I)));
   Out.insert(Out.end(), Payload.begin(), Payload.end());
@@ -208,9 +206,8 @@ inline void beginFrame(Encoder &E, size_t PayloadSizeHint = 0) {
 /// payload length and CRC32C into the reserved header and moves the
 /// buffer out. Fails the encoder (and returns empty) on an oversized
 /// payload or a prior encode failure — callers must check E.failed()
-/// before transmitting. With \p Checksum false the CRC field stays zero
-/// (same ablation knob as sealFrame).
-inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
+/// before transmitting.
+inline Bytes finishFrame(Encoder &E) {
   if (E.failed())
     return {};
   size_t PayloadLen = E.size() - FrameHeaderBytes;
@@ -219,8 +216,7 @@ inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
     return {};
   }
   E.patchU32(2, static_cast<uint32_t>(PayloadLen));
-  if (Checksum)
-    E.patchU32(6, crc32c(E.bytes().data() + FrameHeaderBytes, PayloadLen));
+  E.patchU32(6, crc32c(E.bytes().data() + FrameHeaderBytes, PayloadLen));
   frameStats().FramesSealedInPlace++;
   return E.take();
 }
@@ -242,7 +238,6 @@ inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
 /// net.frames_trailing_bytes counter). A buffer shorter than declared is
 /// still BadLength in both modes.
 inline std::optional<ByteView> openFrame(const Bytes &Frame,
-                                         bool VerifyChecksum = true,
                                          FrameError *Err = nullptr,
                                          size_t *TrailingBytes = nullptr) {
   auto Reject = [&](FrameError E) -> std::optional<ByteView> {
@@ -275,14 +270,13 @@ inline std::optional<ByteView> openFrame(const Bytes &Frame,
     return Reject(FrameError::BadLength);
   }
   ByteView Payload(Frame.data() + FrameHeaderBytes, Len);
-  if (VerifyChecksum && crc32c(Payload) != Crc)
+  if (crc32c(Payload) != Crc)
     return Reject(FrameError::BadChecksum);
   return Payload;
 }
 
 /// The view would dangle: open frames that outlive the call.
-std::optional<ByteView> openFrame(Bytes &&Frame, bool VerifyChecksum = true,
-                                  FrameError *Err = nullptr,
+std::optional<ByteView> openFrame(Bytes &&Frame, FrameError *Err = nullptr,
                                   size_t *TrailingBytes = nullptr) = delete;
 
 } // namespace promises::wire

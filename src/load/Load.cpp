@@ -1010,34 +1010,3 @@ std::string LoadReport::summary() const {
       (unsigned long long)TraceHash) +
          Dur;
 }
-
-std::string load::benchJson(const LoadOptions &O, const LoadReport &R) {
-  std::string Tenants;
-  for (const TenantReport &T : R.Tenants) {
-    if (!Tenants.empty())
-      Tenants += ", ";
-    Tenants += strprintf(
-        "{\"name\": \"%s\", \"offered\": %llu, \"normal\": %llu, "
-        "\"shed\": %llu, \"goodput_cps\": %.1f, \"p50_us\": %.1f, "
-        "\"p99_us\": %.1f, \"p999_us\": %.1f, \"slo_checked\": %s, "
-        "\"slo_ok\": %s}",
-        T.Name.c_str(), (unsigned long long)T.Offered,
-        (unsigned long long)T.Normal, (unsigned long long)T.Shed,
-        T.GoodputCps, T.P50Us, T.P99Us, T.P999Us,
-        T.SloChecked ? "true" : "false", T.SloOk ? "true" : "false");
-  }
-  return strprintf(
-      "{\"bench\": \"bench_overload\", \"scenario\": \"%s\", "
-      "\"seed\": %llu, \"capacity_cps\": %.1f, "
-      "\"base_goodput_cps\": %.1f, \"overload_goodput_cps\": %.1f, "
-      "\"goodput_ratio\": %.4f, \"goodput_floor\": %.4f, "
-      "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
-      "\"offered\": %llu, \"normal\": %llu, \"shed\": %llu, "
-      "\"retries\": %llu, \"battery_violations\": %zu, \"tenants\": [%s]}",
-      O.Scenario.Name.c_str(), static_cast<unsigned long long>(O.Seed),
-      R.CapacityCps, R.BaseGoodputCps, R.OverGoodputCps, R.GoodputRatio,
-      O.Scenario.GoodputFloor, R.P50Us, R.P99Us, R.P999Us,
-      (unsigned long long)R.Offered, (unsigned long long)R.Normal,
-      (unsigned long long)R.Shed, (unsigned long long)R.Retries,
-      R.Violations.size(), Tenants.c_str());
-}

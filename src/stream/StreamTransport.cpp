@@ -31,12 +31,12 @@ namespace {
 /// with an exact size the whole frame is one allocation. Aborts (in every
 /// build mode) rather than transmit garbage.
 template <typename WriteFn>
-wire::Bytes sealEncoded(size_t PayloadSize, bool Checksum, WriteFn &&Write) {
+wire::Bytes sealEncoded(size_t PayloadSize, WriteFn &&Write) {
   wire::Encoder E;
   wire::beginFrame(E, PayloadSize);
   Write(E);
   PROMISES_CHECK(!E.failed(), "stream messages must always encode");
-  wire::Bytes Frame = wire::finishFrame(E, Checksum);
+  wire::Bytes Frame = wire::finishFrame(E);
   PROMISES_CHECK(!E.failed(), "stream message exceeds the frame limit");
   return Frame;
 }
@@ -46,15 +46,14 @@ wire::Bytes sealEncoded(size_t PayloadSize, bool Checksum, WriteFn &&Write) {
 /// Codec<std::vector<Elem>> gives a built message's sequence. A first
 /// pass over the elements sizes the frame.
 template <typename Elem, typename Header, typename VisitFn>
-wire::Bytes sealBatch(MessageKind Kind, const Header &H, VisitFn &&Visit,
-                      bool Checksum) {
+wire::Bytes sealBatch(MessageKind Kind, const Header &H, VisitFn &&Visit) {
   uint32_t Count = 0;
   size_t Size = 1 + wire::Codec<Header>::size(H) + 4;
   Visit([&](const Elem &X) {
     ++Count;
     Size += wire::Codec<Elem>::size(X);
   });
-  return sealEncoded(Size, Checksum, [&](wire::Encoder &E) {
+  return sealEncoded(Size, [&](wire::Encoder &E) {
     E.writeU8(static_cast<uint8_t>(Kind));
     wire::Codec<Header>::encode(E, H);
     E.writeU32(Count);
@@ -92,39 +91,32 @@ wire::Bytes promises::stream::encodeMessage(const Message &M) {
   return E.take();
 }
 
-wire::Bytes promises::stream::encodeFramedMessage(const Message &M,
-                                                  bool Checksum) {
-  return sealEncoded(messageSizeOf(M), Checksum,
+wire::Bytes promises::stream::encodeFramedMessage(const Message &M) {
+  return sealEncoded(messageSizeOf(M),
                      [&M](wire::Encoder &E) { writeMessage(E, M); });
 }
 
 wire::Bytes promises::stream::encodeFramedCallBatch(
     const CallBatchHeader &H, const SeqRing<CallReq> &Window, Seq From,
-    Seq Through, bool Checksum) {
-  return sealBatch<CallReq>(
-      MessageKind::CallBatch, H,
-      [&](auto &&Emit) {
-        for (Seq Q = From; Q <= Through; ++Q) {
-          const CallReq *C = Window.find(Q);
-          PROMISES_CHECK(C != nullptr, "call missing from window");
-          Emit(*C);
-        }
-      },
-      Checksum);
+    Seq Through) {
+  return sealBatch<CallReq>(MessageKind::CallBatch, H, [&](auto &&Emit) {
+    for (Seq Q = From; Q <= Through; ++Q) {
+      const CallReq *C = Window.find(Q);
+      PROMISES_CHECK(C != nullptr, "call missing from window");
+      Emit(*C);
+    }
+  });
 }
 
 wire::Bytes promises::stream::encodeFramedReplyBatch(
-    const ReplyBatchHeader &H, const SeqRing<WireReply> &Unacked, Seq After,
-    bool Checksum) {
-  return sealBatch<WireReply>(
-      MessageKind::ReplyBatch, H,
-      [&](auto &&Emit) {
-        Unacked.forEach([&](Seq S, const WireReply &W) {
-          if (S > After)
-            Emit(W);
-        });
-      },
-      Checksum);
+    const ReplyBatchHeader &H, const SeqRing<WireReply> &Unacked,
+    Seq After) {
+  return sealBatch<WireReply>(MessageKind::ReplyBatch, H, [&](auto &&Emit) {
+    Unacked.forEach([&](Seq S, const WireReply &W) {
+      if (S > After)
+        Emit(W);
+    });
+  });
 }
 
 std::optional<MessageKind>
@@ -693,7 +685,7 @@ bool StreamTransport::cancelCall(AgentId Agent, net::Address Remote,
   M.Inc = S->Inc;
   M.Seqs.push_back(Sq);
   Counters.CancelsSent->inc();
-  Net.send(Addr, Remote, encodeFramedMessage(M, Cfg.FrameChecksums));
+  Net.send(Addr, Remote, encodeFramedMessage(M));
   return true;
 }
 
@@ -719,8 +711,7 @@ void StreamTransport::sendCallBatch(SenderStream &S, Seq FromSeq,
                                     Seq ThroughSeq, bool FlushReplies,
                                     bool IsRetransmit) {
   CallBatchHeader H{S.Agent, S.Group, S.Inc, S.FulfilledThrough, FlushReplies};
-  wire::Bytes Frame = encodeFramedCallBatch(H, S.Window, FromSeq, ThroughSeq,
-                                            Cfg.FrameChecksums);
+  wire::Bytes Frame = encodeFramedCallBatch(H, S.Window, FromSeq, ThroughSeq);
   size_t Calls = ThroughSeq >= FromSeq ? ThroughSeq - FromSeq + 1 : 0;
   if (IsRetransmit) {
     Counters.Retransmissions->inc(Calls);
@@ -1077,8 +1068,8 @@ void StreamTransport::flush(AgentId Agent, net::Address Remote,
   transmitNewCalls(*S, /*FlushReplies=*/true);
 }
 
-SynchOutcome StreamTransport::synch(AgentId Agent, net::Address Remote,
-                                    GroupId Group) {
+SynchResult StreamTransport::synch(AgentId Agent, net::Address Remote,
+                                   GroupId Group) {
   assert(sim::Simulation::inProcess() &&
          "synch must be called from a simulated process");
   SenderKey Key = senderKey(Agent, Remote, Group);
@@ -1098,13 +1089,13 @@ SynchOutcome StreamTransport::synch(AgentId Agent, net::Address Remote,
   }
   // A shutdown settled every outstanding call and set the break mark, so
   // a dead transport reports itself here.
-  SynchOutcome Out;
+  SynchResult Out;
   if (S.BreakSinceMark) {
-    Out.S = S.BreakSinceMarkIsFailure ? SynchOutcome::Status::Failure
-                                      : SynchOutcome::Status::Unavailable;
+    Out.K = S.BreakSinceMarkIsFailure ? SynchResult::Kind::Failure
+                                      : SynchResult::Kind::Unavailable;
     Out.Reason = S.BreakSinceMarkReason;
   } else if (S.ExceptionSinceMark) {
-    Out.S = SynchOutcome::Status::ExceptionReply;
+    Out.K = SynchResult::Kind::ExceptionReply;
   }
   S.resetMark();
   maybeRetireSender(Key);
@@ -1232,8 +1223,7 @@ void StreamTransport::sendBreakerProbe(const SenderKey &K, Breaker &B) {
   CallBatchHeader H{std::get<0>(K), std::get<2>(K), Inc, 0,
                     /*FlushReplies=*/true};
   Counters.AckBatchesSent->inc();
-  Net.send(Addr, std::get<1>(K),
-           encodeFramedCallBatch(H, {}, 1, 0, Cfg.FrameChecksums));
+  Net.send(Addr, std::get<1>(K), encodeFramedCallBatch(H, {}, 1, 0));
 }
 
 int StreamTransport::breakerState(AgentId Agent, net::Address Remote,
@@ -1497,8 +1487,7 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   // full unacknowledged state so a stalled sender always catches up.
   bool All = ResendAll || Cfg.StateShapedReplies;
   Seq After = All ? 0 : R.LastBatchedReply;
-  wire::Bytes Frame =
-      encodeFramedReplyBatch(H, R.UnackedReplies, After, Cfg.FrameChecksums);
+  wire::Bytes Frame = encodeFramedReplyBatch(H, R.UnackedReplies, After);
   size_t Replies = 0;
   R.UnackedReplies.forEach(
       [&](Seq S, const WireReply &) { Replies += S > After; });
@@ -1589,8 +1578,7 @@ void StreamTransport::onDatagram(net::Datagram D) {
   if (Dead)
     return;
   // Integrity first: no byte of the payload is decoded until the frame
-  // header checks out and (unless the ablation knob disabled it) the
-  // checksum matches. A rejected frame is indistinguishable from a lost
+  // header checks out and the checksum matches. A rejected frame is indistinguishable from a lost
   // datagram — the retransmit path recovers it.
   // Tolerant of trailing bytes: real datagram stacks can pad past the
   // sender's length, so excess beyond the declared frame is dropped and
@@ -1599,7 +1587,7 @@ void StreamTransport::onDatagram(net::Datagram D) {
   wire::FrameError FE = wire::FrameError::None;
   size_t Trailing = 0;
   std::optional<wire::ByteView> Payload =
-      wire::openFrame(D.Payload, Cfg.FrameChecksums, &FE, &Trailing);
+      wire::openFrame(D.Payload, &FE, &Trailing);
   if (Trailing != 0)
     Counters.FramesTrailingBytes->inc(Trailing);
   if (!Payload) {

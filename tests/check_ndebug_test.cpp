@@ -53,7 +53,7 @@ TEST(CheckNDebug, OversizedArgsAbortInsteadOfSealingGarbage) {
   // encoder. In the pre-sweep code the guard was a bare assert: under
   // NDEBUG the transport went on to seal and send the half-written frame.
   stream::Message M = callBatchWithArgBytes(wire::MaxStringBytes + 1);
-  EXPECT_DEATH((void)stream::encodeFramedMessage(M, true),
+  EXPECT_DEATH((void)stream::encodeFramedMessage(M),
                "PROMISES_CHECK failed: stream messages must always encode");
   EXPECT_DEATH((void)stream::encodeMessage(M),
                "PROMISES_CHECK failed: stream messages must always encode");
@@ -64,7 +64,7 @@ TEST(CheckNDebug, FrameLimitOverflowAbortsInsteadOfSealingGarbage) {
   // overhead pushes the total payload past MaxFramePayloadBytes, so the
   // failure surfaces in finishFrame() rather than writeBytes().
   stream::Message M = callBatchWithArgBytes(wire::MaxStringBytes);
-  EXPECT_DEATH((void)stream::encodeFramedMessage(M, true),
+  EXPECT_DEATH((void)stream::encodeFramedMessage(M),
                "PROMISES_CHECK failed: stream message exceeds the frame limit");
 }
 
@@ -72,8 +72,8 @@ TEST(CheckNDebug, InBoundsMessageStillEncodes) {
   // Control: a payload comfortably inside both limits seals fine with
   // NDEBUG defined, proving the checks are branches, not build-mode traps.
   stream::Message M = callBatchWithArgBytes(1024);
-  wire::Bytes F = stream::encodeFramedMessage(M, true);
-  auto Payload = wire::openFrame(F, true);
+  wire::Bytes F = stream::encodeFramedMessage(M);
+  auto Payload = wire::openFrame(F);
   ASSERT_TRUE(Payload.has_value());
   auto Decoded = stream::decodeMessage(*Payload);
   ASSERT_TRUE(Decoded.has_value());

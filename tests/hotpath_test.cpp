@@ -243,18 +243,15 @@ stream::Message sampleCancel() {
 TEST(ZeroCopySeal, ByteIdenticalToLegacyPipeline) {
   for (const stream::Message &M :
        {sampleCallBatch(), sampleReplyBatch(), sampleCancel()}) {
-    for (bool Checksum : {true, false}) {
-      wire::Bytes Legacy =
-          wire::sealFrame(stream::encodeMessage(M), Checksum);
-      wire::Bytes Framed = stream::encodeFramedMessage(M, Checksum);
-      EXPECT_EQ(Framed, Legacy);
-      // And the result round-trips through the verifying receive path.
-      auto Payload = wire::openFrame(Framed, Checksum);
-      ASSERT_TRUE(Payload.has_value());
-      auto Decoded = stream::decodeMessage(*Payload);
-      ASSERT_TRUE(Decoded.has_value());
-      EXPECT_TRUE(*Decoded == M);
-    }
+    wire::Bytes Legacy = wire::sealFrame(stream::encodeMessage(M));
+    wire::Bytes Framed = stream::encodeFramedMessage(M);
+    EXPECT_EQ(Framed, Legacy);
+    // And the result round-trips through the verifying receive path.
+    auto Payload = wire::openFrame(Framed);
+    ASSERT_TRUE(Payload.has_value());
+    auto Decoded = stream::decodeMessage(*Payload);
+    ASSERT_TRUE(Decoded.has_value());
+    EXPECT_TRUE(*Decoded == M);
   }
 }
 
@@ -265,7 +262,7 @@ TEST(ZeroCopySeal, ExactlyOneAllocationPerSealedMessage) {
   for (const stream::Message &M :
        {sampleCallBatch(), sampleReplyBatch(), sampleCancel()}) {
     uint64_t Before = allocCount();
-    wire::Bytes Framed = stream::encodeFramedMessage(M, true);
+    wire::Bytes Framed = stream::encodeFramedMessage(M);
     uint64_t After = allocCount();
     EXPECT_EQ(After - Before, 1u);
     EXPECT_GT(Framed.size(), wire::FrameHeaderBytes);
@@ -291,18 +288,15 @@ TEST(ZeroCopySeal, CallBatchSealsStraightFromTheWindow) {
       Built.Calls.push_back(C);
     Window.insert(S, std::move(C));
   }
-  for (bool Checksum : {true, false}) {
-    uint64_t Before = allocCount();
-    wire::Bytes Framed =
-        stream::encodeFramedCallBatch(Built, Window, 42, 47, Checksum);
-    EXPECT_EQ(allocCount() - Before, 1u);
-    EXPECT_EQ(Framed, stream::encodeFramedMessage(Built, Checksum));
-  }
+  uint64_t Before = allocCount();
+  wire::Bytes Framed = stream::encodeFramedCallBatch(Built, Window, 42, 47);
+  EXPECT_EQ(allocCount() - Before, 1u);
+  EXPECT_EQ(Framed, stream::encodeFramedMessage(Built));
   // An empty range is a pure ack/probe.
   stream::CallBatchMsg Ack;
   static_cast<stream::CallBatchHeader &>(Ack) = Built;
-  EXPECT_EQ(stream::encodeFramedCallBatch(Built, Window, 1, 0, true),
-            stream::encodeFramedMessage(Ack, true));
+  EXPECT_EQ(stream::encodeFramedCallBatch(Built, Window, 1, 0),
+            stream::encodeFramedMessage(Ack));
 }
 
 TEST(ZeroCopySeal, ReplyBatchSealsStraightFromTheUnackedRing) {
@@ -325,19 +319,16 @@ TEST(ZeroCopySeal, ReplyBatchSealsStraightFromTheUnackedRing) {
       Built.Replies.push_back(W);
     Unacked.insert(S, std::move(W));
   }
-  for (bool Checksum : {true, false}) {
-    uint64_t Before = allocCount();
-    wire::Bytes Framed =
-        stream::encodeFramedReplyBatch(Built, Unacked, 14, Checksum);
-    EXPECT_EQ(allocCount() - Before, 1u);
-    EXPECT_EQ(Framed, stream::encodeFramedMessage(Built, Checksum));
-  }
+  uint64_t Before = allocCount();
+  wire::Bytes Framed = stream::encodeFramedReplyBatch(Built, Unacked, 14);
+  EXPECT_EQ(allocCount() - Before, 1u);
+  EXPECT_EQ(Framed, stream::encodeFramedMessage(Built));
 }
 
 TEST(ZeroCopySeal, CopiesZeroPayloadBytes) {
   uint64_t CopiedBefore = wire::frameStats().PayloadBytesCopied;
   uint64_t InPlaceBefore = wire::frameStats().FramesSealedInPlace;
-  (void)stream::encodeFramedMessage(sampleCallBatch(), true);
+  (void)stream::encodeFramedMessage(sampleCallBatch());
   EXPECT_EQ(wire::frameStats().PayloadBytesCopied, CopiedBefore);
   EXPECT_EQ(wire::frameStats().FramesSealedInPlace, InPlaceBefore + 1);
 }
@@ -595,10 +586,9 @@ TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
   // Calls: with no call sink installed they park in the receive window
   // (nothing is delivered, so nothing is acked or replied to).
   W.Net.send(Src, Server.address(),
-             stream::encodeFramedMessage(callBatchOf(1, K, 100), true));
+             stream::encodeFramedMessage(callBatchOf(1, K, 100)));
   W.Sim.run(); // Warm: creates the receiver stream and its windows.
-  wire::Bytes Calls = stream::encodeFramedMessage(callBatchOf(1 + K, K, 100),
-                                                  true);
+  wire::Bytes Calls = stream::encodeFramedMessage(callBatchOf(1 + K, K, 100));
   uint64_t Before = allocCount();
   W.Net.send(Src, Server.address(), std::move(Calls));
   W.Sim.run();
@@ -617,9 +607,9 @@ TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
     R.Reason = "a reason too long for the small-string buffer";
     M.Replies.push_back(std::move(R));
   }
-  W.Net.send(Src, Server.address(), stream::encodeFramedMessage(M, true));
+  W.Net.send(Src, Server.address(), stream::encodeFramedMessage(M));
   W.Sim.run(); // Warm the reply-batch storage.
-  wire::Bytes Replies = stream::encodeFramedMessage(M, true);
+  wire::Bytes Replies = stream::encodeFramedMessage(M);
   Before = allocCount();
   W.Net.send(Src, Server.address(), std::move(Replies));
   W.Sim.run();

@@ -163,16 +163,6 @@ TEST(LoadDeterminism, ReplayCommandNamesTheRun) {
   EXPECT_NE(Cmd.find("--rate-scale 0.5"), std::string::npos) << Cmd;
 }
 
-TEST(LoadBench, JsonCarriesTheGate) {
-  LoadOptions O = optionsFor("storm");
-  LoadReport R = runLoad(O);
-  std::string J = benchJson(O, R);
-  EXPECT_NE(J.find("\"bench\": \"bench_overload\""), std::string::npos) << J;
-  EXPECT_NE(J.find("\"goodput_ratio\""), std::string::npos);
-  EXPECT_NE(J.find("\"battery_violations\": 0"), std::string::npos) << J;
-  EXPECT_NE(J.find("\"tenants\": ["), std::string::npos);
-}
-
 //===----------------------------------------------------------------------===//
 // Arrival processes (open-loop math)
 //===----------------------------------------------------------------------===//

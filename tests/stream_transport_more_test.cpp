@@ -190,7 +190,7 @@ TEST_F(Fixture, ByteBasedBatchingCountsPayloads) {
 TEST_F(Fixture, SynchOnFreshStreamReturnsImmediately) {
   build();
   AgentId A = Client->newAgent();
-  SynchOutcome SO;
+  SynchResult SO;
   Time Took = 0;
   S.spawn("p", [&] {
     Time T0 = S.now();
@@ -198,7 +198,7 @@ TEST_F(Fixture, SynchOnFreshStreamReturnsImmediately) {
     Took = S.now() - T0;
   });
   S.run();
-  EXPECT_EQ(SO.S, SynchOutcome::Status::AllNormal);
+  EXPECT_EQ(SO.K, SynchResult::Kind::AllNormal);
   EXPECT_EQ(Took, 0u);
 }
 
@@ -246,7 +246,7 @@ TEST_F(Fixture, SynchDoesNotHangOnTransportShutdown) {
   AgentId A = Client->newAgent();
   Client->issueCall(A, Server->address(), 1, 1, bytesOf(1), false, false,
                     /*OnReply=*/nullptr);
-  SynchOutcome SO;
+  SynchResult SO;
   bool Returned = false;
   S.spawn("syncher", [&] {
     SO = Client->synch(A, Server->address(), 1);
@@ -255,7 +255,7 @@ TEST_F(Fixture, SynchDoesNotHangOnTransportShutdown) {
   S.schedule(msec(5), [&] { Client->shutdown(); });
   S.runFor(msec(100));
   ASSERT_TRUE(Returned) << "synch hung on a dead transport";
-  EXPECT_EQ(SO.S, SynchOutcome::Status::Unavailable);
+  EXPECT_EQ(SO.K, SynchResult::Kind::Unavailable);
   EXPECT_EQ(SO.Reason, "transport shut down");
 }
 
@@ -361,7 +361,7 @@ TEST_F(Fixture, TombstoneSynchReportsBreakAcrossResurrection) {
   ASSERT_EQ(Client->retiredStreamCount(), 1u);
 
   Net->setPartitioned(CN, SN, false);
-  SynchOutcome First, Second;
+  SynchResult First, Second;
   S.spawn("p", [&] {
     First = Client->synch(A, Server->address(), 1);
     Second = Client->synch(A, Server->address(), 1);
@@ -369,11 +369,11 @@ TEST_F(Fixture, TombstoneSynchReportsBreakAcrossResurrection) {
   S.run();
   // The first synch after the break reports its kind, with the
   // transport's reason carried through the tombstone...
-  EXPECT_EQ(First.S, SynchOutcome::Status::Unavailable);
+  EXPECT_EQ(First.K, SynchResult::Kind::Unavailable);
   EXPECT_NE(First.Reason.find("cannot communicate"), std::string::npos)
       << First.Reason;
   // ...and the mark reset leaves the next window clean.
-  EXPECT_EQ(Second.S, SynchOutcome::Status::AllNormal);
+  EXPECT_EQ(Second.K, SynchResult::Kind::AllNormal);
 }
 
 TEST_F(Fixture, TwoTransportsCanTalkInBothDirections) {

@@ -350,14 +350,14 @@ TEST_F(StreamFixture, SynchAllNormal) {
   build();
   AgentId A = Client->newAgent();
   std::vector<ReplyOutcome> Out;
-  SynchOutcome SO;
+  SynchResult SO;
   S.spawn("client", [&] {
     for (uint32_t I = 0; I < 10; ++I)
       call(A, EchoPort, I, Out);
     SO = Client->synch(A, Server->address(), 1);
   });
   S.run();
-  EXPECT_EQ(SO.S, SynchOutcome::Status::AllNormal);
+  EXPECT_EQ(SO.K, SynchResult::Kind::AllNormal);
   EXPECT_EQ(Out.size(), 10u); // Synch waited for every outcome.
 }
 
@@ -365,7 +365,7 @@ TEST_F(StreamFixture, SynchReportsExceptionReply) {
   build();
   AgentId A = Client->newAgent();
   std::vector<ReplyOutcome> Out;
-  SynchOutcome First, Second;
+  SynchResult First, Second;
   S.spawn("client", [&] {
     call(A, EchoPort, 1, Out);
     call(A, ThrowPort, 2, Out);
@@ -376,8 +376,8 @@ TEST_F(StreamFixture, SynchReportsExceptionReply) {
     Second = Client->synch(A, Server->address(), 1);
   });
   S.run();
-  EXPECT_EQ(First.S, SynchOutcome::Status::ExceptionReply);
-  EXPECT_EQ(Second.S, SynchOutcome::Status::AllNormal);
+  EXPECT_EQ(First.K, SynchResult::Kind::ExceptionReply);
+  EXPECT_EQ(Second.K, SynchResult::Kind::AllNormal);
 }
 
 TEST_F(StreamFixture, RpcResetsSynchWindow) {
@@ -385,7 +385,7 @@ TEST_F(StreamFixture, RpcResetsSynchWindow) {
   build();
   AgentId A = Client->newAgent();
   std::vector<ReplyOutcome> Out;
-  SynchOutcome SO;
+  SynchResult SO;
   S.spawn("client", [&] {
     call(A, ThrowPort, 1, Out); // Exception before the RPC...
     call(A, EchoPort, 2, Out, false, /*IsRpc=*/true);
@@ -396,7 +396,7 @@ TEST_F(StreamFixture, RpcResetsSynchWindow) {
     SO = Client->synch(A, Server->address(), 1);
   });
   S.run();
-  EXPECT_EQ(SO.S, SynchOutcome::Status::AllNormal);
+  EXPECT_EQ(SO.K, SynchResult::Kind::AllNormal);
 }
 
 TEST_F(StreamFixture, ReceiverCrashBreaksStreamWithUnavailable) {

@@ -140,7 +140,7 @@ TEST(Frame, SealOpenRoundTrips) {
     Bytes Frame = sealFrame(Payload);
     EXPECT_EQ(Frame.size(), FrameHeaderBytes + N);
     FrameError Err = FrameError::BadMagic; // Must be reset to None.
-    auto Opened = openFrame(Frame, true, &Err);
+    auto Opened = openFrame(Frame, &Err);
     ASSERT_TRUE(Opened.has_value()) << "payload size " << N;
     EXPECT_EQ(copyOf(*Opened), Payload);
     EXPECT_EQ(Err, FrameError::None);
@@ -154,7 +154,7 @@ TEST(Frame, EveryHeaderByteIsChecked) {
   for (size_t N = 0; N != FrameHeaderBytes; ++N) {
     Bytes Short(Frame.begin(), Frame.begin() + N);
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(Short, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(Short, &Err).has_value());
     EXPECT_EQ(Err, FrameError::Truncated);
   }
 
@@ -163,7 +163,7 @@ TEST(Frame, EveryHeaderByteIsChecked) {
     Bytes F = Frame;
     F[0] ^= 0xFF;
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::BadMagic);
   }
 
@@ -172,7 +172,7 @@ TEST(Frame, EveryHeaderByteIsChecked) {
     Bytes F = Frame;
     F[1] = FrameVersion + 1;
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::BadVersion);
   }
 
@@ -181,14 +181,14 @@ TEST(Frame, EveryHeaderByteIsChecked) {
     Bytes F = Frame;
     F.pop_back();
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::BadLength);
   }
   {
     Bytes F = Frame;
     F.push_back(0);
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::BadLength);
   }
 
@@ -200,7 +200,7 @@ TEST(Frame, EveryHeaderByteIsChecked) {
     for (size_t I = 0; I != 4; ++I)
       F.at(2 + I) = static_cast<uint8_t>(Huge >> (8 * I));
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::Oversized);
   }
 
@@ -209,7 +209,7 @@ TEST(Frame, EveryHeaderByteIsChecked) {
     Bytes F = Frame;
     F.back() ^= 0x01;
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::BadChecksum);
   }
 
@@ -218,33 +218,9 @@ TEST(Frame, EveryHeaderByteIsChecked) {
     Bytes F = Frame;
     F[6] ^= 0x01;
     FrameError Err = FrameError::None;
-    EXPECT_FALSE(openFrame(F, true, &Err).has_value());
+    EXPECT_FALSE(openFrame(F, &Err).has_value());
     EXPECT_EQ(Err, FrameError::BadChecksum);
   }
-}
-
-TEST(Frame, ChecksumAblation) {
-  // FrameChecksums=false seals with a zero CRC and skips verification;
-  // the structural header checks still apply. This is the benchmark
-  // ablation knob, not a wire option (see StreamConfig::FrameChecksums).
-  Bytes Payload = bytes({1, 2, 3});
-  Bytes Unsummed = sealFrame(Payload, /*Checksum=*/false);
-  EXPECT_FALSE(openFrame(Unsummed, /*VerifyChecksum=*/true).has_value());
-  auto Opened = openFrame(Unsummed, /*VerifyChecksum=*/false);
-  ASSERT_TRUE(Opened.has_value());
-  EXPECT_EQ(copyOf(*Opened), Payload);
-
-  // A verifying receiver still accepts checksummed frames, and a
-  // non-verifying receiver accepts them too (the CRC is simply ignored).
-  Bytes Summed = sealFrame(Payload, /*Checksum=*/true);
-  EXPECT_TRUE(openFrame(Summed, /*VerifyChecksum=*/false).has_value());
-
-  // Structural damage is caught even with verification off.
-  Bytes F = Unsummed;
-  F[0] ^= 0xFF;
-  FrameError Err = FrameError::None;
-  EXPECT_FALSE(openFrame(F, /*VerifyChecksum=*/false, &Err).has_value());
-  EXPECT_EQ(Err, FrameError::BadMagic);
 }
 
 TEST(Frame, TrailingBytesRejectedInStrictMode) {
@@ -255,7 +231,7 @@ TEST(Frame, TrailingBytesRejectedInStrictMode) {
   Padded.push_back(0xEE);
   Padded.push_back(0xFF);
   FrameError Err = FrameError::None;
-  EXPECT_FALSE(openFrame(Padded, true, &Err).has_value());
+  EXPECT_FALSE(openFrame(Padded, &Err).has_value());
   EXPECT_EQ(Err, FrameError::BadLength);
 }
 
@@ -266,7 +242,7 @@ TEST(Frame, TrailingBytesToleratedAndCounted) {
   // Exact-length frame: tolerant mode reports zero trailing bytes.
   size_t Trailing = 1234;
   FrameError Err = FrameError::BadMagic;
-  auto Opened = openFrame(Frame, true, &Err, &Trailing);
+  auto Opened = openFrame(Frame, &Err, &Trailing);
   ASSERT_TRUE(Opened.has_value());
   EXPECT_EQ(copyOf(*Opened), Payload);
   EXPECT_EQ(Err, FrameError::None);
@@ -280,7 +256,7 @@ TEST(Frame, TrailingBytesToleratedAndCounted) {
     Padded.push_back(J);
   Trailing = 0;
   Err = FrameError::BadMagic;
-  Opened = openFrame(Padded, true, &Err, &Trailing);
+  Opened = openFrame(Padded, &Err, &Trailing);
   ASSERT_TRUE(Opened.has_value());
   EXPECT_EQ(copyOf(*Opened), Payload);
   EXPECT_EQ(Err, FrameError::None);
@@ -290,7 +266,7 @@ TEST(Frame, TrailingBytesToleratedAndCounted) {
   // them must not turn a valid frame into BadChecksum.
   Bytes Damaged = Padded;
   Damaged.back() ^= 0xFF;
-  EXPECT_TRUE(openFrame(Damaged, true, nullptr, &Trailing).has_value());
+  EXPECT_TRUE(openFrame(Damaged, nullptr, &Trailing).has_value());
   EXPECT_EQ(Trailing, 5u);
 
   // A buffer shorter than declared is still BadLength in tolerant mode,
@@ -299,7 +275,7 @@ TEST(Frame, TrailingBytesToleratedAndCounted) {
   Short.pop_back();
   Trailing = 77;
   Err = FrameError::None;
-  EXPECT_FALSE(openFrame(Short, true, &Err, &Trailing).has_value());
+  EXPECT_FALSE(openFrame(Short, &Err, &Trailing).has_value());
   EXPECT_EQ(Err, FrameError::BadLength);
   EXPECT_EQ(Trailing, 0u);
 }

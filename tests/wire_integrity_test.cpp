@@ -194,24 +194,6 @@ TEST_F(IntegrityFixture, MalformedButChecksummedPayloadIsCountedAsLocalBug) {
             1u);
 }
 
-TEST_F(IntegrityFixture, ChecksumAblationStillWorksEndToEnd) {
-  // FrameChecksums=false (the benchmark ablation) seals with a zero CRC
-  // and skips verification on receive; on a clean network the protocol
-  // must be unaffected.
-  SC.FrameChecksums = false;
-  build();
-  AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
-  for (uint32_t I = 0; I != 4; ++I)
-    call(A, I, Out);
-  S.run();
-  ASSERT_EQ(Out.size(), 4u);
-  for (uint32_t I = 0; I != 4; ++I)
-    EXPECT_EQ(u32Of(Out[I].Payload), I);
-  EXPECT_EQ(Client->counters().FramesCorruptDropped, 0u);
-  EXPECT_EQ(Server->counters().FramesCorruptDropped, 0u);
-}
-
 TEST_F(IntegrityFixture, ReorderingPreservesCallOrder) {
   // Heavy reordering: most copies suffer up to 2ms of extra delay, far
   // larger than the inter-send gap, so datagrams routinely overtake each

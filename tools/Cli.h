@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// What the command-line tools share. A tool describes its flags once, as
-/// a table whose rows parse the command line strictly (a value must parse
-/// whole and lie in its range), print the usage text, and list the valid
-/// flags after an unknown one. chaossim and loadsim also share the seed
-/// sweep: the determinism double-run and the FAIL/ok/replay lines.
+/// What the command-line tools and the bench drivers share. A tool
+/// describes its flags once, as a table whose rows parse the command line
+/// strictly (a value must parse whole and lie in its range), print the
+/// usage text, and list the valid flags after an unknown one. chaossim and
+/// loadsim also share the seed sweep: the determinism double-run and the
+/// FAIL/ok/replay lines. Every gated bench writes its result as one bench
+/// record, the shape tools/check_bench.py compares.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +22,15 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -176,6 +182,109 @@ inline bool parse(int Argc, char **Argv, const Table &T) {
     }
   }
   return true;
+}
+
+/// \p V as a JSON literal: true/false, an integer, a number in its
+/// shortest round-trip form (null when not finite: JSON has no inf or nan,
+/// and the gate rejects null), or a quoted string.
+template <class T> std::string json(const T &V) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return V ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(V);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(V))
+      return "null";
+    char Buf[32];
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+  } else {
+    std::string Out = "\"";
+    for (char C : std::string_view(V)) {
+      if (C == '"' || C == '\\')
+        Out += '\\';
+      Out += static_cast<unsigned char>(C) < 0x20 ? ' ' : C;
+    }
+    return Out + '"';
+  }
+}
+
+/// Which way a metric improves.
+enum Better { Lower, Higher };
+
+/// A metric's bound when the gate only reports it.
+inline constexpr std::nullopt_t ReportOnly = std::nullopt;
+
+/// One number of a bench record. The gate holds a fresh value to the
+/// committed baseline's: with Lower better it may grow to
+/// base * (1 + Bound), with Higher better shrink to base / (1 + Bound).
+/// Bound 0 makes a count or a correctness bit exact.
+struct Metric {
+  std::string Name;
+  double Value;
+  std::string Unit;
+  Better Dir;
+  std::optional<double> Bound;
+};
+
+/// One entry of a record's config: a setting that shaped the run. The
+/// gate compares only records whose configs are equal.
+struct Setting {
+  std::string Key, Json;
+  template <class T>
+  Setting(std::string K, const T &V) : Key(std::move(K)), Json(json(V)) {}
+};
+
+/// The machine a record was measured on: the CPU model and how many
+/// logical CPUs it has.
+inline std::string host() {
+  char Model[256] = "unknown CPU", Line[256];
+  if (std::FILE *F = std::fopen("/proc/cpuinfo", "r")) {
+    while (std::fgets(Line, sizeof(Line), F) &&
+           std::sscanf(Line, "model name : %255[^\n]", Model) != 1) {
+    }
+    std::fclose(F);
+  }
+  return strprintf("%s, %u logical CPUs", Model,
+                   std::thread::hardware_concurrency());
+}
+
+/// The one bench record every gated bench writes:
+///
+///   {"bench", "pr", "host", "config": {...},
+///    "metrics": [{"name", "value", "unit", "better", "bound"}, ...]}
+///
+/// with one metric per line, so a committed baseline diffs by metric.
+inline std::string benchRecord(const std::string &Bench, int Pr,
+                               const std::vector<Setting> &Config,
+                               const std::vector<Metric> &Metrics) {
+  std::string Out = strprintf("{\"bench\": %s, \"pr\": %d, \"host\": %s,\n"
+                              " \"config\": {",
+                              json(Bench).c_str(), Pr, json(host()).c_str());
+  for (size_t I = 0; I != Config.size(); ++I)
+    Out += strprintf("%s%s: %s", I ? ", " : "",
+                     json(Config[I].Key).c_str(), Config[I].Json.c_str());
+  Out += "},\n \"metrics\": [";
+  for (size_t I = 0; I != Metrics.size(); ++I) {
+    const Metric &M = Metrics[I];
+    Out += strprintf("%s\n  {\"name\": %s, \"value\": %s, \"unit\": %s, "
+                     "\"better\": \"%s\", \"bound\": %s}",
+                     I ? "," : "", json(M.Name).c_str(),
+                     json(M.Value).c_str(), json(M.Unit).c_str(),
+                     M.Dir == Lower ? "lower" : "higher",
+                     M.Bound ? json(*M.Bound).c_str() : "null");
+  }
+  return Out + "]}\n";
+}
+
+/// Writes \p Record to \p Path; says why and returns false if it cannot.
+inline bool writeRecord(const std::string &Path, const std::string &Record) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  bool Ok = F && std::fputs(Record.c_str(), F) >= 0;
+  if (F && std::fclose(F) != 0)
+    Ok = false;
+  if (!Ok)
+    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+  return Ok;
 }
 
 /// What a seed sweep is told on the command line.

@@ -213,7 +213,7 @@ int main(int Argc, char **Argv) {
     // exact payload. If this ever fails the seal/open pair itself is
     // broken and every other expectation below is meaningless.
     wire::FrameError FE = wire::FrameError::None;
-    std::optional<wire::ByteView> Opened = wire::openFrame(Frame, true, &FE);
+    std::optional<wire::ByteView> Opened = wire::openFrame(Frame, &FE);
     if (!Opened || !std::ranges::equal(*Opened, Payload)) {
       violation(T, I, "pristine frame failed to open");
       continue;
@@ -224,7 +224,7 @@ int main(int Argc, char **Argv) {
       ++T.FrameMutations;
       mutateBytes(R, Frame);
       FE = wire::FrameError::None;
-      std::optional<wire::ByteView> P = wire::openFrame(Frame, true, &FE);
+      std::optional<wire::ByteView> P = wire::openFrame(Frame, &FE);
       if (!P) {
         if (FE == wire::FrameError::None)
           violation(T, I, "rejected frame carried no error cause");
@@ -247,7 +247,7 @@ int main(int Argc, char **Argv) {
       mutateBytes(R, Damaged);
       wire::Bytes Sealed = wire::sealFrame(Damaged);
       FE = wire::FrameError::None;
-      std::optional<wire::ByteView> P = wire::openFrame(Sealed, true, &FE);
+      std::optional<wire::ByteView> P = wire::openFrame(Sealed, &FE);
       if (!P || !std::ranges::equal(*P, Damaged)) {
         violation(T, I, "honestly sealed payload failed to open");
         break;
@@ -273,7 +273,7 @@ int main(int Argc, char **Argv) {
         Padded.push_back(static_cast<uint8_t>(R.next()));
       // Strict mode: any size mismatch is BadLength, exactly as before.
       FE = wire::FrameError::None;
-      if (wire::openFrame(Padded, true, &FE).has_value())
+      if (wire::openFrame(Padded, &FE).has_value())
         violation(T, I, "strict openFrame accepted trailing bytes");
       else if (FE != wire::FrameError::BadLength)
         violation(T, I, "trailing bytes rejected with the wrong cause");
@@ -285,7 +285,7 @@ int main(int Argc, char **Argv) {
       size_t Trailing = 0;
       FE = wire::FrameError::None;
       std::optional<wire::ByteView> P =
-          wire::openFrame(Padded, true, &FE, &Trailing);
+          wire::openFrame(Padded, &FE, &Trailing);
       if (!P || !std::ranges::equal(*P, Payload))
         violation(T, I, "tolerant openFrame failed on trailing bytes");
       else if (Trailing != Extra)
@@ -296,7 +296,7 @@ int main(int Argc, char **Argv) {
       ++T.Garbage;
       wire::Bytes Junk = randomBytes(R, 64);
       FE = wire::FrameError::None;
-      std::optional<wire::ByteView> P = wire::openFrame(Junk, true, &FE);
+      std::optional<wire::ByteView> P = wire::openFrame(Junk, &FE);
       if (!P) {
         if (FE == wire::FrameError::None)
           violation(T, I, "rejected garbage carried no error cause");
