@@ -125,7 +125,8 @@ public:
   /// Registers a handler on \p Group. \p Impl is invoked — inside a
   /// dedicated process, in call order per stream — with the decoded
   /// arguments, and returns the typed outcome. Returns the transmissible
-  /// typed reference for clients.
+  /// typed reference for clients. The name documents the call site
+  /// only; the port number identifies the handler.
   ///
   /// \code
   ///   auto RecordGrade =
@@ -135,14 +136,13 @@ public:
   ///               -> Outcome<double, NoSuchStudent> { ... });
   /// \endcode
   template <typename Sig, core::ExceptionType... Exs, typename Fn>
-  HandlerRef<Sig, Exs...> addHandler(std::string HandlerName,
+  HandlerRef<Sig, Exs...> addHandler([[maybe_unused]] std::string HandlerName,
                                      stream::GroupId Group, Fn Impl) {
     using Traits = SigTraits<Sig>;
     using Ret = typename Traits::RetType;
     using ArgsTuple = typename Traits::ArgsTuple;
     using OutcomeT = core::Outcome<Ret, Exs...>;
     stream::PortId Port = NextPort++;
-    PortNames[Port] = HandlerName;
     Executors[Port] = [this, Impl = std::move(Impl)](
                           stream::IncomingCall &IC) mutable {
       std::string Why;
@@ -190,7 +190,6 @@ public:
   template <typename Sig, core::ExceptionType... Exs>
   void removeHandler(const HandlerRef<Sig, Exs...> &Ref) {
     Executors.erase(Ref.Port);
-    PortNames.erase(Ref.Port);
   }
 
   /// Allocates an agent for one client activity in this guardian.
@@ -291,6 +290,9 @@ private:
   /// still running, and unblocks its successors.
   void cancelCall(uint64_t Tag, stream::Seq Sq);
   void onNodeCrash();
+  /// {guardian, node, epoch}: a guardian rebuilt on a restarted node gets
+  /// cells of its own.
+  MetricLabels labels() const;
 
   net::Network &Net;
   /// Cached from Net at construction (Network::simulation() is virtual).
@@ -310,7 +312,6 @@ private:
   std::unique_ptr<stream::StreamTransport> Transport;
   std::map<stream::PortId, std::function<void(stream::IncomingCall &)>>
       Executors;
-  std::map<stream::PortId, std::string> PortNames;
   std::map<uint64_t, ExecDomain> Domains;
   /// Sum of Running.size() over all domains, kept in lockstep with every
   /// insert/erase so admission control is O(1) per call.

@@ -260,10 +260,7 @@ private:
       // the budget and block retries against healthy endpoints later.
       if (C->Attempt > 1)
         C->G->creditRetryToken(C->Ref.Entity, C->Policy.Budget, 1.0);
-      if (Issue.IsFailure)
-        C->R.fulfill(OutcomeT(core::Failure{Issue.Reason}));
-      else
-        C->R.fulfill(OutcomeT(core::Unavailable{Issue.Reason}));
+      C->R.fulfill(OutcomeT(core::Unavailable{Issue.Reason}));
     }
   }
 
@@ -319,11 +316,8 @@ private:
             R.fulfill(detail::wireToOutcome<Ret, Exs...>(RO));
           },
           DeadlineAt);
-      if (!Issue.Issued) {
-        if (Issue.IsFailure)
-          return PromiseT::makeReady(OutcomeT(core::Failure{Issue.Reason}));
+      if (!Issue.Issued)
         return PromiseT::makeReady(OutcomeT(core::Unavailable{Issue.Reason}));
-      }
       if (HandleOut)
         *HandleOut = CallHandle{Issue.S, Issue.Inc};
       return P;

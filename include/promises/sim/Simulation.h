@@ -82,6 +82,10 @@ struct SimConfig {
   static bool defaultGuardPages();
 };
 
+/// An id schedule() never returns (0 is a valid one): what a field holding
+/// a timer's id reads while no timer is armed.
+inline constexpr uint64_t NoEvent = UINT64_MAX;
+
 /// Internal control-flow exception used to unwind a forcibly terminated
 /// process from its current blocking point. Never thrown through user data;
 /// caught by the process trampoline. User code must be exception-neutral
@@ -362,8 +366,19 @@ public:
   uint64_t schedule(Time Delay, InlineFunction<void()> Fn);
 
   /// Cancels a scheduled callback; no-op if it already ran or was
-  /// cancelled.
+  /// cancelled, and for NoEvent.
   void cancel(uint64_t EventId);
+
+  /// True while \p EventId is armed: scheduled, not yet run and not
+  /// cancelled. A callback's own id is no longer pending while it runs.
+  bool pending(uint64_t EventId) const {
+    auto Slot = static_cast<uint32_t>(EventId);
+    if (Slot >= EventPool.size())
+      return false;
+    const EventRecord &R = EventPool[Slot];
+    return R.Armed && !R.Cancelled &&
+           R.Gen == static_cast<uint32_t>(EventId >> 32);
+  }
 
   /// --- Introspection (used by tests and the E10 benchmark) ---
 

@@ -69,15 +69,14 @@ struct StreamConfig {
   /// the current timeout by RetransBackoff, capped at
   /// max(RetransmitTimeoutMax, RetransmitTimeout); any progress (or
   /// quiescence) resets it to the base. Each firing is additionally
-  /// delayed by a deterministic jitter uniform in
-  /// [0, timeout * RetransJitter], drawn from an Rng seeded with
-  /// RetransSeed (xor'd with the endpoint identity), so synchronized
-  /// senders do not retransmit in lockstep yet replays stay identical.
+  /// delayed by a deterministic jitter uniform in [0, timeout / 10],
+  /// drawn from an Rng seeded with RetransSeed (xor'd with the endpoint
+  /// identity), so synchronized senders do not retransmit in lockstep yet
+  /// replays stay identical.
   sim::Time RetransmitTimeout = sim::msec(20);
   int MaxRetries = 8;
   double RetransBackoff = 2.0;
   sim::Time RetransmitTimeoutMax = sim::msec(160);
-  double RetransJitter = 0.1;
   uint64_t RetransSeed = 1;
   /// Sender-side flow control: issueCall blocks the calling process once
   /// this many calls (or argument bytes) are in flight — issued but not
@@ -89,10 +88,6 @@ struct StreamConfig {
   size_t MaxInFlightBytes = 0;
   /// Delay before a pure acknowledgement is sent (piggybacking window).
   sim::Time AckDelay = sim::msec(1);
-  /// When true (paper Section 3: broken streams are "restarted
-  /// automatically"), issuing a call on a broken stream reincarnates it;
-  /// when false the call fails immediately with the break outcome.
-  bool AutoRestart = true;
   /// Ablation knob: when true, every reply batch carries the receiver's
   /// full unacknowledged-reply state (simplest-possible recovery) instead
   /// of only new replies. Correct but quadratic in flight-depth; see
@@ -298,14 +293,13 @@ public:
   AgentId newAgent() { return ++LastAgent; }
 
   /// Outcome of issueCall: when Issued is false the call was never sent
-  /// (broken stream with AutoRestart off, shut-down transport, or open
-  /// circuit breaker) and OnReply was not retained — the caller raises the
-  /// indicated exception directly, without creating a promise (paper,
-  /// Section 3, step 1). On success S/Inc identify the call for
-  /// cancelCall().
+  /// (shut-down transport or open circuit breaker) and OnReply was not
+  /// retained — the caller raises unavailable(Reason) directly, without
+  /// creating a promise (paper, Section 3, step 1). A broken stream is no
+  /// refusal: the call reincarnates it ("restarted automatically"). On
+  /// success S/Inc identify the call for cancelCall().
   struct IssueResult {
     bool Issued = true;
-    bool IsFailure = false; ///< Else unavailable.
     std::string Reason;
     Seq S = 0;
     Incarnation Inc = 0;
@@ -357,7 +351,7 @@ public:
   void restart(AgentId Agent, net::Address Remote, GroupId Group);
 
   /// True if the sender side of the stream is currently broken (only
-  /// observable between a break and the next call when AutoRestart is on).
+  /// observable between a break and the next call, which reincarnates it).
   bool isBroken(AgentId Agent, net::Address Remote, GroupId Group) const;
 
   /// Number of calls issued but without outcome on this stream.
@@ -396,7 +390,7 @@ public:
   size_t receiverStreamCount() const;
   /// Fully-broken sender streams reduced to tombstones (incarnation +
   /// break outcome only); a later call on the same key resurrects them.
-  size_t retiredStreamCount() const { return Retired.size(); }
+  size_t retiredStreamCount() const;
   /// Timers currently armed across all sender and receiver streams.
   size_t armedTimerCount() const;
   /// Broken sender streams still holding full state. Transient while a
@@ -419,73 +413,70 @@ private:
   struct SenderStream;
   struct ReceiverStream;
 
-  /// What survives of a fully-broken sender stream: enough to keep
-  /// isBroken() observable and to resurrect the stream — with incarnation
-  /// continuity, so the receiver's stale-incarnation filter still works —
-  /// when the agent calls again.
-  struct RetiredSender {
+  /// A sender stream's incarnation, break outcome and synch marks.
+  /// SenderStream extends it; once a broken stream is reclaimed, this
+  /// record alone stays in its table entry as the tombstone: enough to
+  /// keep isBroken() observable and to resurrect the stream — with
+  /// incarnation continuity, so the receiver's stale-incarnation filter
+  /// still works — when the agent calls again.
+  struct StreamRecord {
     Incarnation Inc = 1;
-    bool IsFailure = false;
-    std::string Reason;
+    bool Broken = false;
+    bool BrokenIsFailure = false;
+    std::string BreakReason;
+    // Synch-window bookkeeping (reset by synch or by an RPC's reply).
     bool ExceptionSinceMark = false;
     bool BreakSinceMark = false;
     bool BreakSinceMarkIsFailure = false;
     std::string BreakSinceMarkReason;
+
+    void resetMark() {
+      ExceptionSinceMark = false;
+      BreakSinceMark = false;
+      BreakSinceMarkIsFailure = false;
+      BreakSinceMarkReason.clear();
+    }
+  };
+
+  /// Endpoint circuit breaker. It lives in the stream's table entry, so
+  /// it stays tripped while the broken stream collapses to a tombstone.
+  struct Breaker {
+    int Consecutive = 0; ///< Timeout breaks since the last sign of life.
+    uint8_t State = 0;   ///< 0 closed, 1 open, 2 half-open.
+    uint64_t ProbeTimer = sim::NoEvent;
+  };
+
+  /// Everything the sender keeps for one (agent, remote, group) stream.
+  struct SenderEntry {
+    std::unique_ptr<SenderStream> Live; ///< Null once reclaimed.
+    StreamRecord Tombstone;             ///< What survives while Live is null.
+    Breaker B;
   };
 
   // Keys carry the full epoch-qualified address: streams to different
   // incarnations of a remote node never share state, so a post-restart
   // binding that reuses a port number cannot inherit (or corrupt) the
-  // sequencing of a stream to the pre-crash incarnation. SenderKey is
-  // retained for the cold-path maps (tombstones, breakers); the live
-  // stream state itself is sharded per remote endpoint below.
+  // sequencing of a stream to the pre-crash incarnation.
   using SenderKey = std::tuple<AgentId, net::Address, GroupId>;
   using ReceiverKey = std::tuple<net::Address, AgentId, GroupId>;
-  /// Within one endpoint shard, a stream is named by (agent, group).
-  using StreamKey = std::pair<AgentId, GroupId>;
+  /// Entries are never erased while the transport lives, so pointers to
+  /// them (the hot-path cache, breaker timers) stay valid.
+  using SenderTable = std::map<SenderKey, SenderEntry>;
+  using KeyedEntry = SenderTable::value_type;
 
-  static SenderKey senderKey(AgentId A, net::Address R, GroupId G) {
-    return {A, R, G};
-  }
-
-  /// All sender-side streams to one remote endpoint (epoch-qualified
-  /// address). Sharding replaces the node-global (agent, address, group)
-  /// map: hot-path lookups touch only the state of the endpoint being
-  /// talked to, and a one-entry cache makes the common talk-to-the-same-
-  /// endpoint-repeatedly case a single compare. Shards are never erased
-  /// while the transport lives — emptied shards keep their warm map
-  /// nodes (and cached pointers stay valid), recycled when the endpoint
-  /// is talked to again.
-  struct SenderShard {
-    std::map<StreamKey, std::unique_ptr<SenderStream>> Streams;
-  };
-  /// Receiver-side analogue, keyed by the sending transport's address.
-  struct ReceiverShard {
-    std::map<StreamKey, std::unique_ptr<ReceiverStream>> Streams;
-  };
-
-  SenderShard &senderShard(const net::Address &R);
-  SenderShard *findSenderShard(const net::Address &R) const;
-  ReceiverShard *findReceiverShard(const net::Address &From) const;
-
+  /// The entry for \p K, or null. A one-entry cache makes the common
+  /// call-the-same-stream-again case a single key compare.
+  KeyedEntry *findEntry(const SenderKey &K) const;
+  /// The entry for \p K, inserted (without a stream) if absent.
+  KeyedEntry &entry(const SenderKey &K);
   SenderStream *findSender(AgentId A, net::Address R, GroupId G) const;
-  SenderStream &getSender(AgentId A, net::Address R, GroupId G);
+  /// The live stream of \p KE, resurrected from its tombstone if need be.
+  SenderStream &getSender(KeyedEntry &KE);
 
-  /// Endpoint circuit breaker (tentpole 4). Keyed like sender streams but
-  /// surviving their retirement: the breaker must stay tripped while the
-  /// broken stream collapses to a tombstone.
-  struct Breaker {
-    int Consecutive = 0; ///< Timeout breaks since the last sign of life.
-    uint8_t State = 0;   ///< 0 closed, 1 open, 2 half-open.
-    Incarnation ProbeInc = 1; ///< Fallback incarnation for probes.
-    bool ProbeTimerArmed = false;
-    uint64_t ProbeTimer = 0;
-  };
-
-  void breakerOnTimeoutBreak(const SenderKey &K, Incarnation Inc);
-  void breakerOnReply(const SenderKey &K);
-  void armBreakerProbe(const SenderKey &K);
-  void sendBreakerProbe(const SenderKey &K, Breaker &B);
+  void breakerOnTimeoutBreak(KeyedEntry &KE);
+  void breakerOnReply(KeyedEntry &KE);
+  void armBreakerProbe(KeyedEntry &KE);
+  void sendBreakerProbe(KeyedEntry &KE);
 
   // Sender-side machinery.
   void transmitNewCalls(SenderStream &S, bool FlushReplies);
@@ -502,10 +493,12 @@ private:
   void reincarnate(SenderStream &S);
   bool windowFull(const SenderStream &S) const;
   void blockForWindow(SenderStream &S);
-  void maybeRetireSender(const SenderKey &K);
+  void maybeRetireSender(SenderEntry &E);
 
   // Receiver-side machinery.
-  ReceiverStream &getReceiver(const net::Address &From,
+  /// The receiver stream a call batch belongs to (a newer incarnation
+  /// supersedes the old one), or null for a stale incarnation.
+  ReceiverStream *receiverFor(const net::Address &From,
                               const CallBatchMsg &M);
   void handleCallBatch(const net::Address &From, CallBatchMsg &M);
   void handleCancel(const net::Address &From, const CancelMsg &M);
@@ -560,15 +553,13 @@ private:
   /// inside a handler: every delivery is a fresh scheduler event.
   MessageBuffers Rx;
 
-  std::map<net::Address, SenderShard> SenderShards;
-  std::map<net::Address, ReceiverShard> ReceiverShards;
-  /// One-entry shard caches for the hot path: almost every operation in a
-  /// tight call loop targets the endpoint targeted last time. Shards are
-  /// never erased (see SenderShard), so the pointers cannot dangle.
-  mutable net::Address LastSenderAddr{};
-  mutable SenderShard *LastSenderShard = nullptr;
-  std::map<SenderKey, RetiredSender> Retired;
-  std::map<SenderKey, Breaker> Breakers;
+  /// In (agent, remote, group) order, which is the order shutdown()
+  /// settles streams in.
+  SenderTable Senders;
+  /// The entry the last lookup found: almost every operation in a tight
+  /// call loop targets the stream targeted last time.
+  mutable KeyedEntry *LastSender = nullptr;
+  std::map<ReceiverKey, std::unique_ptr<ReceiverStream>> Receivers;
   std::map<uint64_t, ReceiverStream *> ReceiversByTag;
 };
 

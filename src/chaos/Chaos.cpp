@@ -339,9 +339,16 @@ ChaosReport World::finish() {
     Rep.Violations.push_back(std::move(Msg));
   };
   Rep.StaleEpochDrops = Net.staleEpochDrops();
+  // Every guardian and transport incarnation has cells of its own
+  // (labelled with its node's epoch), so the sums count each event once.
   for (auto *Gs : {&ClientGuardians, &ServerGuardians})
-    for (auto &G : *Gs)
+    for (auto &G : *Gs) {
       Rep.OrphansDestroyed += G->orphansDestroyed();
+      stream::StreamCounters C = G->transport().counters();
+      Rep.ServerCancelled += C.CallsCancelled;
+      Rep.MalformedDropped += C.MalformedDropped;
+      Rep.FramesCorruptDropped += C.FramesCorruptDropped;
+    }
 
   // 3b. Resilience accounting. Server-side counters bound the
   // client-observed ones from above: a deadline drop, shed, or cancel is
@@ -357,22 +364,6 @@ ChaosReport World::finish() {
   for (auto &G : ServerGuardians) {
     Rep.ServerExpired += G->deadlinesExpired();
     Rep.ServerShed += G->callsShed();
-  }
-  // Transport counters are labelled (node, port) and ports restart at 1
-  // after a node crash, so a reincarnated transport can share its
-  // predecessor's counters — summing them per guardian would double
-  // count. The trace-event stream has exactly one CallCancelled per
-  // server-side cancellation (and one FrameCorruptDropped per rejected
-  // frame), so count those instead.
-  for (const TraceEvent &E : S.metrics().events()) {
-    if (E.Kind == EventKind::CallCancelled)
-      ++Rep.ServerCancelled;
-    else if (E.Kind == EventKind::FrameCorruptDropped) {
-      if (E.Detail == "malformed message")
-        ++Rep.MalformedDropped;
-      else
-        ++Rep.FramesCorruptDropped;
-    }
   }
   auto boundedBy = [&](const char *What, uint64_t Observed,
                        uint64_t Bound) {

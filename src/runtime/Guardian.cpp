@@ -19,8 +19,8 @@ Guardian::Guardian(net::Network &Net, net::NodeId Node, std::string Name,
                    GuardianConfig Cfg)
     : Net(Net), Sim(Net.simulation()), Node(Node), Name(std::move(Name)),
       Cfg(Cfg), Reg(Sim.metrics()) {
-  MetricLabels L{{"guardian", this->Name},
-                 {"node", strprintf("%u", Node)}};
+  Transport = std::make_unique<stream::StreamTransport>(Net, Node, Cfg.Stream);
+  MetricLabels L = labels();
   CallsExec = &Reg.counter("runtime.calls_executed", L);
   OrphansDestroyed = &Reg.counter("runtime.orphans_destroyed", L);
   DeadlinesExpired = &Reg.counter("call.deadline_expired", L);
@@ -35,7 +35,6 @@ Guardian::Guardian(net::Network &Net, net::NodeId Node, std::string Name,
   Reg.gaugeProbe("runtime.live_call_processes", [this] {
     return static_cast<double>(LiveCallProcs);
   }, L);
-  Transport = std::make_unique<stream::StreamTransport>(Net, Node, Cfg.Stream);
   Transport->setCallSink(
       [this](stream::IncomingCall IC) { onIncomingCall(std::move(IC)); });
   Transport->setStreamDeadHook([this](uint64_t Tag) { onStreamDead(Tag); });
@@ -51,12 +50,18 @@ Guardian::~Guardian() {
   Transport->shutdown(/*Settle=*/false);
   // Freeze the probe gauges at their final value: the registry outlives
   // this guardian, and a probe capturing `this` must not dangle.
-  MetricLabels L{{"guardian", Name}, {"node", strprintf("%u", Node)}};
+  MetricLabels L = labels();
   for (const char *G : {"runtime.handler_queue_depth",
                         "runtime.live_call_processes"}) {
     double Final = Reg.gauge(G, L).value();
     Reg.gaugeProbe(G, [Final] { return Final; }, L);
   }
+}
+
+MetricLabels Guardian::labels() const {
+  return {{"guardian", Name},
+          {"node", strprintf("%u", Node)},
+          {"epoch", strprintf("%u", Transport->address().Epoch)}};
 }
 
 void Guardian::onNodeCrash() {

@@ -290,13 +290,9 @@ uint64_t Simulation::schedule(Time Delay, InlineFunction<void()> Fn) {
 }
 
 void Simulation::cancel(uint64_t EventId) {
-  uint32_t Slot = static_cast<uint32_t>(EventId);
-  uint32_t Gen = static_cast<uint32_t>(EventId >> 32);
-  if (Slot >= EventPool.size())
-    return;
-  EventRecord &R = EventPool[Slot];
-  if (!R.Armed || R.Gen != Gen || R.Cancelled)
+  if (!pending(EventId))
     return; // Already ran or already cancelled.
+  EventRecord &R = EventPool[static_cast<uint32_t>(EventId)];
   R.Cancelled = true;
   R.Fn = nullptr; // Eager destruction, as the old map erase provided.
   --LiveTimed;

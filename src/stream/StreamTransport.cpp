@@ -161,16 +161,14 @@ std::optional<Message> promises::stream::decodeMessage(wire::ByteView B) {
 // Stream state
 //===----------------------------------------------------------------------===//
 
-struct StreamTransport::SenderStream {
-  SenderStream(sim::Simulation &S, AgentId A, net::Address R, GroupId G)
-      : Agent(A), Remote(R), Group(G),
-        FulfillQ(std::make_unique<sim::WaitQueue>(S)), WindowMx(S),
-        WindowCv(S) {}
+struct StreamTransport::SenderStream : StreamRecord {
+  SenderStream(sim::Simulation &S, const SenderKey &K)
+      : Agent(std::get<0>(K)), Remote(std::get<1>(K)), Group(std::get<2>(K)),
+        FulfillQ(S), WindowMx(S), WindowCv(S) {}
 
   AgentId Agent;
   net::Address Remote;
   GroupId Group;
-  Incarnation Inc = 1;
 
   Seq NextSeq = 1;             ///< The next issued call takes this seq.
   Seq TransmittedThrough = 0;  ///< Sent at least once through here.
@@ -195,29 +193,16 @@ struct StreamTransport::SenderStream {
   size_t BufferedBytes = 0; ///< Untransmitted argument bytes.
   size_t WindowBytes = 0;   ///< Argument bytes retained in Window.
 
-  bool Broken = false;
-  bool BrokenIsFailure = false;
-  std::string BreakReason;
-
-  // Synch-window bookkeeping (reset by synch or by an RPC's reply).
-  bool ExceptionSinceMark = false;
-  bool BreakSinceMark = false;
-  bool BreakSinceMarkIsFailure = false;
-  std::string BreakSinceMarkReason;
-
-  // Timers.
-  bool FlushTimerArmed = false;
-  uint64_t FlushTimer = 0;
-  bool RetransTimerArmed = false;
-  uint64_t RetransTimer = 0;
-  bool AckTimerArmed = false;
-  uint64_t AckTimer = 0;
+  // Timers (event ids; sim::NoEvent when never armed).
+  uint64_t FlushTimer = sim::NoEvent;
+  uint64_t RetransTimer = sim::NoEvent;
+  uint64_t AckTimer = sim::NoEvent;
   int Retries = 0;
   Seq LastProgressAcked = 0;
   Seq LastProgressFulfilled = 0;
   sim::Time CurrentRto = 0; ///< Backed-off retransmit timeout; 0 = base.
 
-  std::unique_ptr<sim::WaitQueue> FulfillQ; ///< synch waiters.
+  sim::WaitQueue FulfillQ; ///< synch waiters.
   /// Processes currently blocked on this stream (synch, or a full
   /// in-flight window). A pinned stream must not be retired: the blocked
   /// frames hold references into it.
@@ -227,12 +212,6 @@ struct StreamTransport::SenderStream {
 
   Seq untransmittedCount() const { return NextSeq - 1 - TransmittedThrough; }
   Seq outstanding() const { return NextSeq - 1 - FulfilledThrough; }
-  void resetMark() {
-    ExceptionSinceMark = false;
-    BreakSinceMark = false;
-    BreakSinceMarkIsFailure = false;
-    BreakSinceMarkReason.clear();
-  }
 };
 
 struct StreamTransport::ReceiverStream {
@@ -270,10 +249,8 @@ struct StreamTransport::ReceiverStream {
   /// cannot complete the call a second time when it finally unwinds.
   std::set<Seq> Cancelled;
 
-  bool ReplyFlushTimerArmed = false;
-  uint64_t ReplyFlushTimer = 0;
-  bool AckTimerArmed = false;
-  uint64_t AckTimer = 0;
+  uint64_t ReplyFlushTimer = sim::NoEvent;
+  uint64_t AckTimer = sim::NoEvent;
 };
 
 //===----------------------------------------------------------------------===//
@@ -286,8 +263,11 @@ StreamTransport::StreamTransport(net::Network &Net, net::NodeId Node,
       Reg(Sim.metrics()), Cfg(Cfg) {
   Addr = Net.bind(Node, [this](net::Datagram D) { onDatagram(std::move(D)); });
   Net.onCrash(Node, [this] { shutdown(); });
-  // (node, port) identifies this transport even with several per node.
+  // (node, epoch, port) identifies this transport even with several per
+  // node, and apart from the node's earlier incarnations, which reused
+  // its port numbers.
   MetricLabels L{{"node", Net.nodeName(Node)},
+                 {"epoch", strprintf("%u", Addr.Epoch)},
                  {"port", strprintf("%u", Addr.Port)}};
   Counters.CallsIssued = &Reg.counter("stream.calls_issued", L);
   Counters.CallBatchesSent = &Reg.counter("stream.call_batches_sent", L);
@@ -364,6 +344,7 @@ StreamTransport::~StreamTransport() {
   // Freeze the breaker.state probe at its final value: the registry
   // outlives this transport, and a probe capturing `this` must not dangle.
   MetricLabels L{{"node", Net.nodeName(Node)},
+                 {"epoch", strprintf("%u", Addr.Epoch)},
                  {"port", strprintf("%u", Addr.Port)}};
   double Final = static_cast<double>(openBreakerCount());
   Reg.gaugeProbe("breaker.state", [Final] { return Final; }, L);
@@ -376,70 +357,41 @@ void StreamTransport::shutdown(bool Settle) {
   if (Net.isUp(Node))
     Net.unbind(Addr);
   // Wake order is scheduling-visible: blocked processes resume in notify
-  // order. The pre-sharding node-global map iterated senders in
-  // (agent, address, group) key order, so reproduce exactly that order
-  // here — sharding is a representation change and must not perturb
-  // schedules (the chaos trace-hash oracle holds us to it).
-  std::vector<std::tuple<AgentId, net::Address, GroupId, SenderStream *>>
-      Ordered;
-  for (auto &[RemoteAddr, Shard] : SenderShards)
-    for (auto &[SK, S] : Shard.Streams)
-      Ordered.emplace_back(SK.first, RemoteAddr, SK.second, S.get());
-  std::sort(Ordered.begin(), Ordered.end(),
-            [](const auto &A, const auto &B) {
-              if (std::get<0>(A) != std::get<0>(B))
-                return std::get<0>(A) < std::get<0>(B);
-              if (!(std::get<1>(A) == std::get<1>(B)))
-                return std::get<1>(A) < std::get<1>(B);
-              return std::get<2>(A) < std::get<2>(B);
-            });
-  for (auto &[A, RemoteAddr, G, S] : Ordered) {
-    (void)A;
-    (void)RemoteAddr;
-    (void)G;
-    if (S->FlushTimerArmed)
-      Sim.cancel(S->FlushTimer);
-    if (S->RetransTimerArmed)
-      Sim.cancel(S->RetransTimer);
-    if (S->AckTimerArmed)
-      Sim.cancel(S->AckTimer);
-    S->FlushTimerArmed = S->RetransTimerArmed = S->AckTimerArmed = false;
+  // order, which is the table's (agent, remote, group) order.
+  for (auto &[K, E] : Senders) {
+    Sim.cancel(E.B.ProbeTimer);
+    if (!E.Live)
+      continue;
+    SenderStream &S = *E.Live;
+    Sim.cancel(S.FlushTimer);
+    Sim.cancel(S.RetransTimer);
+    Sim.cancel(S.AckTimer);
     // No claim may wait on a dead transport: every outstanding call
     // settles now, in call order, and the next synch reports why.
-    if (!S->Slots.empty()) {
+    if (!S.Slots.empty()) {
       ReplyOutcome Down =
           ReplyOutcome::unavailable(core::reasons::TransportShutDown);
-      S->BreakSinceMark = true;
-      S->BreakSinceMarkIsFailure = false;
-      S->BreakSinceMarkReason = Down.Reason;
-      while (!S->Slots.empty()) {
-        Seq First = S->Slots.firstSeq();
-        S->FulfilledThrough = First;
+      S.BreakSinceMark = true;
+      S.BreakSinceMarkIsFailure = false;
+      S.BreakSinceMarkReason = Down.Reason;
+      while (!S.Slots.empty()) {
+        Seq First = S.Slots.firstSeq();
+        S.FulfilledThrough = First;
         Counters.CallsBroken->inc();
-        ReplyCallback Cb = std::move(S->Slots.at(First).Cb);
-        S->Slots.erase(First);
+        ReplyCallback Cb = std::move(S.Slots.at(First).Cb);
+        S.Slots.erase(First);
         if (Settle && Cb)
           Cb(Down);
       }
     }
     // Processes blocked in synch or on a full window must not hang on a
     // dead transport.
-    S->FulfillQ->notifyAll();
-    S->WindowCv.notifyAll();
+    S.FulfillQ.notifyAll();
+    S.WindowCv.notifyAll();
   }
-  for (auto &[FromAddr, Shard] : ReceiverShards) {
-    for (auto &[SK, R] : Shard.Streams) {
-      if (R->ReplyFlushTimerArmed)
-        Sim.cancel(R->ReplyFlushTimer);
-      if (R->AckTimerArmed)
-        Sim.cancel(R->AckTimer);
-      R->ReplyFlushTimerArmed = R->AckTimerArmed = false;
-    }
-  }
-  for (auto &[K, B] : Breakers) {
-    if (B.ProbeTimerArmed)
-      Sim.cancel(B.ProbeTimer);
-    B.ProbeTimerArmed = false;
+  for (auto &[K, R] : Receivers) {
+    Sim.cancel(R->ReplyFlushTimer);
+    Sim.cancel(R->AckTimer);
   }
 }
 
@@ -447,86 +399,55 @@ void StreamTransport::shutdown(bool Settle) {
 // Sender side
 //===----------------------------------------------------------------------===//
 
-StreamTransport::SenderShard &
-StreamTransport::senderShard(const net::Address &R) {
-  // One-entry cache: the hot paths (issue, reply handling) hammer a single
-  // endpoint at a time, and shards are never erased, so the pointer is
-  // stable for the transport's lifetime.
-  if (LastSenderShard && LastSenderAddr == R)
-    return *LastSenderShard;
-  SenderShard &Sh = SenderShards[R];
-  LastSenderAddr = R;
-  LastSenderShard = &Sh;
-  return Sh;
-}
-
-StreamTransport::SenderShard *
-StreamTransport::findSenderShard(const net::Address &R) const {
-  if (LastSenderShard && LastSenderAddr == R)
-    return LastSenderShard;
-  auto It = SenderShards.find(R);
-  if (It == SenderShards.end())
+StreamTransport::KeyedEntry *
+StreamTransport::findEntry(const SenderKey &K) const {
+  if (LastSender && LastSender->first == K)
+    return LastSender;
+  auto It = Senders.find(K);
+  if (It == Senders.end())
     return nullptr;
-  LastSenderAddr = R;
-  LastSenderShard = const_cast<SenderShard *>(&It->second);
-  return LastSenderShard;
+  LastSender = const_cast<KeyedEntry *>(&*It);
+  return LastSender;
 }
 
-StreamTransport::ReceiverShard *
-StreamTransport::findReceiverShard(const net::Address &From) const {
-  auto It = ReceiverShards.find(From);
-  return It != ReceiverShards.end()
-             ? const_cast<ReceiverShard *>(&It->second)
-             : nullptr;
+StreamTransport::KeyedEntry &StreamTransport::entry(const SenderKey &K) {
+  if (LastSender && LastSender->first == K)
+    return *LastSender;
+  LastSender = &*Senders.try_emplace(K).first;
+  return *LastSender;
 }
 
 size_t StreamTransport::senderStreamCount() const {
   size_t N = 0;
-  for (const auto &[Addr2, Sh] : SenderShards)
-    N += Sh.Streams.size();
+  for (const auto &[K, E] : Senders)
+    N += E.Live != nullptr;
   return N;
 }
 
+size_t StreamTransport::retiredStreamCount() const {
+  return Senders.size() - senderStreamCount();
+}
+
 size_t StreamTransport::receiverStreamCount() const {
-  size_t N = 0;
-  for (const auto &[Addr2, Sh] : ReceiverShards)
-    N += Sh.Streams.size();
-  return N;
+  return Receivers.size();
 }
 
 StreamTransport::SenderStream *
 StreamTransport::findSender(AgentId A, net::Address R, GroupId G) const {
-  SenderShard *Sh = findSenderShard(R);
-  if (!Sh)
-    return nullptr;
-  auto It = Sh->Streams.find(StreamKey{A, G});
-  return It != Sh->Streams.end() ? It->second.get() : nullptr;
+  KeyedEntry *KE = findEntry({A, R, G});
+  return KE ? KE->second.Live.get() : nullptr;
 }
 
-StreamTransport::SenderStream &
-StreamTransport::getSender(AgentId A, net::Address R, GroupId G) {
-  SenderKey Key = senderKey(A, R, G);
-  auto &Slot = senderShard(R).Streams[StreamKey{A, G}];
-  if (!Slot) {
-    Slot = std::make_unique<SenderStream>(Sim, A, R, G);
-    auto It = Retired.find(Key);
-    if (It != Retired.end()) {
-      // Resurrect the retired stream as the broken stream it was: the
-      // preserved incarnation keeps the receiver's stale-incarnation
-      // filter working, and the preserved break outcome keeps the
-      // broken-stream paths (AutoRestart, synch marks) uniform.
-      Slot->Inc = It->second.Inc;
-      Slot->Broken = true;
-      Slot->BrokenIsFailure = It->second.IsFailure;
-      Slot->BreakReason = It->second.Reason;
-      Slot->ExceptionSinceMark = It->second.ExceptionSinceMark;
-      Slot->BreakSinceMark = It->second.BreakSinceMark;
-      Slot->BreakSinceMarkIsFailure = It->second.BreakSinceMarkIsFailure;
-      Slot->BreakSinceMarkReason = It->second.BreakSinceMarkReason;
-      Retired.erase(It);
-    }
+StreamTransport::SenderStream &StreamTransport::getSender(KeyedEntry &KE) {
+  auto &[K, E] = KE;
+  if (!E.Live) {
+    // A fresh entry's record is a new stream's; a tombstone's resurrects
+    // the broken stream it was, so the incarnation and the break outcome
+    // carry over (the next call reincarnates it).
+    E.Live = std::make_unique<SenderStream>(Sim, K);
+    static_cast<StreamRecord &>(*E.Live) = std::move(E.Tombstone);
   }
-  return *Slot;
+  return *E.Live;
 }
 
 bool StreamTransport::windowFull(const SenderStream &S) const {
@@ -560,34 +481,18 @@ void StreamTransport::blockForWindow(SenderStream &S) {
               S.Agent, S.Window.size(), Blocked, {}});
 }
 
-void StreamTransport::maybeRetireSender(const SenderKey &K) {
-  if (Dead)
+void StreamTransport::maybeRetireSender(SenderEntry &E) {
+  if (Dead || !E.Live)
     return;
-  SenderShard *Sh = findSenderShard(std::get<1>(K));
-  if (!Sh)
-    return;
-  auto It = Sh->Streams.find(StreamKey{std::get<0>(K), std::get<2>(K)});
-  if (It == Sh->Streams.end())
-    return;
-  SenderStream &S = *It->second;
+  SenderStream &S = *E.Live;
   if (!S.Broken || S.PinCount > 0)
     return;
-  assert(!S.FlushTimerArmed && !S.RetransTimerArmed && !S.AckTimerArmed &&
-         "broken stream left a timer armed");
+  assert(!Sim.pending(S.FlushTimer) && !Sim.pending(S.RetransTimer) &&
+         !Sim.pending(S.AckTimer) && "broken stream left a timer armed");
   assert(S.Slots.empty() && S.Window.empty() &&
          "broken stream retains calls");
-  RetiredSender T;
-  T.Inc = S.Inc;
-  T.IsFailure = S.BrokenIsFailure;
-  T.Reason = S.BreakReason;
-  T.ExceptionSinceMark = S.ExceptionSinceMark;
-  T.BreakSinceMark = S.BreakSinceMark;
-  T.BreakSinceMarkIsFailure = S.BreakSinceMarkIsFailure;
-  T.BreakSinceMarkReason = S.BreakSinceMarkReason;
-  Retired[K] = std::move(T);
-  // The stream goes; its (empty) shard stays warm for the next stream to
-  // this endpoint.
-  Sh->Streams.erase(It);
+  E.Tombstone = std::move(static_cast<StreamRecord &>(S));
+  E.Live.reset();
 }
 
 StreamTransport::IssueResult
@@ -596,19 +501,16 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
                            bool IsRpc, ReplyCallback OnReply,
                            sim::Time DeadlineAt) {
   if (Dead)
-    return {false, false, core::reasons::TransportShutDown};
+    return {false, core::reasons::TransportShutDown};
+  KeyedEntry &KE = entry({Agent, Remote, Group});
   // Circuit breaker: a tripped endpoint fails fast before any stream state
   // is touched — no seq consumed, no datagram sent, no promise blocks.
-  if (Cfg.BreakerThreshold > 0) {
-    SenderKey Key = senderKey(Agent, Remote, Group);
-    auto BIt = Breakers.find(Key);
-    if (BIt != Breakers.end() && BIt->second.State != 0) {
-      Counters.BreakerFastFails->inc();
-      armBreakerProbe(Key);
-      return {false, false, core::reasons::CircuitOpen};
-    }
+  if (KE.second.B.State != 0) {
+    Counters.BreakerFastFails->inc();
+    armBreakerProbe(KE);
+    return {false, core::reasons::CircuitOpen};
   }
-  SenderStream &S = getSender(Agent, Remote, Group);
+  SenderStream &S = getSender(KE);
   // Flow control: block (in issue order) until the in-flight window has
   // room. Only simulated processes can block; scheduler-context callers
   // (timers, tests poking the transport directly) bypass the limit. A
@@ -618,16 +520,10 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
       sim::Simulation::inProcess() && !S.Broken && windowFull(S)) {
     blockForWindow(S);
     if (Dead)
-      return {false, false, core::reasons::TransportShutDown};
+      return {false, core::reasons::TransportShutDown};
   }
-  if (S.Broken) {
-    if (!Cfg.AutoRestart) {
-      IssueResult R{false, S.BrokenIsFailure, S.BreakReason};
-      maybeRetireSender(senderKey(Agent, Remote, Group));
-      return R;
-    }
+  if (S.Broken)
     reincarnate(S);
-  }
   Seq Sq = S.NextSeq++;
   CallReq Req;
   Req.S = Sq;
@@ -662,7 +558,7 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
   } else {
     armSenderFlushTimer(S);
   }
-  return {true, false, {}, Sq, S.Inc};
+  return {true, {}, Sq, S.Inc};
 }
 
 bool StreamTransport::cancelCall(AgentId Agent, net::Address Remote,
@@ -700,10 +596,7 @@ void StreamTransport::transmitNewCalls(SenderStream &S, bool FlushReplies) {
   sendCallBatch(S, From, Through, FlushReplies, /*IsRetransmit=*/false);
   S.TransmittedThrough = Through;
   S.BufferedBytes = 0;
-  if (S.FlushTimerArmed) {
-    Sim.cancel(S.FlushTimer);
-    S.FlushTimerArmed = false;
-  }
+  Sim.cancel(S.FlushTimer);
   armSenderRetransTimer(S);
 }
 
@@ -735,11 +628,9 @@ void StreamTransport::sendCallBatch(SenderStream &S, Seq FromSeq,
 }
 
 void StreamTransport::armSenderFlushTimer(SenderStream &S) {
-  if (S.FlushTimerArmed || S.Broken)
+  if (Sim.pending(S.FlushTimer) || S.Broken)
     return;
-  S.FlushTimerArmed = true;
   S.FlushTimer = Sim.schedule(Cfg.FlushInterval, [this, &S] {
-    S.FlushTimerArmed = false;
     if (Dead || S.Broken)
       return;
     if (S.untransmittedCount() > 0)
@@ -773,19 +664,15 @@ void StreamTransport::retransmitWindow(SenderStream &S) {
 }
 
 void StreamTransport::armSenderRetransTimer(SenderStream &S) {
-  if (S.RetransTimerArmed || S.Broken || Dead)
+  if (Sim.pending(S.RetransTimer) || S.Broken || Dead)
     return;
-  S.RetransTimerArmed = true;
   sim::Time Base = S.CurrentRto ? S.CurrentRto : Cfg.RetransmitTimeout;
   sim::Time Delay = Base;
-  if (Cfg.RetransJitter > 0) {
-    auto Span = static_cast<uint64_t>(static_cast<double>(Base) *
-                                      Cfg.RetransJitter);
-    if (Span > 0)
-      Delay += static_cast<sim::Time>(RetransRng.below(Span + 1));
-  }
+  // A fixed 10% jitter (see StreamConfig::RetransmitTimeout).
+  auto Span = static_cast<uint64_t>(static_cast<double>(Base) * 0.1);
+  if (Span > 0)
+    Delay += static_cast<sim::Time>(RetransRng.below(Span + 1));
   S.RetransTimer = Sim.schedule(Delay, [this, &S] {
-    S.RetransTimerArmed = false;
     if (Dead || S.Broken)
       return;
     onSenderRetransTimer(S);
@@ -815,15 +702,14 @@ void StreamTransport::onSenderRetransTimer(SenderStream &S) {
   S.LastProgressFulfilled = S.FulfilledThrough;
   if (++S.Retries > Cfg.MaxRetries) {
     // The system "tried hard"; give up and break (paper, Section 2).
-    SenderKey Key = senderKey(S.Agent, S.Remote, S.Group);
-    Incarnation Inc = S.Inc;
+    KeyedEntry &KE = *findEntry({S.Agent, S.Remote, S.Group});
     breakSender(S, /*IsFailure=*/false, core::reasons::CannotCommunicate);
     // Only timeout breaks feed the circuit breaker: they are the
     // endpoint-unreachable signal. Receiver-reported breaks arrive in
     // reply batches, proving reachability.
     if (Cfg.BreakerThreshold > 0)
-      breakerOnTimeoutBreak(Key, Inc);
-    maybeRetireSender(Key);
+      breakerOnTimeoutBreak(KE);
+    maybeRetireSender(KE.second);
     return;
   }
   if (AwaitingAck) {
@@ -842,11 +728,9 @@ void StreamTransport::onSenderRetransTimer(SenderStream &S) {
 }
 
 void StreamTransport::armSenderAckTimer(SenderStream &S) {
-  if (S.AckTimerArmed || S.Broken || Dead)
+  if (Sim.pending(S.AckTimer) || S.Broken || Dead)
     return;
-  S.AckTimerArmed = true;
   S.AckTimer = Sim.schedule(Cfg.AckDelay, [this, &S] {
-    S.AckTimerArmed = false;
     if (Dead || S.Broken)
       return;
     if (S.LastAckSent < S.FulfilledThrough)
@@ -856,12 +740,14 @@ void StreamTransport::armSenderAckTimer(SenderStream &S) {
 
 void StreamTransport::handleReplyBatch(const net::Address &From,
                                        ReplyBatchMsg &M) {
+  KeyedEntry *KE = findEntry({M.Agent, From, M.Group});
+  if (!KE)
+    return;
   // Any reply batch proves the endpoint is reachable, so it closes an
   // open/half-open breaker — before the liveness checks below, because the
   // probed stream is typically broken or already retired to a tombstone.
-  if (Cfg.BreakerThreshold > 0)
-    breakerOnReply(senderKey(M.Agent, From, M.Group));
-  SenderStream *S = findSender(M.Agent, From, M.Group);
+  breakerOnReply(*KE);
+  SenderStream *S = KE->second.Live.get();
   if (!S || S->Broken || M.Inc != S->Inc)
     return;
 
@@ -897,11 +783,8 @@ void StreamTransport::handleReplyBatch(const net::Address &From,
   Seq Before = S->FulfilledThrough;
   fulfillInOrder(*S);
   if (M.Broken) {
-    AgentId Agent = S->Agent;
-    net::Address Remote = S->Remote;
-    GroupId Group = S->Group;
     breakSender(*S, M.BreakIsFailure, M.BreakReason);
-    maybeRetireSender(senderKey(Agent, Remote, Group));
+    maybeRetireSender(KE->second);
     return;
   }
   if (!M.Replies.empty() && !AnyNew) {
@@ -976,7 +859,7 @@ void StreamTransport::fulfillInOrder(SenderStream &S) {
       Cb(O);
   }
   if (Progress)
-    S.FulfillQ->notifyAll();
+    S.FulfillQ.notifyAll();
 }
 
 void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
@@ -1012,19 +895,10 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
   S.PendingReplies.clear();
   S.BufferedBytes = 0;
   S.WindowBytes = 0;
-  if (S.FlushTimerArmed) {
-    Sim.cancel(S.FlushTimer);
-    S.FlushTimerArmed = false;
-  }
-  if (S.RetransTimerArmed) {
-    Sim.cancel(S.RetransTimer);
-    S.RetransTimerArmed = false;
-  }
-  if (S.AckTimerArmed) {
-    Sim.cancel(S.AckTimer);
-    S.AckTimerArmed = false;
-  }
-  S.FulfillQ->notifyAll();
+  Sim.cancel(S.FlushTimer);
+  Sim.cancel(S.RetransTimer);
+  Sim.cancel(S.AckTimer);
+  S.FulfillQ.notifyAll();
   // Issuers blocked on window space observe the break and decide between
   // reincarnation and failure when they resume.
   S.WindowCv.notifyAll();
@@ -1072,8 +946,8 @@ SynchResult StreamTransport::synch(AgentId Agent, net::Address Remote,
                                    GroupId Group) {
   assert(sim::Simulation::inProcess() &&
          "synch must be called from a simulated process");
-  SenderKey Key = senderKey(Agent, Remote, Group);
-  SenderStream &S = getSender(Agent, Remote, Group);
+  KeyedEntry &KE = entry({Agent, Remote, Group});
+  SenderStream &S = getSender(KE);
   if (!S.Broken)
     transmitNewCalls(S, /*FlushReplies=*/true);
   {
@@ -1085,7 +959,7 @@ SynchResult StreamTransport::synch(AgentId Agent, net::Address Remote,
       ~Unpin() { --Count; }
     } U{S.PinCount};
     while (!S.Broken && !Dead && S.outstanding() > 0)
-      S.FulfillQ->wait();
+      S.FulfillQ.wait();
   }
   // A shutdown settled every outstanding call and set the break mark, so
   // a dead transport reports itself here.
@@ -1098,7 +972,7 @@ SynchResult StreamTransport::synch(AgentId Agent, net::Address Remote,
     Out.K = SynchResult::Kind::ExceptionReply;
   }
   S.resetMark();
-  maybeRetireSender(Key);
+  maybeRetireSender(KE.second);
   return Out;
 }
 
@@ -1106,7 +980,7 @@ void StreamTransport::restart(AgentId Agent, net::Address Remote,
                               GroupId Group) {
   if (Dead)
     return;
-  SenderStream &S = getSender(Agent, Remote, Group);
+  SenderStream &S = getSender(entry({Agent, Remote, Group}));
   if (!S.Broken)
     breakSender(S, /*IsFailure=*/false, core::reasons::StreamRestarted);
   reincarnate(S);
@@ -1114,32 +988,30 @@ void StreamTransport::restart(AgentId Agent, net::Address Remote,
 
 bool StreamTransport::isBroken(AgentId Agent, net::Address Remote,
                                GroupId Group) const {
-  if (SenderStream *S = findSender(Agent, Remote, Group))
-    return S->Broken;
-  return Retired.count(senderKey(Agent, Remote, Group)) != 0;
+  const KeyedEntry *KE = findEntry({Agent, Remote, Group});
+  if (!KE)
+    return false;
+  const SenderEntry &E = KE->second;
+  return E.Live ? E.Live->Broken : E.Tombstone.Broken;
 }
 
 size_t StreamTransport::armedTimerCount() const {
   size_t N = 0;
-  for (const auto &[Addr2, Sh] : SenderShards)
-    for (const auto &[SK, S] : Sh.Streams)
-      N += static_cast<size_t>(S->FlushTimerArmed) +
-           static_cast<size_t>(S->RetransTimerArmed) +
-           static_cast<size_t>(S->AckTimerArmed);
-  for (const auto &[Addr2, Sh] : ReceiverShards)
-    for (const auto &[SK, R] : Sh.Streams)
-      N += static_cast<size_t>(R->ReplyFlushTimerArmed) +
-           static_cast<size_t>(R->AckTimerArmed);
-  for (const auto &[K, B] : Breakers)
-    N += static_cast<size_t>(B.ProbeTimerArmed);
+  for (const auto &[K, E] : Senders) {
+    N += Sim.pending(E.B.ProbeTimer);
+    if (E.Live)
+      N += Sim.pending(E.Live->FlushTimer) + Sim.pending(E.Live->RetransTimer) +
+           Sim.pending(E.Live->AckTimer);
+  }
+  for (const auto &[K, R] : Receivers)
+    N += Sim.pending(R->ReplyFlushTimer) + Sim.pending(R->AckTimer);
   return N;
 }
 
 size_t StreamTransport::brokenSenderStreamCount() const {
   size_t N = 0;
-  for (const auto &[Addr2, Sh] : SenderShards)
-    for (const auto &[SK, S] : Sh.Streams)
-      N += static_cast<size_t>(S->Broken);
+  for (const auto &[K, E] : Senders)
+    N += E.Live && E.Live->Broken;
   return N;
 }
 
@@ -1153,10 +1025,8 @@ size_t StreamTransport::senderWindowSize(AgentId Agent, net::Address Remote,
 // Endpoint circuit breaker
 //===----------------------------------------------------------------------===//
 
-void StreamTransport::breakerOnTimeoutBreak(const SenderKey &K,
-                                            Incarnation Inc) {
-  Breaker &B = Breakers[K];
-  B.ProbeInc = Inc;
+void StreamTransport::breakerOnTimeoutBreak(KeyedEntry &KE) {
+  Breaker &B = KE.second.B;
   if (B.State != 0)
     return; // Already open; probes decide when to close.
   if (++B.Consecutive < Cfg.BreakerThreshold)
@@ -1165,60 +1035,44 @@ void StreamTransport::breakerOnTimeoutBreak(const SenderKey &K,
   Counters.BreakerOpens->inc();
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::BreakerOpen, Node,
-              std::get<0>(K), static_cast<uint64_t>(B.Consecutive), 0, {}});
-  armBreakerProbe(K);
+              std::get<0>(KE.first), static_cast<uint64_t>(B.Consecutive), 0,
+              {}});
+  armBreakerProbe(KE);
 }
 
-void StreamTransport::breakerOnReply(const SenderKey &K) {
-  auto It = Breakers.find(K);
-  if (It == Breakers.end())
-    return;
-  Breaker &B = It->second;
+void StreamTransport::breakerOnReply(KeyedEntry &KE) {
+  Breaker &B = KE.second.B;
   // Any reply batch — even a break notice — proves reachability: reset
   // the consecutive-timeout count, and close the breaker if tripped.
   B.Consecutive = 0;
   if (B.State == 0)
     return;
   B.State = 0;
-  if (B.ProbeTimerArmed) {
-    Sim.cancel(B.ProbeTimer);
-    B.ProbeTimerArmed = false;
-  }
+  Sim.cancel(B.ProbeTimer);
   Counters.BreakerCloses->inc();
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::BreakerClose, Node,
-              std::get<0>(K), 0, 0, {}});
+              std::get<0>(KE.first), 0, 0, {}});
 }
 
-void StreamTransport::armBreakerProbe(const SenderKey &K) {
-  auto It = Breakers.find(K);
-  if (It == Breakers.end() || It->second.ProbeTimerArmed || Dead)
+void StreamTransport::armBreakerProbe(KeyedEntry &KE) {
+  if (Sim.pending(KE.second.B.ProbeTimer) || Dead)
     return;
-  It->second.ProbeTimerArmed = true;
   // The timer fires exactly once (rearmed only by the next fail-fast), so
   // an unreachable endpoint cannot keep the event queue alive forever.
-  It->second.ProbeTimer =
-      Sim.schedule(Cfg.BreakerCooldown, [this, K] {
-        auto BIt = Breakers.find(K);
-        if (BIt == Breakers.end())
-          return;
-        BIt->second.ProbeTimerArmed = false;
-        if (Dead || BIt->second.State == 0)
-          return;
-        sendBreakerProbe(K, BIt->second);
-      });
+  KE.second.B.ProbeTimer = Sim.schedule(Cfg.BreakerCooldown, [this, &KE] {
+    if (Dead || KE.second.B.State == 0)
+      return;
+    sendBreakerProbe(KE);
+  });
 }
 
-void StreamTransport::sendBreakerProbe(const SenderKey &K, Breaker &B) {
-  // Probe at the newest incarnation this endpoint knows about so the
-  // receiver's stale-incarnation filter lets it through.
-  Incarnation Inc = B.ProbeInc;
-  if (SenderStream *S =
-          findSender(std::get<0>(K), std::get<1>(K), std::get<2>(K)))
-    Inc = S->Inc;
-  else if (auto RIt = Retired.find(K); RIt != Retired.end())
-    Inc = RIt->second.Inc;
-  B.State = 2; // Half-open: one probe in flight, any reply closes.
+void StreamTransport::sendBreakerProbe(KeyedEntry &KE) {
+  auto &[K, E] = KE;
+  // Probe at the stream's current incarnation so the receiver's
+  // stale-incarnation filter lets it through.
+  Incarnation Inc = E.Live ? E.Live->Inc : E.Tombstone.Inc;
+  E.B.State = 2; // Half-open: one probe in flight, any reply closes.
   Counters.BreakerProbes->inc();
   CallBatchHeader H{std::get<0>(K), std::get<2>(K), Inc, 0,
                     /*FlushReplies=*/true};
@@ -1228,14 +1082,14 @@ void StreamTransport::sendBreakerProbe(const SenderKey &K, Breaker &B) {
 
 int StreamTransport::breakerState(AgentId Agent, net::Address Remote,
                                   GroupId Group) const {
-  auto It = Breakers.find(senderKey(Agent, Remote, Group));
-  return It != Breakers.end() ? It->second.State : 0;
+  const KeyedEntry *KE = findEntry({Agent, Remote, Group});
+  return KE ? KE->second.B.State : 0;
 }
 
 size_t StreamTransport::openBreakerCount() const {
   size_t N = 0;
-  for (const auto &[K, B] : Breakers)
-    N += static_cast<size_t>(B.State != 0);
+  for (const auto &[K, E] : Senders)
+    N += E.B.State != 0;
   return N;
 }
 
@@ -1249,20 +1103,19 @@ Seq StreamTransport::outstandingCalls(AgentId Agent, net::Address Remote,
 // Receiver side
 //===----------------------------------------------------------------------===//
 
-StreamTransport::ReceiverStream &
-StreamTransport::getReceiver(const net::Address &From, const CallBatchMsg &M) {
-  auto &Slot = ReceiverShards[From].Streams[StreamKey{M.Agent, M.Group}];
+StreamTransport::ReceiverStream *
+StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
+  auto &Slot = Receivers[ReceiverKey{From, M.Agent, M.Group}];
   if (Slot && Slot->Inc == M.Inc)
-    return *Slot;
+    return Slot.get();
   if (Slot) {
+    if (M.Inc < Slot->Inc)
+      return nullptr; // A stale incarnation: drop before touching state.
     // A newer incarnation replaces the old one; the old stream is dead
     // (its completions will be dropped). Its timers capture the old
     // object, so cancel them before destroying it.
-    PROMISES_CHECK(M.Inc > Slot->Inc, "caller filters stale incarnations");
-    if (Slot->ReplyFlushTimerArmed)
-      Sim.cancel(Slot->ReplyFlushTimer);
-    if (Slot->AckTimerArmed)
-      Sim.cancel(Slot->AckTimer);
+    Sim.cancel(Slot->ReplyFlushTimer);
+    Sim.cancel(Slot->AckTimer);
     ReceiversByTag.erase(Slot->Tag);
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::StreamSuperseded, Node,
@@ -1278,18 +1131,15 @@ StreamTransport::getReceiver(const net::Address &From, const CallBatchMsg &M) {
   R->Inc = M.Inc;
   ReceiversByTag[R->Tag] = R.get();
   Slot = std::move(R);
-  return *Slot;
+  return Slot.get();
 }
 
 void StreamTransport::handleCallBatch(const net::Address &From,
                                       CallBatchMsg &M) {
-  // Filter stale incarnations before touching state.
-  if (ReceiverShard *Sh = findReceiverShard(From)) {
-    auto Existing = Sh->Streams.find(StreamKey{M.Agent, M.Group});
-    if (Existing != Sh->Streams.end() && M.Inc < Existing->second->Inc)
-      return;
-  }
-  ReceiverStream &R = getReceiver(From, M);
+  ReceiverStream *RP = receiverFor(From, M);
+  if (!RP)
+    return;
+  ReceiverStream &R = *RP;
 
   if (R.Broken) {
     // "Further calls on that stream will be discarded" — but keep telling
@@ -1387,11 +1237,8 @@ void CallCompletion::operator()(ReplyStatus St, uint32_t ExTag,
 
 void StreamTransport::handleCancel(const net::Address &From,
                                    const CancelMsg &M) {
-  ReceiverShard *Sh = findReceiverShard(From);
-  if (!Sh)
-    return;
-  auto It = Sh->Streams.find(StreamKey{M.Agent, M.Group});
-  if (It == Sh->Streams.end())
+  auto It = Receivers.find(ReceiverKey{From, M.Agent, M.Group});
+  if (It == Receivers.end())
     return;
   ReceiverStream &R = *It->second;
   if (R.Broken || R.Inc != M.Inc)
@@ -1497,14 +1344,8 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   R.LastSentCompleted = R.CompletedThrough;
   R.LastSentAck = R.NextExpected - 1;
   R.NeedAck = false;
-  if (R.ReplyFlushTimerArmed) {
-    Sim.cancel(R.ReplyFlushTimer);
-    R.ReplyFlushTimerArmed = false;
-  }
-  if (R.AckTimerArmed) {
-    Sim.cancel(R.AckTimer);
-    R.AckTimerArmed = false;
-  }
+  Sim.cancel(R.ReplyFlushTimer);
+  Sim.cancel(R.AckTimer);
   Counters.ReplyBatchesSent->inc();
   Counters.ReplyOccupancy->observe(static_cast<double>(Replies));
   if (Reg.enabled())
@@ -1514,26 +1355,20 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
 }
 
 void StreamTransport::armReplyFlushTimer(ReceiverStream &R) {
-  if (R.ReplyFlushTimerArmed || Dead)
+  if (Sim.pending(R.ReplyFlushTimer) || Dead)
     return;
-  R.ReplyFlushTimerArmed = true;
-  R.ReplyFlushTimer =
-      Sim.schedule(Cfg.ReplyFlushInterval, [this, &R] {
-        R.ReplyFlushTimerArmed = false;
-        if (Dead)
-          return;
-        if (R.CompletedThrough > R.LastSentCompleted ||
-            !R.UnackedReplies.empty())
-          sendReplyBatch(R);
-      });
+  R.ReplyFlushTimer = Sim.schedule(Cfg.ReplyFlushInterval, [this, &R] {
+    if (Dead)
+      return;
+    if (R.CompletedThrough > R.LastSentCompleted || !R.UnackedReplies.empty())
+      sendReplyBatch(R);
+  });
 }
 
 void StreamTransport::armReceiverAckTimer(ReceiverStream &R) {
-  if (R.AckTimerArmed || R.ReplyFlushTimerArmed || Dead)
+  if (Sim.pending(R.AckTimer) || Sim.pending(R.ReplyFlushTimer) || Dead)
     return;
-  R.AckTimerArmed = true;
   R.AckTimer = Sim.schedule(Cfg.AckDelay, [this, &R] {
-    R.AckTimerArmed = false;
     if (Dead)
       return;
     if (R.NextExpected - 1 > R.LastSentAck || R.NeedAck)

@@ -134,7 +134,12 @@ bool MetricsRegistry::enabledByEnvironment() {
 
 std::string MetricsRegistry::key(const std::string &Name,
                                  const MetricLabels &Labels) {
-  std::string K = Name;
+  size_t Size = Name.size() + 2;
+  for (const auto &[L, V] : Labels)
+    Size += L.size() + V.size() + 2;
+  std::string K;
+  K.reserve(Size);
+  K += Name;
   K.push_back('{');
   for (const auto &[L, V] : Labels) {
     K += L;

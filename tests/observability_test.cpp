@@ -568,7 +568,7 @@ TEST_F(WorldFixture, StreamConservationAcrossCrashBreak) {
 
   // Handlers killed by the crash must not linger in the executor tables:
   // the probe gauges read them, and at quiescence both drain to zero.
-  MetricLabels SL{{"guardian", "server"}, {"node", "0"}};
+  MetricLabels SL{{"guardian", "server"}, {"node", "0"}, {"epoch", "0"}};
   EXPECT_EQ(S.metrics().gauge("runtime.live_call_processes", SL).value(), 0.0);
   EXPECT_EQ(S.metrics().gauge("runtime.handler_queue_depth", SL).value(), 0.0);
 }
@@ -629,7 +629,7 @@ TEST_F(WorldFixture, FulfilledCallEmitsSpanWithLatency) {
   // The call-latency histogram observed the same span.
   Histogram &H = S.metrics().histogram(
       "stream.call_latency_us",
-      {{"node", "client"}, {"port", "1"}});
+      {{"node", "client"}, {"epoch", "0"}, {"port", "1"}});
   EXPECT_GE(H.count(), 1u);
   EXPECT_GT(H.mean(), 0.0);
 }
@@ -682,7 +682,7 @@ TEST_F(OrphanFixture, SupersededStreamEmitsOrphanDestroyed) {
   EXPECT_GE(countKind(R, EventKind::StreamRestart), 1u);
   EXPECT_EQ(S.metrics()
                 .counter("runtime.orphans_destroyed",
-                         {{"guardian", "s"}, {"node", "0"}})
+                         {{"guardian", "s"}, {"node", "0"}, {"epoch", "0"}})
                 .value(),
             1u);
 }
@@ -728,7 +728,7 @@ TEST_F(WorldFixture, DisabledRegistryKeepsCountersButNoEventsOrSamples) {
   EXPECT_TRUE(S.metrics().events().empty());                 // Gated.
   EXPECT_EQ(S.metrics()
                 .histogram("stream.call_latency_us",
-                           {{"node", "client"}, {"port", "1"}})
+                           {{"node", "client"}, {"epoch", "0"}, {"port", "1"}})
                 .count(),
             0u); // Gated.
 }

@@ -121,7 +121,7 @@ FlowResult runSaturating(const FlowParams &FP) {
   R.MaxObservedWindow =
       S.metrics()
           .histogram("stream.window_occupancy",
-                     {{"node", "client"}, {"port", "1"}})
+                     {{"node", "client"}, {"epoch", "0"}, {"port", "1"}})
           .max();
   return R;
 }

@@ -117,7 +117,6 @@ TEST_F(ResilienceFixture, RepeatedClaimAfterUnavailableIsStable) {
 }
 
 TEST_F(ResilienceFixture, SynchAfterShutdownReportsTransportShutDown) {
-  GC.Stream.AutoRestart = false;
   ClientGC = GC;
   build();
   SynchResult SR;
@@ -129,8 +128,8 @@ TEST_F(ResilienceFixture, SynchAfterShutdownReportsTransportShutDown) {
     Client->transport().shutdown();
     // The window cannot be vouched for: synch reports the shutdown.
     SR = H.synch();
-    // With AutoRestart off and the transport dead, further sends fail
-    // immediately with a born-ready promise.
+    // With the transport dead, further sends fail immediately with a
+    // born-ready promise.
     Late = H.send(int32_t(2));
   });
   S.run();

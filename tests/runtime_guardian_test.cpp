@@ -463,7 +463,6 @@ TEST_F(RuntimeFixture, SendReportsBornReadyFailureExactlyOnce) {
   // claimed once and surfaced as the returned Exn.
   GC.Stream.RetransmitTimeout = msec(5);
   GC.Stream.MaxRetries = 1;
-  GC.Stream.AutoRestart = false;
   build();
   std::optional<core::Exn> First, Second;
   SynchResult SR;
@@ -474,8 +473,9 @@ TEST_F(RuntimeFixture, SendReportsBornReadyFailureExactlyOnce) {
     // reports nothing locally (the break surfaces at synch).
     First = H.send(std::string("one"));
     SR = H.synch(); // Blocks until the retransmit timer breaks the stream.
-    // With AutoRestart off the broken stream cannot reincarnate, so this
-    // send fails immediately with a born-ready promise.
+    // On a shut-down transport this send fails immediately with a
+    // born-ready promise.
+    Client->transport().shutdown();
     Second = H.send(std::string("two"));
   });
   S.run();
@@ -484,6 +484,39 @@ TEST_F(RuntimeFixture, SendReportsBornReadyFailureExactlyOnce) {
   ASSERT_TRUE(Second.has_value());
   EXPECT_EQ(Second->Name, "unavailable");
   EXPECT_TRUE(ExecLog.empty()); // The server never ran either note.
+}
+
+TEST_F(RuntimeFixture, RestartedGuardianCountsOnlyItsOwnCalls) {
+  // A guardian rebuilt on a restarted node, under the same name, must not
+  // inherit the counter cells of the incarnation that died there.
+  build();
+  Client->spawnProcess("driver", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), Note);
+    for (int I = 0; I != 5; ++I)
+      H.send(std::string("old"));
+    EXPECT_TRUE(H.synch().ok());
+  });
+  S.run();
+  ASSERT_EQ(Server->callsExecuted(), 5u);
+
+  Net->crash(SN);
+  Net->restart(SN);
+  Guardian Fresh(*Net, SN, "server", GC);
+  EXPECT_EQ(Fresh.callsExecuted(), 0u);
+  EXPECT_EQ(Fresh.transport().counters().CallsDelivered, 0u);
+
+  auto FreshNote = Fresh.addHandler<wire::Unit(std::string)>(
+      "note", [](std::string) -> Outcome<wire::Unit> { return wire::Unit{}; });
+  Client->spawnProcess("driver2", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), FreshNote);
+    for (int I = 0; I != 2; ++I)
+      H.send(std::string("new"));
+    EXPECT_TRUE(H.synch().ok());
+  });
+  S.run();
+  EXPECT_EQ(Fresh.callsExecuted(), 2u);
+  EXPECT_EQ(Fresh.transport().counters().CallsDelivered, 2u);
+  EXPECT_EQ(Server->callsExecuted(), 5u);
 }
 
 TEST_F(RuntimeFixture, HandlerRefCodecRoundTrips) {

@@ -282,8 +282,9 @@ TEST_F(Fixture, RetransmitBatchesRespectConfiguredLimits) {
   EXPECT_FALSE(Client->isBroken(A, Server->address(), 1));
   EXPECT_GE(Client->counters().Retransmissions, 1u);
   EXPECT_GT(Client->counters().RetransmittedBytes, 0u);
-  Histogram &H = S.metrics().histogram("stream.retransmit_batch",
-                                       {{"node", "client"}, {"port", "1"}});
+  Histogram &H = S.metrics().histogram(
+      "stream.retransmit_batch",
+      {{"node", "client"}, {"epoch", "0"}, {"port", "1"}});
   ASSERT_GE(H.count(), 2u); // The window needed several chunks.
   EXPECT_LE(H.max(), 4.0);
 }
@@ -321,7 +322,7 @@ TEST_F(Fixture, FullyBrokenStreamsRetireAndResurrectOnReuse) {
   const StreamCounters C = Client->counters();
   EXPECT_EQ(C.CallsIssued, C.CallsFulfilled + C.CallsBroken);
 
-  // Reuse after healing: the tombstone resurrects, AutoRestart
+  // Reuse after healing: the tombstone resurrects, the next call
   // reincarnates past the dead incarnation, and calls flow again.
   Net->setPartitioned(CN, SN, false);
   int Got = 0;

@@ -452,23 +452,74 @@ TEST_F(StreamFixture, BrokenStreamAutoRestartsOnNextCall) {
   EXPECT_EQ(Out2[0].K, ReplyOutcome::Kind::Normal);
 }
 
-TEST_F(StreamFixture, AutoRestartOffFailsImmediately) {
-  SC.AutoRestart = false;
-  SC.RetransmitTimeout = msec(10);
-  SC.MaxRetries = 2;
+TEST_F(StreamFixture, RestartedNodeTransportCountsOnlyItsOwnTraffic) {
+  // A restarted node rebinds the same port numbers; its new transport
+  // must not inherit the counter cells of the one that died there.
   build();
   AgentId A = Client->newAgent();
   std::vector<ReplyOutcome> Out;
-  Net->crash(SN);
-  call(A, EchoPort, 1, Out);
-  Client->flush(A, Server->address(), 1);
+  for (uint32_t I = 0; I != 5; ++I)
+    call(A, EchoPort, I, Out);
   S.run();
-  ASSERT_EQ(Out.size(), 1u);
-  auto R = Client->issueCall(A, Server->address(), 1, EchoPort, bytesOf(2),
-                             false, false, [](const ReplyOutcome &) {});
-  EXPECT_FALSE(R.Issued);
-  EXPECT_FALSE(R.IsFailure); // Unavailable, not failure.
-  EXPECT_FALSE(R.Reason.empty());
+  ASSERT_EQ(Out.size(), 5u);
+  EXPECT_EQ(Server->counters().CallsDelivered, 5u);
+
+  Net->crash(SN);
+  Net->restart(SN);
+  Server = std::make_unique<StreamTransport>(*Net, SN, SC);
+  ASSERT_EQ(Server->address().Port, 1u); // The port number came back.
+  EXPECT_EQ(Server->counters().CallsDelivered, 0u);
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 0u);
+
+  Server->setCallSink([](IncomingCall IC) {
+    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+  });
+  std::vector<ReplyOutcome> Out2;
+  for (uint32_t I = 0; I != 2; ++I)
+    call(A, EchoPort, I, Out2);
+  S.run();
+  ASSERT_EQ(Out2.size(), 2u);
+  EXPECT_EQ(Server->counters().CallsDelivered, 2u);
+}
+
+TEST_F(StreamFixture, ShutdownSettlesStreamsInAgentRemoteGroupOrder) {
+  // shutdown() settles the outstanding calls stream by stream in
+  // (agent, remote, group) order, and in call order within a stream,
+  // whatever order the streams were opened in.
+  build();
+  auto Server2 = std::make_unique<StreamTransport>(
+      *Net, Net->addNode("server2"), SC);
+  std::vector<IncomingCall> Held; // Never completed.
+  for (StreamTransport *T : {Server.get(), Server2.get()})
+    T->setCallSink([&Held](IncomingCall IC) { Held.push_back(std::move(IC)); });
+  AgentId Agents[2] = {Client->newAgent(), Client->newAgent()};
+  net::Address Remotes[2] = {Server->address(), Server2->address()};
+  ASSERT_LT(Agents[0], Agents[1]);
+  ASSERT_LT(Remotes[0], Remotes[1]);
+
+  // Stream K = (agent K/4, remote K/2%2, group K%2 + 1) in key order;
+  // each gets two calls, tagged 10*K and 10*K + 1, issued out of order.
+  std::vector<uint32_t> Settled;
+  for (uint32_t Round = 0; Round != 2; ++Round)
+    for (uint32_t K : {5u, 2u, 7u, 0u, 3u, 6u, 1u, 4u}) {
+      uint32_t Tag = 10 * K + Round;
+      auto R = Client->issueCall(
+          Agents[K / 4], Remotes[K / 2 % 2], K % 2 + 1, EchoPort,
+          bytesOf(Tag), false, false, [&Settled, Tag](const ReplyOutcome &O) {
+            EXPECT_EQ(O.K, ReplyOutcome::Kind::Unavailable);
+            Settled.push_back(Tag);
+          });
+      ASSERT_TRUE(R.Issued);
+    }
+  S.runFor(msec(5)); // Delivered and held; no retransmit timer fired.
+  ASSERT_EQ(Held.size(), 16u);
+  ASSERT_TRUE(Settled.empty());
+
+  Client->shutdown();
+  std::vector<uint32_t> Expected;
+  for (uint32_t K = 0; K != 8; ++K)
+    Expected.insert(Expected.end(), {10 * K, 10 * K + 1});
+  EXPECT_EQ(Settled, Expected);
 }
 
 TEST_F(StreamFixture, ReceiverSideBreakIsSynchronous) {
@@ -521,7 +572,7 @@ TEST_F(StreamFixture, CallsAfterReceiverBreakAreDiscarded) {
   call(A, EchoPort, 3, Out);
   Client->flush(A, Server->address(), 1);
   S.run();
-  // Note: AutoRestart reincarnates on the first new call, so the calls DO
+  // Note: the first new call reincarnates the stream, so the calls DO
   // go through on a new stream (fresh tag). The *old* stream saw no new
   // delivery.
   int OldStreamDeliveries = 0;

@@ -116,7 +116,9 @@ OutcomeTally runWorkload(Simulation &S, net::Network &Net, net::NodeId SN,
   T.ServerExecuted =
       S.metrics()
           .counter("runtime.calls_executed",
-                   {{"guardian", "server"}, {"node", std::to_string(SN)}})
+                   {{"guardian", "server"},
+                    {"node", std::to_string(SN)},
+                    {"epoch", "0"}})
           .value();
   T.Corrupted = Net.counters().DatagramsCorrupted;
   T.Malformed = Server->transport().counters().MalformedDropped +
