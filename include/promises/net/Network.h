@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The datagram network seam (docs/NETWORK.md). `Network` is the abstract
+/// The datagram network seam (docs/NETWORK.md). `Network` is the
 /// unreliable-datagram service every layer above (StreamTransport,
-/// Guardian, the send/receive baseline) is written against; two backends
-/// implement it:
+/// Guardian, the send/receive baseline) is written against. It owns the
+/// node lifecycle and the bindings once; two backends supply how a
+/// datagram travels:
 ///
 ///  * `SimNetwork` (this file) — the deterministic in-process simulator
 ///    with the cost model that drives the paper's performance claims:
@@ -43,6 +44,7 @@
 #include "promises/support/Rng.h"
 #include "promises/wire/Codec.h"
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -98,7 +100,6 @@ struct NetConfig {
   double DupRate = 0.0;
   sim::Time JitterMax = 0; ///< Uniform extra delay; >0 permits reordering.
   double CorruptRate = 0.0;   ///< Per-copy probability of in-flight bit flips.
-  uint32_t CorruptMaxBits = 8; ///< Bits flipped per corruption: 1..this.
   double ReorderRate = 0.0;   ///< Per-copy probability of bounded extra delay.
   sim::Time ReorderMax = 0;   ///< Extra delay drawn uniformly from [0, this].
   uint64_t Seed = 1;
@@ -107,7 +108,8 @@ struct NetConfig {
 /// Message and byte counters, per node and network-wide. A thin value view
 /// assembled from the registry-backed cells (see support/Metrics.h); at
 /// quiescence DatagramsSent + DatagramsDuplicated ==
-/// DatagramsDelivered + DatagramsDropped.
+/// DatagramsDelivered + DatagramsDropped, network-wide. Per node, a send
+/// counts on the sender and a delivery or drop on the addressed node.
 struct NetCounters {
   uint64_t DatagramsSent = 0;       ///< send() calls (copies not counted).
   uint64_t DatagramsDelivered = 0;
@@ -117,8 +119,11 @@ struct NetCounters {
   uint64_t BytesSent = 0;           ///< Includes per-datagram header bytes.
 };
 
-/// The abstract unreliable-datagram backend (docs/NETWORK.md). Owns node
-/// state; endpoints are bound to callbacks that run in scheduler context
+/// The unreliable-datagram network (docs/NETWORK.md). The core owns what
+/// every backend shares: the node table (name, up, epoch, port
+/// allocation, crash observers, counters), the bound handlers, the crash
+/// and restart lifecycle, and delivery into a handler. A backend supplies
+/// send(): how a datagram travels. Handlers run in scheduler context
 /// (they must not block — hand off to processes via wait queues instead).
 ///
 /// The contract every backend provides: datagrams are delivered at most
@@ -128,25 +133,24 @@ struct NetCounters {
 class Network {
 public:
   virtual ~Network();
-  Network() = default;
   Network(const Network &) = delete;
   Network &operator=(const Network &) = delete;
 
   /// The simulation this network delivers into (also its timer source).
-  virtual sim::Simulation &simulation() = 0;
+  sim::Simulation &simulation() const { return Sim; }
 
   /// Creates a new node, initially up. Backends may restrict which nodes
   /// are local (bindable) — see UdpNetwork.
-  virtual NodeId addNode(std::string Name) = 0;
+  NodeId addNode(std::string Name);
 
   /// Name given to addNode.
-  virtual const std::string &nodeName(NodeId N) const = 0;
+  const std::string &nodeName(NodeId N) const { return node(N).Name; }
 
   /// Binds a fresh port on \p N to \p Handler and returns its address.
-  virtual Address bind(NodeId N, std::function<void(Datagram)> Handler) = 0;
+  Address bind(NodeId N, std::function<void(Datagram)> Handler);
 
   /// Removes a binding; datagrams to it are counted as dropped.
-  virtual void unbind(Address A) = 0;
+  void unbind(Address A);
 
   /// Sends \p Payload from \p From to \p To. Callable from process or
   /// scheduler context; never blocks (costs are modeled as resource
@@ -155,30 +159,37 @@ public:
 
   /// Takes a node down: all its bindings are removed, in-flight traffic to
   /// and from it is dropped, and crash observers fire.
-  virtual void crash(NodeId N) = 0;
+  void crash(NodeId N);
 
   /// Brings a crashed node back up (with no bindings). The node enters a
   /// new epoch and port numbering restarts from 1, so addresses bound
   /// before the crash are permanently dead even if their port numbers are
   /// reused by the new incarnation.
-  virtual void restart(NodeId N) = 0;
+  void restart(NodeId N);
 
-  virtual bool isUp(NodeId N) const = 0;
+  bool isUp(NodeId N) const { return node(N).Up; }
 
   /// Current incarnation of \p N (0 until the first restart).
-  virtual uint32_t nodeEpoch(NodeId N) const = 0;
+  uint32_t nodeEpoch(NodeId N) const { return node(N).Epoch; }
 
   /// Registers a callback to run (in scheduler context) when \p N crashes.
-  virtual void onCrash(NodeId N, std::function<void()> Cb) = 0;
+  /// Observers fire once: a restarted node registers afresh.
+  void onCrash(NodeId N, std::function<void()> Cb);
 
   /// Network-wide and per-node counter snapshots (thin views of the
   /// registry cells; see simulation().metrics() for the registry itself).
-  virtual NetCounters counters() const = 0;
-  virtual NetCounters counters(NodeId N) const = 0;
+  NetCounters counters() const { return Totals.view(); }
+  NetCounters counters(NodeId N) const { return node(N).Counters.view(); }
+
+  /// Datagrams dropped because they addressed a previous node epoch
+  /// (stale traffic from before a crash/restart). Also counted in
+  /// DatagramsDropped.
+  uint64_t staleEpochDrops() const { return StaleDrops->value(); }
 
 protected:
-  /// Registry-backed counter cells behind one NetCounters view; shared by
-  /// the backends so both report under the same metric names.
+  explicit Network(sim::Simulation &S);
+
+  /// Registry-backed counter cells behind one NetCounters view.
   struct CounterCells {
     Counter *Sent = nullptr;
     Counter *Delivered = nullptr;
@@ -192,9 +203,55 @@ protected:
     }
   };
 
+  struct Node {
+    std::string Name;
+    bool Up = true;
+    uint32_t Epoch = 0;
+    uint32_t NextPort = 1;
+    CounterCells Counters;
+    std::vector<std::function<void()>> CrashObservers;
+  };
+
+  Node &node(NodeId N) {
+    assert(N < Nodes.size() && "unknown node");
+    return Nodes[N];
+  }
+  const Node &node(NodeId N) const {
+    assert(N < Nodes.size() && "unknown node");
+    return Nodes[N];
+  }
+
+  /// Counts one send of \p WireBytes on \p From and network-wide.
+  void countSend(NodeId From, uint64_t WireBytes);
+
+  /// Counts one dropped copy on the node it was addressed to and
+  /// network-wide.
+  void countDrop(NodeId To);
+
+  /// Hands \p D to the handler bound at D.To, or drops it (counted) when
+  /// that node is down, D.To names a previous epoch, or nothing is bound
+  /// there. Returns whether the handler ran.
+  bool deliver(Datagram D);
+
+  /// Lifecycle hooks, no-ops by default. onBind runs before the handler is
+  /// installed; onUnbind after a binding is removed, by unbind or crash;
+  /// onRestart once the node is back up in its new epoch.
+  virtual void onBind(Address) {}
+  virtual void onUnbind(Address) {}
+  virtual void onRestart(NodeId) {}
+
+  sim::Simulation &Sim;
+  MetricsRegistry &Reg;
+  CounterCells Totals;
+
+private:
   /// Binds the six cells against \p Reg under the standard net.* names.
   static void registerCells(MetricsRegistry &Reg, CounterCells &C,
                             MetricLabels Labels);
+
+  std::vector<Node> Nodes;
+  std::map<Address, std::function<void(Datagram)>> Binds;
+  Counter *StaleDrops = nullptr;
 };
 
 /// The simulated backend: deterministic virtual-time delivery with the
@@ -203,24 +260,11 @@ class SimNetwork final : public Network {
 public:
   SimNetwork(sim::Simulation &S, NetConfig C = NetConfig());
 
-  sim::Simulation &simulation() override { return Sim; }
-  const NetConfig &config() const { return Cfg; }
-
-  NodeId addNode(std::string Name) override;
-  const std::string &nodeName(NodeId N) const override;
-  Address bind(NodeId N, std::function<void(Datagram)> Handler) override;
-  void unbind(Address A) override;
-
   /// Sends \p Payload from \p From to \p To, applying the cost model and
   /// fault processes.
   void send(Address From, Address To, wire::Bytes Payload) override;
 
   /// --- Faults ---
-
-  void crash(NodeId N) override;
-  void restart(NodeId N) override;
-  bool isUp(NodeId N) const override;
-  uint32_t nodeEpoch(NodeId N) const override;
 
   /// Cuts or heals the (symmetric) link between two nodes.
   void setPartitioned(NodeId A, NodeId B, bool Cut);
@@ -230,12 +274,10 @@ public:
   /// Overrides the global loss rate on the (symmetric) link A<->B.
   void setLinkLoss(NodeId A, NodeId B, double Rate);
 
-  void onCrash(NodeId N, std::function<void()> Cb) override;
-
   /// Adjusts the byte-damage rate at runtime (chaos bursts). A corrupted
-  /// copy has 1..CorruptMaxBits of its payload bits flipped in flight; it
-  /// still *arrives* (and counts as delivered) — detection is the
-  /// transport's job via frame checksums (wire/Frame.h).
+  /// copy has 1..8 of its payload bits flipped in flight; it still
+  /// *arrives* (and counts as delivered) — detection is the transport's
+  /// job via frame checksums (wire/Frame.h).
   void setCorruptRate(double Rate) { Cfg.CorruptRate = Rate; }
 
   /// Adjusts the duplication rate at runtime.
@@ -250,28 +292,18 @@ public:
 
   /// --- Introspection ---
 
-  NetCounters counters() const override;
-  NetCounters counters(NodeId N) const override;
-
   /// Virtual time at which a node's transmit path becomes free; the
   /// transmit backlog is max(0, txFreeAt - now).
-  sim::Time txFreeAt(NodeId N) const;
-
-  /// Datagrams dropped because they addressed a previous node epoch
-  /// (stale traffic from before a crash/restart). Also counted in
-  /// DatagramsDropped.
-  uint64_t staleEpochDrops() const;
+  sim::Time txFreeAt(NodeId N) const {
+    return N < Paths.size() ? Paths[N].TxFreeAt : 0;
+  }
 
 private:
-  struct Node {
-    std::string Name;
-    bool Up = true;
+  /// A node's transmit and receive paths: serial resources, each free
+  /// again at the recorded virtual time.
+  struct NodePaths {
     sim::Time TxFreeAt = 0;
     sim::Time RxFreeAt = 0;
-    uint32_t Epoch = 0;
-    uint32_t NextPort = 1;
-    CounterCells Counters;
-    std::vector<std::function<void()>> CrashObservers;
   };
 
   /// Per-directed-link observability, created lazily while enabled.
@@ -294,29 +326,26 @@ private:
   // One cache line: two addresses, the payload vector and the send time.
   static_assert(sizeof(InFlight) <= 64, "in-flight datagram record grew");
 
-  Node &node(NodeId N);
-  const Node &node(NodeId N) const;
+  /// The new incarnation's transmit and receive paths start idle.
+  void onRestart(NodeId N) override;
+
+  NodePaths &paths(NodeId N);
   double lossBetween(NodeId A, NodeId B) const;
   LinkStats &linkStats(NodeId From, NodeId To);
-  void countDrop(NodeId From, NodeId To);
+  void dropOnLink(NodeId From, NodeId To);
   /// Parks \p D in a pooled slot and returns the slot's index.
   uint32_t park(Datagram D, sim::Time SentAt);
   /// Moves the datagram out of \p Slot and returns the slot to the pool.
   Datagram unpark(uint32_t Slot);
   void arrive(uint32_t Slot);
-  void deliver(uint32_t Slot);
+  void land(uint32_t Slot);
 
-  sim::Simulation &Sim;
-  MetricsRegistry &Reg;
   NetConfig Cfg;
   Rng Rand;
-  std::vector<Node> Nodes;
-  std::map<Address, std::function<void(Datagram)>> Binds;
+  std::vector<NodePaths> Paths; ///< By node; grown on first use.
   std::set<std::pair<NodeId, NodeId>> Partitions;
   std::map<std::pair<NodeId, NodeId>, double> LinkLoss;
   std::map<std::pair<NodeId, NodeId>, LinkStats> Links;
-  CounterCells Totals;
-  Counter *StaleDrops = nullptr;
   std::vector<InFlight> Flights;
   uint32_t FreeFlight = UINT32_MAX; ///< Head of the free-slot list.
 };

@@ -43,35 +43,11 @@
 #include "promises/net/Network.h"
 #include "promises/sim/Clock.h"
 
-#include <deque>
 #include <memory>
 #include <poll.h>
 #include <unordered_map>
 
 namespace promises::net {
-
-/// Socket-level configuration for the UDP backend.
-struct UdpConfig {
-  /// Local address every socket binds to. Loopback by default: the smoke
-  /// and bench setups are single-machine; point it at a real interface
-  /// for cross-host runs.
-  std::string BindIp = "127.0.0.1";
-
-  /// Promises ports a node may occupy: node base + PortSpan bounds the
-  /// udp range attributed to it when reverse-mapping datagram sources.
-  uint16_t PortSpan = 256;
-
-  /// Receive buffer size — also the largest datagram accepted. Frames
-  /// are far smaller (MaxBatchBytes), so 64 KiB is generous.
-  size_t MaxDatagramBytes = 64 * 1024;
-
-  /// Per-socket cap on datagrams parked after EAGAIN/ENOBUFS; overflow
-  /// is dropped (and counted) like any other loss.
-  size_t MaxSendQueue = 4096;
-
-  /// SO_SNDBUF/SO_RCVBUF request per socket (0 = kernel default).
-  int SocketBufferBytes = 1 << 20;
-};
 
 /// The measurement-plane backend: real UDP sockets, real time.
 ///
@@ -79,20 +55,21 @@ struct UdpConfig {
 /// (destruction removes it), flipping run()/runFor() into real-time mode
 /// — see sim/Clock.h for the loop contract. Bound handlers are dispatched
 /// from inside waitFor(), i.e. in scheduler context, exactly like the
-/// simulated backend's delivery events.
+/// simulated backend's delivery events. Every bound address opens a
+/// socket on \p BindIp, a deployment address: loopback by default, since
+/// the smoke and bench setups are single-machine; point it at a real
+/// interface for cross-host runs.
 class UdpNetwork final : public Network, public sim::ClockDriver {
 public:
-  UdpNetwork(sim::Simulation &S, UdpConfig C = UdpConfig());
+  explicit UdpNetwork(sim::Simulation &S,
+                      const std::string &BindIp = "127.0.0.1");
   ~UdpNetwork() override;
-
-  sim::Simulation &simulation() override { return Sim; }
-  const UdpConfig &config() const { return Cfg; }
 
   /// Creates a local node whose sockets bind kernel-assigned ephemeral
   /// ports. Only addressable from within this process (the reverse map is
   /// this instance's socket table), which is all single-process loopback
   /// runs — parity tests, bench_netpath — need.
-  NodeId addNode(std::string Name) override;
+  using Network::addNode;
 
   /// Creates a local node with a deterministic udp port block: promises
   /// port P binds udp `Base + P`. Required for cross-process runs, where
@@ -101,25 +78,11 @@ public:
 
   /// Registers a node that lives in another process at (\p Ip, \p Base).
   /// It cannot be bound here; it is a send target and a recognized
-  /// datagram source.
+  /// datagram source. Crashing it only marks it down locally (sends
+  /// drop); the remote process's actual life is its own.
   NodeId addRemoteNode(std::string Name, std::string Ip, uint16_t Base);
 
-  const std::string &nodeName(NodeId N) const override;
-  Address bind(NodeId N, std::function<void(Datagram)> Handler) override;
-  void unbind(Address A) override;
   void send(Address From, Address To, wire::Bytes Payload) override;
-
-  /// Closes every socket of a local node and fires crash observers. For a
-  /// remote node it only marks the node down locally (sends drop); the
-  /// remote process's actual life is its own.
-  void crash(NodeId N) override;
-  void restart(NodeId N) override;
-  bool isUp(NodeId N) const override;
-  uint32_t nodeEpoch(NodeId N) const override;
-  void onCrash(NodeId N, std::function<void()> Cb) override;
-
-  NetCounters counters() const override;
-  NetCounters counters(NodeId N) const override;
 
   /// Datagrams from udp sources no local or remote node accounts for.
   uint64_t unknownSourceDrops() const;
@@ -137,36 +100,43 @@ public:
 
 private:
   struct Endpoint; // One bound promises port = one socket.
-  struct NodeRec;
 
-  NodeRec &node(NodeId N);
-  const NodeRec &node(NodeId N) const;
-  NodeId addNodeRec(std::string Name, bool Local, uint16_t Base,
-                    uint32_t RemoteIp);
+  /// Where a node's promises ports live in udp space. Nodes added through
+  /// the plain addNode have no entry: local, on kernel-assigned ports.
+  struct UdpPlace {
+    uint16_t Base = 0;     ///< udp base port; 0 = kernel-assigned (local).
+    bool Remote = false;
+    uint32_t RemoteIp = 0; ///< Network byte order; remote nodes only.
+  };
+
+  /// Opens the socket behind a freshly bound address.
+  void onBind(Address A) override;
+  /// Closes the socket behind a removed binding.
+  void onUnbind(Address A) override;
+
+  const UdpPlace &place(NodeId N) const;
+  NodeId addPlacedNode(std::string Name, UdpPlace P);
   /// Resolves a datagram source (ip, udp port) to a promises address;
   /// false when no node accounts for it.
   bool mapSource(uint32_t Ip, uint16_t Port, Address &Out) const;
-  void closeEndpoint(Endpoint &E);
   /// Receives everything pending on the socket, dispatching handlers. By
   /// fd so a handler that unbinds endpoints mid-dispatch can't dangle us.
   void drainRecv(int Fd);
   void drainSendQueue(Endpoint &E);
   void rebuildPollSet();
 
-  sim::Simulation &Sim;
-  MetricsRegistry &Reg;
-  UdpConfig Cfg;
+  uint32_t BindAddr; ///< The bind address, network byte order.
   sim::MonotonicClock Wall;
-  std::vector<NodeRec> Nodes;
-  /// Owning endpoint table by promises address. unique_ptr: endpoints are
+  std::vector<UdpPlace> Places; ///< By node; shorter when trailing nodes
+                                ///< are plain local ones.
+  /// Owning socket table by promises address. unique_ptr: endpoints are
   /// pointed into by the udp reverse map and the poll set.
-  std::map<Address, std::unique_ptr<Endpoint>> Binds;
+  std::map<Address, std::unique_ptr<Endpoint>> Sockets;
   /// Local reverse map: (ip << 16 | udp port) -> endpoint.
   std::unordered_map<uint64_t, Endpoint *> ByUdp;
   std::unordered_map<int, Endpoint *> ByFd; ///< Socket fd -> endpoint.
-  std::vector<pollfd> Pfds; ///< Rebuilt from Binds each waitFor.
+  std::vector<pollfd> Pfds; ///< Rebuilt from Sockets each waitFor.
   std::vector<uint8_t> RecvBuf;
-  CounterCells Totals;
   Counter *UnknownSource = nullptr; ///< net.udp_unknown_source_dropped.
   Counter *QueueDrops = nullptr;    ///< net.udp_send_queue_drops.
 };

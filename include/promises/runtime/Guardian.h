@@ -261,21 +261,16 @@ public:
 
 private:
   struct ExecDomain {
-    stream::Seq DoneThrough = 0;
     /// Whether this stream's group runs calls in parallel (no execution
-    /// gate). Parallel domains never advance DoneThrough, so recording
-    /// shed/cancelled seqs in Aborted would accumulate forever — the
-    /// settle-the-seq bookkeeping is skipped for them.
+    /// gate).
     bool Parallel = false;
     /// One wait queue per blocked call, so a completion wakes exactly its
     /// successor (not the whole herd).
     std::map<stream::Seq, std::unique_ptr<sim::WaitQueue>> Waiting;
-    /// Live call executions, for orphan destruction when the stream dies.
+    /// Live call executions, executing or gated, in seq order: a serial
+    /// stream's first entry is the one call allowed to run. Also the
+    /// orphans to destroy when the stream dies.
     std::map<stream::Seq, sim::ProcessHandle> Running;
-    /// Seqs whose processes were cancelled before completing: they can no
-    /// longer advance DoneThrough themselves, so advanceDomain() skips
-    /// over them to unblock successors.
-    std::set<stream::Seq> Aborted;
   };
 
   void onStreamDead(uint64_t Tag);
@@ -283,9 +278,8 @@ private:
   void onIncomingCall(stream::IncomingCall IC);
   void runCall(stream::IncomingCall &IC);
   ExecDomain &domain(uint64_t Tag);
-  /// Advances DoneThrough over contiguously aborted seqs and wakes the
-  /// next gated call, if any.
-  void advanceDomain(ExecDomain &D);
+  /// Wakes a serial domain's first live call if it is gated.
+  void wakeFirst(ExecDomain &D);
   /// Transport cancel hook: kills the call process for (Tag, Sq) if it is
   /// still running, and unblocks its successors.
   void cancelCall(uint64_t Tag, stream::Seq Sq);
@@ -295,7 +289,7 @@ private:
   MetricLabels labels() const;
 
   net::Network &Net;
-  /// Cached from Net at construction (Network::simulation() is virtual).
+  /// Cached from Net at construction, saving an indirection per use.
   sim::Simulation &Sim;
   net::NodeId Node;
   std::string Name;

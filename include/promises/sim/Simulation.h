@@ -220,7 +220,6 @@ private:
   bool Wounded = false;
   bool KillPending = false;
   bool Unwinding = false;      ///< ProcessKilled currently propagating.
-  bool HasTimeoutEvent = false;
   int CriticalDepth = 0;
   WaitQueue *WaitingOn = nullptr;
   Process *WaitPrev = nullptr; ///< Intrusive links within WaitingOn.
@@ -230,8 +229,9 @@ private:
   uint64_t ReadySeq = 0;        ///< wake, merged against timed events.
   uint64_t WaitEpoch = 0;    ///< Incremented on every wait; guards stale
                              ///< timeout events.
-  uint64_t TimeoutEvent = 0; ///< Pending waitFor timeout; cancelled on any
-                             ///< wake so it cannot advance the clock.
+  uint64_t TimeoutEvent = NoEvent; ///< Last waitFor timeout; cancelled on
+                                   ///< any wake so it cannot advance the
+                                   ///< clock (a no-op once it ran).
 
   WaitQueue JoinQ;  ///< Waiters in Simulation::join.
   WaitQueue SleepQ; ///< Private queue backing sleep().

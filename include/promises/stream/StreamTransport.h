@@ -532,8 +532,8 @@ private:
   };
 
   net::Network &Net;
-  /// Cached from Net at construction: simulation() is on the hot path of
-  /// every timer and timestamp, and Network::simulation() is virtual.
+  /// Cached from Net at construction, saving an indirection on the hot
+  /// path of every timer and timestamp.
   sim::Simulation &Sim;
   net::NodeId Node;
   MetricsRegistry &Reg;

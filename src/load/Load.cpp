@@ -672,9 +672,9 @@ LoadReport World::finish() {
   // 1-3. Quiescence, network conservation, and per-transport
   // conservation and hygiene on clients and every server incarnation;
   // the trace digest is the determinism oracle. A live process at
-  // quiescence is the regression gate for the shed->DoneThrough hang
-  // class: a shed call that fails to settle its seq leaves every
-  // successor on its stream gated for good.
+  // quiescence is the regression gate for the shed-gap hang class: a
+  // shed call the execution gate waits on leaves every successor on its
+  // stream gated for good.
   conclude(Rep);
   auto violate = [&](std::string Msg) {
     Rep.Violations.push_back(std::move(Msg));

@@ -1,4 +1,4 @@
-//===- Network.cpp - Simulated datagram network backend -------------------===//
+//===- Network.cpp - The network core and the simulated backend -----------===//
 //
 // Part of the promises project (PLDI 1988 reproduction).
 //
@@ -15,7 +15,12 @@ using namespace promises;
 using namespace promises::net;
 using sim::Time;
 
-Network::~Network() = default;
+namespace {
+
+/// Bits flipped per corrupted copy: 1..this.
+constexpr uint32_t CorruptMaxBits = 8;
+
+} // namespace
 
 void Network::registerCells(MetricsRegistry &Reg, CounterCells &C,
                             MetricLabels Labels) {
@@ -27,46 +32,127 @@ void Network::registerCells(MetricsRegistry &Reg, CounterCells &C,
   C.Bytes = &Reg.counter("net.bytes_sent", std::move(Labels));
 }
 
-SimNetwork::SimNetwork(sim::Simulation &S, NetConfig C)
-    : Sim(S), Reg(S.metrics()), Cfg(C), Rand(C.Seed) {
+Network::Network(sim::Simulation &S) : Sim(S), Reg(S.metrics()) {
   registerCells(Reg, Totals, {});
   StaleDrops = &Reg.counter("net.datagrams_stale_dropped", {});
 }
 
-NodeId SimNetwork::addNode(std::string Name) {
+Network::~Network() = default;
+
+NodeId Network::addNode(std::string Name) {
   NodeId N = static_cast<NodeId>(Nodes.size());
-  Nodes.push_back(Node{});
-  Nodes.back().Name = std::move(Name);
-  registerCells(Reg, Nodes.back().Counters,
-                {{"node", Nodes.back().Name}, {"id", strprintf("%u", N)}});
+  Node &Nd = Nodes.emplace_back();
+  Nd.Name = std::move(Name);
+  registerCells(Reg, Nd.Counters,
+                {{"node", Nd.Name}, {"id", strprintf("%u", N)}});
   return N;
 }
 
-SimNetwork::Node &SimNetwork::node(NodeId N) {
-  assert(N < Nodes.size() && "unknown node");
-  return Nodes[N];
-}
-
-const SimNetwork::Node &SimNetwork::node(NodeId N) const {
-  assert(N < Nodes.size() && "unknown node");
-  return Nodes[N];
-}
-
-const std::string &SimNetwork::nodeName(NodeId N) const {
-  return node(N).Name;
-}
-
-Address SimNetwork::bind(NodeId N, std::function<void(Datagram)> Handler) {
+Address Network::bind(NodeId N, std::function<void(Datagram)> Handler) {
   Node &Nd = node(N);
   assert(Nd.Up && "bind on a crashed node");
   Address A{N, Nd.NextPort++, Nd.Epoch};
+  onBind(A);
   Binds[A] = std::move(Handler);
   return A;
 }
 
-void SimNetwork::unbind(Address A) { Binds.erase(A); }
+void Network::unbind(Address A) {
+  if (Binds.erase(A))
+    onUnbind(A);
+}
 
-bool SimNetwork::isUp(NodeId N) const { return node(N).Up; }
+void Network::onCrash(NodeId N, std::function<void()> Cb) {
+  node(N).CrashObservers.push_back(std::move(Cb));
+}
+
+void Network::crash(NodeId N) {
+  Node &Nd = node(N);
+  if (!Nd.Up)
+    return;
+  Nd.Up = false;
+  if (Reg.enabled())
+    Reg.emit({Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name});
+  // Remove every binding on the node (addresses sort by node first);
+  // later deliveries count as drops.
+  auto It = Binds.lower_bound(Address{N, 0, 0});
+  while (It != Binds.end() && It->first.Node == N) {
+    Address A = It->first;
+    It = Binds.erase(It);
+    onUnbind(A);
+  }
+  // Fire observers once, then clear them (restart re-registers).
+  std::vector<std::function<void()>> Observers;
+  Observers.swap(Nd.CrashObservers);
+  for (auto &Cb : Observers)
+    Cb();
+}
+
+void Network::restart(NodeId N) {
+  Node &Nd = node(N);
+  assert(!Nd.Up && "restart of a node that is up");
+  Nd.Up = true;
+  // The new incarnation reuses port numbers (a rebooted kernel allocates
+  // from port 1 again); the epoch bump keeps addresses from the old
+  // incarnation dead — see the stale-epoch check in deliver().
+  ++Nd.Epoch;
+  Nd.NextPort = 1;
+  onRestart(N);
+  if (Reg.enabled())
+    Reg.emit({Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name});
+}
+
+void Network::countSend(NodeId From, uint64_t WireBytes) {
+  CounterCells &C = node(From).Counters;
+  Totals.Sent->inc();
+  Totals.Bytes->inc(WireBytes);
+  C.Sent->inc();
+  C.Bytes->inc(WireBytes);
+}
+
+void Network::countDrop(NodeId To) {
+  Totals.Dropped->inc();
+  node(To).Counters.Dropped->inc();
+}
+
+bool Network::deliver(Datagram D) {
+  Node &R = node(D.To.Node);
+  if (!R.Up) {
+    countDrop(D.To.Node);
+    return false;
+  }
+  // A datagram sent before a crash must not land in the post-restart
+  // incarnation, even if the new incarnation rebound the same port.
+  if (D.To.Epoch != R.Epoch) {
+    StaleDrops->inc();
+    countDrop(D.To.Node);
+    return false;
+  }
+  auto It = Binds.find(D.To);
+  if (It == Binds.end()) {
+    countDrop(D.To.Node);
+    return false;
+  }
+  Totals.Delivered->inc();
+  R.Counters.Delivered->inc();
+  It->second(std::move(D));
+  return true;
+}
+
+SimNetwork::SimNetwork(sim::Simulation &S, NetConfig C)
+    : Network(S), Cfg(C), Rand(C.Seed) {}
+
+SimNetwork::NodePaths &SimNetwork::paths(NodeId N) {
+  if (N >= Paths.size())
+    Paths.resize(N + 1);
+  return Paths[N];
+}
+
+void SimNetwork::onRestart(NodeId N) {
+  NodePaths &P = paths(N);
+  P.TxFreeAt = Sim.now();
+  P.RxFreeAt = Sim.now();
+}
 
 void SimNetwork::setPartitioned(NodeId A, NodeId B, bool Cut) {
   auto Key = std::minmax(A, B);
@@ -92,106 +178,50 @@ double SimNetwork::lossBetween(NodeId A, NodeId B) const {
   return It != LinkLoss.end() ? It->second : Cfg.LossRate;
 }
 
-void SimNetwork::onCrash(NodeId N, std::function<void()> Cb) {
-  node(N).CrashObservers.push_back(std::move(Cb));
-}
-
-void SimNetwork::crash(NodeId N) {
-  Node &Nd = node(N);
-  if (!Nd.Up)
-    return;
-  Nd.Up = false;
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name});
-  // Remove every binding on the node; later deliveries count as drops.
-  for (auto It = Binds.begin(); It != Binds.end();) {
-    if (It->first.Node == N)
-      It = Binds.erase(It);
-    else
-      ++It;
-  }
-  // Fire observers once, then clear them (restart re-registers).
-  std::vector<std::function<void()>> Observers;
-  Observers.swap(Nd.CrashObservers);
-  for (auto &Cb : Observers)
-    Cb();
-}
-
-void SimNetwork::restart(NodeId N) {
-  Node &Nd = node(N);
-  assert(!Nd.Up && "restart of a node that is up");
-  Nd.Up = true;
-  Nd.TxFreeAt = Sim.now();
-  Nd.RxFreeAt = Sim.now();
-  // The new incarnation reuses port numbers (a rebooted kernel starts
-  // allocating from scratch); the epoch bump keeps addresses from the old
-  // incarnation dead — see the stale-epoch check in arrive().
-  ++Nd.Epoch;
-  Nd.NextPort = 1;
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name});
-}
-
-NetCounters SimNetwork::counters() const { return Totals.view(); }
-
-NetCounters SimNetwork::counters(NodeId N) const {
-  return node(N).Counters.view();
-}
-
 SimNetwork::LinkStats &SimNetwork::linkStats(NodeId From, NodeId To) {
   auto [It, Inserted] = Links.try_emplace({From, To});
   if (Inserted) {
-    MetricLabels L{{"link", node(From).Name + "->" + node(To).Name}};
+    MetricLabels L{{"link", nodeName(From) + "->" + nodeName(To)}};
     It->second.Drops = &Reg.counter("net.link_drops", L);
     It->second.LatencyUs = &Reg.histogram("net.link_latency_us", std::move(L));
   }
   return It->second;
 }
 
-void SimNetwork::countDrop(NodeId From, NodeId To) {
-  Totals.Dropped->inc();
+void SimNetwork::dropOnLink(NodeId From, NodeId To) {
+  countDrop(To);
   if (Reg.enabled())
     linkStats(From, To).Drops->inc();
 }
 
-uint32_t SimNetwork::nodeEpoch(NodeId N) const { return node(N).Epoch; }
-
-uint64_t SimNetwork::staleEpochDrops() const { return StaleDrops->value(); }
-
-sim::Time SimNetwork::txFreeAt(NodeId N) const { return node(N).TxFreeAt; }
-
 void SimNetwork::send(Address From, Address To, wire::Bytes Payload) {
-  Node &Sender = node(From.Node);
   uint64_t WireBytes = Payload.size() + Cfg.HeaderBytes;
-  Totals.Sent->inc();
-  Totals.Bytes->inc(WireBytes);
-  Sender.Counters.Sent->inc();
-  Sender.Counters.Bytes->inc(WireBytes);
-
-  if (!Sender.Up) {
-    countDrop(From.Node, To.Node);
+  countSend(From.Node, WireBytes);
+  if (!isUp(From.Node)) {
+    dropOnLink(From.Node, To.Node);
     return;
   }
 
   // The transmit path is a serial resource: the datagram occupies it for
   // the kernel-call overhead plus the per-byte cost.
+  NodePaths &Tx = paths(From.Node);
   Time Busy = Cfg.SendKernelOverhead + WireBytes * Cfg.PerByte;
-  Time Start = std::max(Sim.now(), Sender.TxFreeAt);
-  Sender.TxFreeAt = Start + Busy;
+  Time Start = std::max(Sim.now(), Tx.TxFreeAt);
+  Tx.TxFreeAt = Start + Busy;
 
   // Loss and partition at transmission time.
   if (isPartitioned(From.Node, To.Node) ||
       Rand.chance(lossBetween(From.Node, To.Node))) {
-    countDrop(From.Node, To.Node);
+    dropOnLink(From.Node, To.Node);
     return;
   }
 
   Time Jitter = Cfg.JitterMax != 0 ? Rand.below(Cfg.JitterMax + 1) : 0;
-  Time ArriveAt = Sender.TxFreeAt + Cfg.Propagation + Jitter;
+  Time ArriveAt = Tx.TxFreeAt + Cfg.Propagation + Jitter;
   int Copies = Rand.chance(Cfg.DupRate) ? 2 : 1;
   if (Copies == 2) {
     Totals.Duplicated->inc();
-    Sender.Counters.Duplicated->inc();
+    node(From.Node).Counters.Duplicated->inc();
   }
   Time SentAt = Sim.now();
   for (int I = 0; I != Copies; ++I) {
@@ -209,14 +239,13 @@ void SimNetwork::send(Address From, Address To, wire::Bytes Payload) {
     if (Rand.chance(Cfg.ReorderRate) && Cfg.ReorderMax != 0)
       Extra = Rand.below(Cfg.ReorderMax + 1);
     if (Rand.chance(Cfg.CorruptRate) && !D.Payload.empty()) {
-      uint32_t MaxBits = std::max(1u, Cfg.CorruptMaxBits);
-      uint32_t Bits = 1 + static_cast<uint32_t>(Rand.below(MaxBits));
+      uint32_t Bits = 1 + static_cast<uint32_t>(Rand.below(CorruptMaxBits));
       for (uint32_t B = 0; B != Bits; ++B) {
         uint64_t Pos = Rand.below(D.Payload.size() * 8);
         D.Payload[Pos / 8] ^= static_cast<uint8_t>(1u << (Pos % 8));
       }
       Totals.Corrupted->inc();
-      Sender.Counters.Corrupted->inc();
+      node(From.Node).Counters.Corrupted->inc();
       if (Reg.enabled())
         Reg.emit({Sim.now(), EventKind::DatagramCorrupted, From.Node, From.Port,
                   Bits, 0, ""});
@@ -252,44 +281,30 @@ void SimNetwork::arrive(uint32_t Slot) {
   // that happen while a datagram is in flight still drop it (the source of
   // the paper's *asynchronous* breaks).
   const Datagram &D = Flights[Slot].D;
-  Node &Receiver = node(D.To.Node);
-  if (!Receiver.Up || isPartitioned(D.From.Node, D.To.Node)) {
-    countDrop(D.From.Node, D.To.Node);
+  if (!isUp(D.To.Node) || isPartitioned(D.From.Node, D.To.Node)) {
+    dropOnLink(D.From.Node, D.To.Node);
     unpark(Slot);
     return;
   }
+  NodePaths &Rx = paths(D.To.Node);
   uint64_t WireBytes = D.Payload.size() + Cfg.HeaderBytes;
   Time Busy = Cfg.RecvKernelOverhead + WireBytes * Cfg.PerByte;
-  Time Start = std::max(Sim.now(), Receiver.RxFreeAt);
-  Receiver.RxFreeAt = Start + Busy;
-  Sim.schedule(Start + Busy - Sim.now(), [this, Slot] { deliver(Slot); });
+  Time Start = std::max(Sim.now(), Rx.RxFreeAt);
+  Rx.RxFreeAt = Start + Busy;
+  Sim.schedule(Start + Busy - Sim.now(), [this, Slot] { land(Slot); });
 }
 
-void SimNetwork::deliver(uint32_t Slot) {
+void SimNetwork::land(uint32_t Slot) {
   Time SentAt = Flights[Slot].SentAt;
   // Out of the pool before the handler runs: it may send, and so park.
   Datagram D = unpark(Slot);
-  Node &R = node(D.To.Node);
-  if (!R.Up) {
-    countDrop(D.From.Node, D.To.Node);
+  NodeId From = D.From.Node, To = D.To.Node;
+  bool Delivered = deliver(std::move(D));
+  if (!Reg.enabled())
     return;
-  }
-  // A datagram sent before a crash must not land in the post-restart
-  // incarnation, even if the new incarnation rebound the same port.
-  if (D.To.Epoch != R.Epoch) {
-    StaleDrops->inc();
-    countDrop(D.From.Node, D.To.Node);
-    return;
-  }
-  auto It = Binds.find(D.To);
-  if (It == Binds.end()) {
-    countDrop(D.From.Node, D.To.Node);
-    return;
-  }
-  Totals.Delivered->inc();
-  R.Counters.Delivered->inc();
-  if (Reg.enabled())
-    linkStats(D.From.Node, D.To.Node)
-        .LatencyUs->observe(static_cast<double>(Sim.now() - SentAt) / 1e3);
-  It->second(std::move(D));
+  LinkStats &L = linkStats(From, To);
+  if (Delivered)
+    L.LatencyUs->observe(static_cast<double>(Sim.now() - SentAt) / 1e3);
+  else
+    L.Drops->inc();
 }

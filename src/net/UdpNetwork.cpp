@@ -6,8 +6,6 @@
 
 #include "promises/net/UdpNetwork.h"
 
-#include "promises/support/StrUtil.h"
-
 #include <algorithm>
 #include <arpa/inet.h>
 #include <cassert>
@@ -15,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <ctime>
@@ -28,6 +27,22 @@ namespace {
 /// IPv4 + UDP header bytes, counted into BytesSent like the simulated
 /// backend's NetConfig::HeaderBytes.
 constexpr uint64_t UdpWireOverhead = 28;
+
+/// Promises ports a based or remote node may occupy: node base + PortSpan
+/// bounds the udp range attributed to it when reverse-mapping datagram
+/// sources.
+constexpr uint32_t PortSpan = 256;
+
+/// Receive buffer size — also the largest datagram accepted. Frames are
+/// far smaller (MaxBatchBytes), so 64 KiB is generous.
+constexpr size_t MaxDatagramBytes = 64 * 1024;
+
+/// Per-socket cap on datagrams parked after EAGAIN/ENOBUFS; overflow is
+/// dropped (and counted) like any other loss.
+constexpr size_t MaxSendQueue = 4096;
+
+/// SO_SNDBUF/SO_RCVBUF request per socket.
+constexpr int SocketBufferBytes = 1 << 20;
 
 [[noreturn]] void fatal(const char *What) {
   std::fprintf(stderr, "promises: udp backend: %s: %s\n", What,
@@ -59,118 +74,84 @@ bool sendWouldBlock(int Err) {
 } // namespace
 
 /// One bound promises port: one nonblocking UDP socket plus the datagrams
-/// parked when the kernel's send buffer pushed back.
+/// parked when the kernel's send buffer pushed back, each with the node it
+/// is addressed to so that a later hard error is charged there.
 struct UdpNetwork::Endpoint {
+  struct Parked {
+    sockaddr_in Dst;
+    NodeId To;
+    wire::Bytes Bytes;
+  };
   int Fd = -1;
   Address Addr;
   uint32_t Ip = 0;      ///< Bound address, network byte order.
   uint16_t UdpPort = 0; ///< Bound udp port, host byte order.
-  std::function<void(Datagram)> Handler;
-  std::deque<std::pair<sockaddr_in, wire::Bytes>> SendQ;
+  std::deque<Parked> SendQ;
 };
 
-struct UdpNetwork::NodeRec {
-  std::string Name;
-  bool Up = true;
-  bool Local = true;
-  uint32_t Epoch = 0;
-  uint32_t NextPort = 1;
-  uint16_t Base = 0;     ///< udp base port; 0 = kernel-assigned (local only).
-  uint32_t RemoteIp = 0; ///< Network byte order; remote nodes only.
-  CounterCells Counters;
-  std::vector<std::function<void()>> CrashObservers;
-};
-
-UdpNetwork::UdpNetwork(sim::Simulation &S, UdpConfig C)
-    : Sim(S), Reg(S.metrics()), Cfg(std::move(C)) {
-  registerCells(Reg, Totals, {});
+UdpNetwork::UdpNetwork(sim::Simulation &S, const std::string &BindIp)
+    : Network(S), BindAddr(parseIp(BindIp).s_addr) {
   UnknownSource = &Reg.counter("net.udp_unknown_source_dropped", {});
   QueueDrops = &Reg.counter("net.udp_send_queue_drops", {});
-  RecvBuf.resize(Cfg.MaxDatagramBytes);
+  RecvBuf.resize(MaxDatagramBytes);
   assert(Sim.clockDriver() == nullptr &&
          "simulation already has a clock driver");
   Sim.setClockDriver(this);
 }
 
 UdpNetwork::~UdpNetwork() {
-  for (auto &[A, E] : Binds)
-    if (E->Fd >= 0)
-      ::close(E->Fd);
+  for (auto &[A, E] : Sockets)
+    ::close(E->Fd);
   if (Sim.clockDriver() == this)
     Sim.setClockDriver(nullptr);
 }
 
-UdpNetwork::NodeRec &UdpNetwork::node(NodeId N) {
-  assert(N < Nodes.size() && "unknown node");
-  return Nodes[N];
+const UdpNetwork::UdpPlace &UdpNetwork::place(NodeId N) const {
+  static const UdpPlace Ephemeral;
+  return N < Places.size() ? Places[N] : Ephemeral;
 }
 
-const UdpNetwork::NodeRec &UdpNetwork::node(NodeId N) const {
-  assert(N < Nodes.size() && "unknown node");
-  return Nodes[N];
-}
-
-NodeId UdpNetwork::addNodeRec(std::string Name, bool Local, uint16_t Base,
-                              uint32_t RemoteIp) {
-  NodeId N = static_cast<NodeId>(Nodes.size());
-  Nodes.push_back(NodeRec{});
-  NodeRec &Nd = Nodes.back();
-  Nd.Name = std::move(Name);
-  Nd.Local = Local;
-  Nd.Base = Base;
-  Nd.RemoteIp = RemoteIp;
-  registerCells(Reg, Nd.Counters,
-                {{"node", Nd.Name}, {"id", strprintf("%u", N)}});
+NodeId UdpNetwork::addPlacedNode(std::string Name, UdpPlace P) {
+  NodeId N = Network::addNode(std::move(Name));
+  Places.resize(N + 1);
+  Places[N] = P;
   return N;
-}
-
-NodeId UdpNetwork::addNode(std::string Name) {
-  return addNodeRec(std::move(Name), true, 0, 0);
 }
 
 NodeId UdpNetwork::addNode(std::string Name, uint16_t Base) {
   assert(Base != 0 && "explicit base port must be nonzero");
-  return addNodeRec(std::move(Name), true, Base, 0);
+  return addPlacedNode(std::move(Name), {Base, false, 0});
 }
 
 NodeId UdpNetwork::addRemoteNode(std::string Name, std::string Ip,
                                  uint16_t Base) {
   assert(Base != 0 && "remote nodes need a known base port");
-  return addNodeRec(std::move(Name), false, Base, parseIp(Ip).s_addr);
+  return addPlacedNode(std::move(Name), {Base, true, parseIp(Ip).s_addr});
 }
 
-const std::string &UdpNetwork::nodeName(NodeId N) const {
-  return node(N).Name;
-}
-
-Address UdpNetwork::bind(NodeId N, std::function<void(Datagram)> Handler) {
-  NodeRec &Nd = node(N);
-  assert(Nd.Local && "bind on a remote node");
-  assert(Nd.Up && "bind on a crashed node");
-  Address A{N, Nd.NextPort++, Nd.Epoch};
-  if (Nd.Base != 0 && A.Port >= Cfg.PortSpan) {
+void UdpNetwork::onBind(Address A) {
+  const UdpPlace &P = place(A.Node);
+  assert(!P.Remote && "bind on a remote node");
+  if (P.Base != 0 && A.Port >= PortSpan) {
     std::fprintf(stderr, "promises: udp backend: node '%s' exhausted its "
                  "port block (PortSpan=%u)\n",
-                 Nd.Name.c_str(), unsigned(Cfg.PortSpan));
+                 nodeName(A.Node).c_str(), unsigned(PortSpan));
     std::abort();
   }
 
   int Fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (Fd < 0)
     fatal("socket");
-  if (Cfg.SocketBufferBytes > 0) {
-    // Best effort: the kernel clamps to net.core.{r,w}mem_max.
-    (void)::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &Cfg.SocketBufferBytes,
-                       sizeof Cfg.SocketBufferBytes);
-    (void)::setsockopt(Fd, SOL_SOCKET, SO_SNDBUF, &Cfg.SocketBufferBytes,
-                       sizeof Cfg.SocketBufferBytes);
-  }
+  // Best effort: the kernel clamps to net.core.{r,w}mem_max.
+  (void)::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &SocketBufferBytes,
+                     sizeof SocketBufferBytes);
+  (void)::setsockopt(Fd, SOL_SOCKET, SO_SNDBUF, &SocketBufferBytes,
+                     sizeof SocketBufferBytes);
   sockaddr_in Sa{};
   Sa.sin_family = AF_INET;
-  Sa.sin_addr = parseIp(Cfg.BindIp);
-  Sa.sin_port = htons(Nd.Base != 0
-                          ? static_cast<uint16_t>(Nd.Base + A.Port)
-                          : 0);
+  Sa.sin_addr.s_addr = BindAddr;
+  Sa.sin_port =
+      htons(P.Base != 0 ? static_cast<uint16_t>(P.Base + A.Port) : 0);
   if (::bind(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof Sa) < 0)
     fatal("bind");
   socklen_t SaLen = sizeof Sa;
@@ -182,71 +163,18 @@ Address UdpNetwork::bind(NodeId N, std::function<void(Datagram)> Handler) {
   E->Addr = A;
   E->Ip = Sa.sin_addr.s_addr;
   E->UdpPort = ntohs(Sa.sin_port);
-  E->Handler = std::move(Handler);
   ByUdp[udpKey(E->Ip, E->UdpPort)] = E.get();
   ByFd[Fd] = E.get();
-  Binds[A] = std::move(E);
-  return A;
+  Sockets[A] = std::move(E);
 }
 
-void UdpNetwork::closeEndpoint(Endpoint &E) {
+void UdpNetwork::onUnbind(Address A) {
+  auto It = Sockets.find(A);
+  Endpoint &E = *It->second;
   ByUdp.erase(udpKey(E.Ip, E.UdpPort));
   ByFd.erase(E.Fd);
   ::close(E.Fd);
-  E.Fd = -1;
-}
-
-void UdpNetwork::unbind(Address A) {
-  auto It = Binds.find(A);
-  if (It == Binds.end())
-    return;
-  closeEndpoint(*It->second);
-  Binds.erase(It);
-}
-
-bool UdpNetwork::isUp(NodeId N) const { return node(N).Up; }
-
-uint32_t UdpNetwork::nodeEpoch(NodeId N) const { return node(N).Epoch; }
-
-void UdpNetwork::onCrash(NodeId N, std::function<void()> Cb) {
-  node(N).CrashObservers.push_back(std::move(Cb));
-}
-
-void UdpNetwork::crash(NodeId N) {
-  NodeRec &Nd = node(N);
-  if (!Nd.Up)
-    return;
-  Nd.Up = false;
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name});
-  for (auto It = Binds.begin(); It != Binds.end();) {
-    if (It->first.Node == N) {
-      closeEndpoint(*It->second);
-      It = Binds.erase(It);
-    } else {
-      ++It;
-    }
-  }
-  std::vector<std::function<void()>> Observers;
-  Observers.swap(Nd.CrashObservers);
-  for (auto &Cb : Observers)
-    Cb();
-}
-
-void UdpNetwork::restart(NodeId N) {
-  NodeRec &Nd = node(N);
-  assert(!Nd.Up && "restart of a node that is up");
-  Nd.Up = true;
-  ++Nd.Epoch;
-  Nd.NextPort = 1;
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name});
-}
-
-NetCounters UdpNetwork::counters() const { return Totals.view(); }
-
-NetCounters UdpNetwork::counters(NodeId N) const {
-  return node(N).Counters.view();
+  Sockets.erase(It);
 }
 
 uint64_t UdpNetwork::unknownSourceDrops() const {
@@ -256,47 +184,33 @@ uint64_t UdpNetwork::unknownSourceDrops() const {
 uint64_t UdpNetwork::sendQueueDrops() const { return QueueDrops->value(); }
 
 void UdpNetwork::send(Address From, Address To, wire::Bytes Payload) {
-  NodeRec &Sender = node(From.Node);
-  uint64_t WireBytes = Payload.size() + UdpWireOverhead;
-  Totals.Sent->inc();
-  Totals.Bytes->inc(WireBytes);
-  Sender.Counters.Sent->inc();
-  Sender.Counters.Bytes->inc(WireBytes);
-
-  if (!Sender.Up) {
-    Totals.Dropped->inc();
-    return;
-  }
-  auto SrcIt = Binds.find(From);
-  if (SrcIt == Binds.end()) {
-    Totals.Dropped->inc();
+  countSend(From.Node, Payload.size() + UdpWireOverhead);
+  auto SrcIt = Sockets.find(From);
+  // A crashed sender's sockets are closed: it has nothing to send from.
+  // A receiver believed down is local knowledge only; an actually dead
+  // remote just never answers — which is also fine.
+  if (SrcIt == Sockets.end() || !isUp(To.Node)) {
+    countDrop(To.Node);
     return;
   }
 
   sockaddr_in Dst{};
   Dst.sin_family = AF_INET;
-  NodeRec &Rcv = node(To.Node);
-  if (!Rcv.Up) {
-    // Local knowledge only: a remote peer we *believe* down. An actually
-    // dead remote just never answers — which is also fine.
-    Totals.Dropped->inc();
-    return;
-  }
-  if (Rcv.Local) {
+  const UdpPlace &Rcv = place(To.Node);
+  if (!Rcv.Remote) {
     // Exact-address lookup: a stale epoch or an unbound port has no
     // socket, so the datagram is unroutable — the same silent drop the
-    // simulator models. Still a real loopback send would be nicer for
-    // fidelity, but there is no socket to address it to.
-    auto DstIt = Binds.find(To);
-    if (DstIt == Binds.end()) {
-      Totals.Dropped->inc();
+    // simulator models.
+    auto DstIt = Sockets.find(To);
+    if (DstIt == Sockets.end()) {
+      countDrop(To.Node);
       return;
     }
     Dst.sin_addr.s_addr = DstIt->second->Ip;
     Dst.sin_port = htons(DstIt->second->UdpPort);
   } else {
-    if (To.Port == 0 || To.Port >= Cfg.PortSpan) {
-      Totals.Dropped->inc();
+    if (To.Port == 0 || To.Port >= PortSpan) {
+      countDrop(To.Node);
       return;
     }
     Dst.sin_addr.s_addr = Rcv.RemoteIp;
@@ -306,12 +220,12 @@ void UdpNetwork::send(Address From, Address To, wire::Bytes Payload) {
   Endpoint &E = *SrcIt->second;
   // Anything already parked must go first to preserve per-socket order.
   if (!E.SendQ.empty()) {
-    if (E.SendQ.size() >= Cfg.MaxSendQueue) {
+    if (E.SendQ.size() >= MaxSendQueue) {
       QueueDrops->inc();
-      Totals.Dropped->inc();
+      countDrop(To.Node);
       return;
     }
-    E.SendQ.emplace_back(Dst, std::move(Payload));
+    E.SendQ.push_back({Dst, To.Node, std::move(Payload)});
     return;
   }
   ssize_t R = ::sendto(E.Fd, Payload.data(), Payload.size(), 0,
@@ -319,12 +233,12 @@ void UdpNetwork::send(Address From, Address To, wire::Bytes Payload) {
   if (R >= 0)
     return;
   if (sendWouldBlock(errno)) {
-    E.SendQ.emplace_back(Dst, std::move(Payload));
+    E.SendQ.push_back({Dst, To.Node, std::move(Payload)});
     return;
   }
   // Hard send error (unreachable, etc.) — a lost datagram; the transport's
   // retransmission recovers or breaks the stream, as with any loss.
-  Totals.Dropped->inc();
+  countDrop(To.Node);
 }
 
 bool UdpNetwork::mapSource(uint32_t Ip, uint16_t Port, Address &Out) const {
@@ -333,12 +247,12 @@ bool UdpNetwork::mapSource(uint32_t Ip, uint16_t Port, Address &Out) const {
     Out = It->second->Addr;
     return true;
   }
-  for (NodeId N = 0; N != Nodes.size(); ++N) {
-    const NodeRec &Nd = Nodes[N];
-    if (Nd.Local || Nd.RemoteIp != Ip)
+  for (NodeId N = 0; N != Places.size(); ++N) {
+    const UdpPlace &P = Places[N];
+    if (!P.Remote || P.RemoteIp != Ip)
       continue;
-    if (Port > Nd.Base && Port < Nd.Base + Cfg.PortSpan) {
-      Out = Address{N, static_cast<uint32_t>(Port - Nd.Base), 0};
+    if (Port > P.Base && Port < P.Base + PortSpan) {
+      Out = Address{N, static_cast<uint32_t>(Port - P.Base), 0};
       return true;
     }
   }
@@ -353,7 +267,7 @@ void UdpNetwork::drainRecv(int Fd) {
     auto FdIt = ByFd.find(Fd);
     if (FdIt == ByFd.end())
       return;
-    Endpoint &E = *FdIt->second;
+    Address To = FdIt->second->Addr;
     sockaddr_in Src{};
     socklen_t SrcLen = sizeof Src;
     ssize_t R = ::recvfrom(Fd, RecvBuf.data(), RecvBuf.size(), 0,
@@ -363,26 +277,22 @@ void UdpNetwork::drainRecv(int Fd) {
     Address From;
     if (!mapSource(Src.sin_addr.s_addr, ntohs(Src.sin_port), From)) {
       UnknownSource->inc();
-      Totals.Dropped->inc();
+      countDrop(To.Node);
       continue;
     }
-    Totals.Delivered->inc();
-    node(E.Addr.Node).Counters.Delivered->inc();
-    Datagram D{From, E.Addr,
-               wire::Bytes(RecvBuf.data(), RecvBuf.data() + R)};
-    E.Handler(std::move(D));
+    deliver({From, To, wire::Bytes(RecvBuf.data(), RecvBuf.data() + R)});
   }
 }
 
 void UdpNetwork::drainSendQueue(Endpoint &E) {
   while (!E.SendQ.empty()) {
-    auto &[Dst, Bytes] = E.SendQ.front();
-    ssize_t R = ::sendto(E.Fd, Bytes.data(), Bytes.size(), 0,
-                         reinterpret_cast<sockaddr *>(&Dst), sizeof Dst);
+    Endpoint::Parked &P = E.SendQ.front();
+    ssize_t R = ::sendto(E.Fd, P.Bytes.data(), P.Bytes.size(), 0,
+                         reinterpret_cast<sockaddr *>(&P.Dst), sizeof P.Dst);
     if (R < 0) {
       if (sendWouldBlock(errno))
         return; // Still pushed back; POLLOUT will retry.
-      Totals.Dropped->inc(); // Hard error: drop this one, keep going.
+      countDrop(P.To); // Hard error: drop this one, keep going.
     }
     E.SendQ.pop_front();
   }
@@ -390,7 +300,7 @@ void UdpNetwork::drainSendQueue(Endpoint &E) {
 
 void UdpNetwork::rebuildPollSet() {
   Pfds.clear();
-  for (auto &[A, E] : Binds) {
+  for (auto &[A, E] : Sockets) {
     short Ev = POLLIN;
     if (!E->SendQ.empty())
       Ev |= POLLOUT;

@@ -108,15 +108,8 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
   bool OverStream = Cfg.MaxPendingPerStream != 0 &&
                     D.Running.size() >= Cfg.MaxPendingPerStream;
   if ((OverGlobal || OverStream) && ShedExemptPorts.count(IC.Port) == 0) {
+    // A shed seq never enters Running, so no call gates on it.
     CallsShed->inc();
-    // A shed seq never spawns a process; settle it in the domain so the
-    // calls behind it do not gate on it forever. Parallel domains have no
-    // gate (DoneThrough never advances), so recording the seq there would
-    // only accumulate.
-    if (!D.Parallel && IC.CallSeq > D.DoneThrough) {
-      D.Aborted.insert(IC.CallSeq);
-      advanceDomain(D);
-    }
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::CallShed, Node,
                 IC.StreamTag, IC.CallSeq, 0, {}});
@@ -141,7 +134,10 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
     stream::Seq Mine;
     ~Cleanup() {
       D.Waiting.erase(Mine);
-      G.LiveCallProcs -= D.Running.erase(Mine);
+      if (D.Running.erase(Mine)) {
+        --G.LiveCallProcs;
+        G.wakeFirst(D);
+      }
     }
   };
   if (D.Parallel) {
@@ -152,56 +148,48 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
       runCall(*Call);
     });
   } else {
+    // The transport delivers a stream's calls in seq order, so a call is
+    // due once no earlier call of its stream is still running or gated:
+    // once it is the first key of Running.
     P = Sim.spawn("call", [this, Call, &D] {
       stream::Seq Mine = Call->CallSeq;
       Cleanup C{*this, D, Mine};
-      if (D.DoneThrough + 1 != Mine) {
+      if (D.Running.begin()->first != Mine) {
         auto &Q = D.Waiting[Mine];
         if (!Q)
           Q = std::make_unique<sim::WaitQueue>(Sim);
-        while (D.DoneThrough + 1 != Mine)
+        while (D.Running.begin()->first != Mine)
           Q->wait();
         D.Waiting.erase(Mine);
       }
       runCall(*Call);
-      D.DoneThrough = Mine;
-      advanceDomain(D);
     });
   }
   LiveCallProcs += D.Running.emplace(Call->CallSeq, P).second;
   trackProcess(std::move(P));
 }
 
-void Guardian::advanceDomain(ExecDomain &D) {
-  // Cancelled calls never execute their own trailing bookkeeping, so step
-  // DoneThrough over any contiguous run of aborted seqs before waking the
-  // next gated call.
-  while (D.Aborted.erase(D.DoneThrough + 1))
-    ++D.DoneThrough;
-  auto Next = D.Waiting.find(D.DoneThrough + 1);
-  if (Next != D.Waiting.end())
-    Next->second->notifyOne();
+void Guardian::wakeFirst(ExecDomain &D) {
+  if (D.Parallel || D.Running.empty())
+    return;
+  auto First = D.Waiting.find(D.Running.begin()->first);
+  if (First != D.Waiting.end())
+    First->second->notifyOne();
 }
 
 void Guardian::cancelCall(uint64_t Tag, stream::Seq Sq) {
-  // The call may never have entered the domain at all (cancelled at
-  // delivery inside the transport) — the seq must still be marked settled
-  // or its successors would gate on it forever.
   ExecDomain &D = domain(Tag);
   auto RIt = D.Running.find(Sq);
-  if (RIt != D.Running.end()) {
-    // Tear the call process down through the same machinery as orphan
-    // destruction. Erase the Running entry here, not just in the
-    // process's cleanup guard: a process killed before its first turn
-    // never runs its body, so the guard never fires.
-    Sim.kill(RIt->second);
-    D.Running.erase(RIt);
-    --LiveCallProcs;
-  }
-  if (!D.Parallel && Sq > D.DoneThrough) {
-    D.Aborted.insert(Sq);
-    advanceDomain(D);
-  }
+  if (RIt == D.Running.end())
+    return;
+  // Tear the call process down through the same machinery as orphan
+  // destruction. Erase the Running entry here, not just in the process's
+  // cleanup guard: a process killed before its first turn never runs its
+  // body, so the guard never fires.
+  Sim.kill(RIt->second);
+  D.Running.erase(RIt);
+  --LiveCallProcs;
+  wakeFirst(D);
 }
 
 bool Guardian::takeRetryToken(const net::Address &Remote, double Budget) {

@@ -163,16 +163,13 @@ bool WaitQueue::waitFor(Time Timeout) {
   // The epoch guards against this timeout firing after the process has
   // been woken by other means (notify or kill) and has moved on.
   uint64_t Epoch = P->WaitEpoch;
-  uint64_t Ev = Sim.schedule(Timeout, [this, P, Epoch] {
-    P->HasTimeoutEvent = false;
+  P->TimeoutEvent = Sim.schedule(Timeout, [this, P, Epoch] {
     if (P->WaitingOn == this && P->WaitEpoch == Epoch) {
       removeWaiter(P);
       P->WaitingOn = nullptr;
       Sim.makeReady(P);
     }
   });
-  P->TimeoutEvent = Ev;
-  P->HasTimeoutEvent = true;
   P->yieldToScheduler();
   return P->NotifiedFlag;
 }
@@ -328,12 +325,9 @@ void Simulation::makeReady(Process *P) {
          "makeReady on a process that is not blocked");
   P->State = ProcState::Ready;
   ++P->WaitEpoch;
-  if (P->HasTimeoutEvent) {
-    // Cancel the pending waitFor timeout so it cannot linger in the queue
-    // and artificially advance the clock after the process moved on.
-    cancel(P->TimeoutEvent);
-    P->HasTimeoutEvent = false;
-  }
+  // Cancel a pending waitFor timeout so it cannot linger in the queue and
+  // artificially advance the clock after the process moved on.
+  cancel(P->TimeoutEvent);
   pushReady(P);
 }
 

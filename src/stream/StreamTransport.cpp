@@ -1192,10 +1192,6 @@ void StreamTransport::deliverReadyCalls(ReceiverStream &R) {
       if (Reg.enabled())
         Reg.emit({Sim.now(), EventKind::CallCancelled, Node,
                   R.Tag, C.S, 0, {}});
-      // The runtime never sees this call, but it must still learn the seq
-      // is settled — successors gate on their predecessors in call order.
-      if (CallCancelHook)
-        CallCancelHook(R.Tag, C.S);
       completeCall(R, C.S, /*NoReply=*/false, C.FlushReply,
                    ReplyStatus::Unavailable, 0, {},
                    core::reasons::Cancelled);

@@ -34,45 +34,6 @@ TEST(NetMore, TxFreeAtExposesBacklog) {
   S.run();
 }
 
-TEST(NetMore, CrashedSenderCannotTransmit) {
-  Simulation S;
-  SimNetwork Net(S, NetConfig{});
-  NodeId A = Net.addNode("a");
-  NodeId B = Net.addNode("b");
-  int Got = 0;
-  Address Dst = Net.bind(B, [&](Datagram) { ++Got; });
-  Address Src = Net.bind(A, [](Datagram) {});
-  Net.crash(A);
-  Net.send(Src, Dst, bytes(4));
-  S.run();
-  EXPECT_EQ(Got, 0);
-  EXPECT_EQ(Net.counters().DatagramsDropped, 1u);
-}
-
-TEST(NetMore, CrashObserverRegisteredPerIncarnation) {
-  Simulation S;
-  SimNetwork Net(S, NetConfig{});
-  NodeId A = Net.addNode("a");
-  int FirstLife = 0, SecondLife = 0;
-  Net.onCrash(A, [&] { ++FirstLife; });
-  Net.crash(A);
-  EXPECT_EQ(FirstLife, 1);
-  Net.restart(A);
-  Net.onCrash(A, [&] { ++SecondLife; });
-  Net.crash(A);
-  EXPECT_EQ(FirstLife, 1); // The old observer was consumed.
-  EXPECT_EQ(SecondLife, 1);
-}
-
-TEST(NetMore, NodeNamesAreKept) {
-  Simulation S;
-  SimNetwork Net(S, NetConfig{});
-  NodeId A = Net.addNode("alpha");
-  NodeId B = Net.addNode("beta");
-  EXPECT_EQ(Net.nodeName(A), "alpha");
-  EXPECT_EQ(Net.nodeName(B), "beta");
-}
-
 TEST(NetMore, SelfSendWorks) {
   // Two guardians on one node talk through the loopback-ish path: same
   // cost model applies.
@@ -144,26 +105,6 @@ TEST(NetMore, LossAppliesPerCopyOfDuplicates) {
   EXPECT_EQ(Net.counters().DatagramsDelivered, 10u);
   // Sent counts logical sends, not copies.
   EXPECT_EQ(Net.counters().DatagramsSent, 5u);
-}
-
-TEST(NetMore, RestartBumpsEpochAndReusesPorts) {
-  Simulation S;
-  NetConfig C;
-  SimNetwork Net(S, C);
-  NodeId A = Net.addNode("a");
-  Address First = Net.bind(A, [](Datagram) {});
-  EXPECT_EQ(Net.nodeEpoch(A), 0u);
-  Net.crash(A);
-  Net.restart(A);
-  Address Second = Net.bind(A, [](Datagram) {});
-  // A rebooted node reuses its port space (a realistic reboot starts
-  // allocating from scratch) but lives in a new epoch, so the two
-  // incarnations' addresses never compare equal.
-  EXPECT_EQ(Second.Port, First.Port);
-  EXPECT_EQ(First.Epoch, 0u);
-  EXPECT_EQ(Second.Epoch, 1u);
-  EXPECT_EQ(Net.nodeEpoch(A), 1u);
-  EXPECT_FALSE(First == Second);
 }
 
 TEST(NetMore, StaleDatagramCannotLandInNewIncarnation) {

@@ -210,51 +210,6 @@ TEST_F(NetFixture, PartitionDuringFlightDropsAtArrival) {
   EXPECT_EQ(Got, 0);
 }
 
-TEST_F(NetFixture, CrashedReceiverDropsTraffic) {
-  buildNet();
-  int Got = 0;
-  Address Dst = Net->bind(B, [&](Datagram) { ++Got; });
-  Address Src = Net->bind(A, [](Datagram) {});
-  Net->crash(B);
-  EXPECT_FALSE(Net->isUp(B));
-  Net->send(Src, Dst, bytesOf("x"));
-  S.run();
-  EXPECT_EQ(Got, 0);
-}
-
-TEST_F(NetFixture, CrashObserverFiresOnce) {
-  buildNet();
-  int Fired = 0;
-  Net->onCrash(B, [&] { ++Fired; });
-  Net->crash(B);
-  Net->crash(B); // Idempotent.
-  EXPECT_EQ(Fired, 1);
-}
-
-TEST_F(NetFixture, RestartedNodeCanBindAndReceive) {
-  buildNet();
-  Net->crash(B);
-  Net->restart(B);
-  EXPECT_TRUE(Net->isUp(B));
-  int Got = 0;
-  Address Dst = Net->bind(B, [&](Datagram) { ++Got; });
-  Address Src = Net->bind(A, [](Datagram) {});
-  Net->send(Src, Dst, bytesOf("x"));
-  S.run();
-  EXPECT_EQ(Got, 1);
-}
-
-TEST_F(NetFixture, UnboundPortCountsAsDrop) {
-  buildNet();
-  Address Dst = Net->bind(B, [](Datagram) {});
-  Address Src = Net->bind(A, [](Datagram) {});
-  Net->unbind(Dst);
-  Net->send(Src, Dst, bytesOf("x"));
-  S.run();
-  EXPECT_EQ(Net->counters().DatagramsDelivered, 0u);
-  EXPECT_EQ(Net->counters().DatagramsDropped, 1u);
-}
-
 TEST_F(NetFixture, LinkLossOverridesGlobalRate) {
   Cfg.LossRate = 0.0;
   buildNet();

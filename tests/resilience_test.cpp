@@ -255,6 +255,35 @@ TEST_F(ResilienceFixture, CancelBeforeDeliveryDropsCallWithoutExecuting) {
   EXPECT_EQ(Server->transport().counters().CallsCancelled, 1u);
 }
 
+TEST_F(ResilienceFixture, CancelGatedCallLetsSuccessorRunAfterPredecessor) {
+  build();
+  Client->spawnProcess("main", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), Slow);
+    auto P1 = H.streamCall(int32_t(1));
+    auto [P2, C2] = H.streamCallCancellable(int32_t(2));
+    auto P3 = H.streamCall(int32_t(3));
+    H.flush();
+    S.sleep(msec(3)); // Call 1 is executing (5ms); 2 and 3 wait behind it.
+    EXPECT_EQ(Server->gatedCallCount(), 2u);
+    ASSERT_TRUE(C2.valid());
+    EXPECT_TRUE(H.cancel(C2));
+    S.sleep(msec(3)); // The cancel has landed; call 1 is still executing.
+    // Call 2 left the gate without letting call 3 overtake call 1.
+    EXPECT_EQ(Server->gatedCallCount(), 1u);
+    EXPECT_EQ(Executed, (std::vector<int32_t>{1}));
+    EXPECT_EQ(P1.claim().value(), 10);
+    const auto &O2 = P2.claim();
+    ASSERT_TRUE(O2.is<Unavailable>());
+    EXPECT_EQ(O2.get<Unavailable>().Reason, core::reasons::Cancelled);
+    EXPECT_EQ(P3.claim().value(), 30);
+  });
+  S.run();
+  EXPECT_EQ(Executed, (std::vector<int32_t>{1, 3}));
+  EXPECT_EQ(Server->transport().counters().CallsCancelled, 1u);
+  EXPECT_EQ(Server->liveCallProcessCount(), 0u);
+  EXPECT_EQ(Server->gatedCallCount(), 0u);
+}
+
 TEST_F(ResilienceFixture, CancelAfterOutcomeIsRefused) {
   build();
   Client->spawnProcess("main", [&] {
@@ -648,16 +677,15 @@ TEST_F(ResilienceFixture, PerStreamQuotaShedsStormWithoutStarvingOthers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shed → DoneThrough under sustained queue-full (the PR 4 hang class)
+// Shed gaps under sustained queue-full (the shed-gap hang class)
 //===----------------------------------------------------------------------===//
 
 TEST_F(ResilienceFixture, ShedStormQuiescesWithOrderedSuccessorsExecuted) {
   // 10k calls on one ordered stream against a guardian that admits two at
   // a time: every batch sheds most of its calls, so the stream's
-  // DoneThrough gate must repeatedly advance over long runs of shed seqs
-  // or the admitted successors behind them gate forever (the PR 4 hang
-  // class — this test times out instead of failing an assertion if that
-  // regresses).
+  // execution gate must repeatedly pass over long runs of shed seqs or
+  // the admitted successors behind them gate forever (a hang: this test
+  // times out instead of failing an assertion if that regresses).
   GC.MaxPendingCalls = 2;
   build();
   auto Tick = Server->addHandler<int32_t(int32_t)>(
