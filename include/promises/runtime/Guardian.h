@@ -13,8 +13,12 @@
 /// arrives at a guardian, the Argus system will delay its execution until
 /// all earlier calls on its stream have completed", so calls on one stream
 /// appear to execute in call order, while calls on different streams run
-/// concurrently (the mailer example). Each call runs in its own process
-/// with its own agent.
+/// concurrently (the mailer example). The transport delivers a stream's
+/// calls in seq order, so one runner process per stream executes them one
+/// after another, and a call that arrives while an earlier one is live
+/// waits in the stream's table of live calls: process-per-stream, which
+/// the paper's Section 4.3 prefers to a process per call. A parallel
+/// group's call gets a runner of its own.
 ///
 /// When the guardian's node crashes, its transport shuts down and every
 /// process it spawned is killed.
@@ -46,16 +50,17 @@ struct GuardianConfig {
   /// composition overlaps (Section 4).
   sim::Time EncodeCpu = sim::usec(10);
   /// Admission control: when nonzero, an incoming call that would push the
-  /// number of live handler-call processes (executing + gated) past this
-  /// bound is shed immediately with unavailable("overloaded") instead of
-  /// being spawned. 0 disables shedding.
+  /// number of live handler calls (executing or queued) past this bound is
+  /// shed immediately with unavailable("overloaded") instead of being
+  /// admitted. 0 disables shedding.
   size_t MaxPendingCalls = 0;
   /// Per-stream admission quota: when nonzero, one stream (one agent's
-  /// calls to one port group) may hold at most this many live call
-  /// processes; further calls on that stream are shed even if the global
-  /// MaxPendingCalls bound has headroom. This is the tenant-isolation
-  /// knob: a storming client exhausts its own quota, not the guardian.
-  /// 0 disables the per-stream bound. Composes with MaxPendingCalls.
+  /// calls to one port group) may hold at most this many live calls
+  /// (executing or queued); further calls on that stream are shed even if
+  /// the global MaxPendingCalls bound has headroom. This is the
+  /// tenant-isolation knob: a storming client exhausts its own quota, not
+  /// the guardian. 0 disables the per-stream bound. Composes with
+  /// MaxPendingCalls.
   size_t MaxPendingPerStream = 0;
 };
 
@@ -122,8 +127,8 @@ public:
     return ShedExemptPorts.count(Port) != 0;
   }
 
-  /// Registers a handler on \p Group. \p Impl is invoked — inside a
-  /// dedicated process, in call order per stream — with the decoded
+  /// Registers a handler on \p Group. \p Impl is invoked — inside the
+  /// stream's runner process, in call order per stream — with the decoded
   /// arguments, and returns the typed outcome. Returns the transmissible
   /// typed reference for clients. The name documents the call site
   /// only; the port number identifies the handler.
@@ -234,54 +239,59 @@ public:
   /// 1-based attempt number about to be issued.
   void noteRetry(stream::AgentId Agent, int Attempt);
 
-  /// Handler-call processes currently alive (executing or gated). Must be
-  /// 0 at quiescence: anything else means executor bookkeeping leaked on a
-  /// kill path. Same quantity the runtime.live_call_processes gauge reads.
-  /// Maintained as a counter (not a scan): the admission-control check
-  /// reads it once per incoming call, and a per-call walk over every
-  /// stream's domain turns a storm into quadratic work.
+  /// Handler calls currently live: executing, or queued behind an earlier
+  /// call of their stream. Must be 0 at quiescence: anything else means
+  /// executor bookkeeping leaked on a kill path. Same quantity the
+  /// runtime.live_call_processes gauge reads. Maintained as a counter (not
+  /// a scan): the admission-control check reads it once per incoming call,
+  /// and a per-call walk over every stream's table turns a storm into
+  /// quadratic work.
   size_t liveCallProcessCount() const {
     assert(LiveCallProcs == [this] {
       size_t N = 0;
-      for (const auto &[Tag, D] : Domains)
-        N += D.Running.size();
+      for (const auto &[Tag, T] : Domains)
+        N += T.size();
       return N;
-    }() && "live-call counter out of sync with domain tables");
+    }() && "live-call counter out of sync with call tables");
     return LiveCallProcs;
   }
 
-  /// Delivered handler calls still gated behind an earlier call on their
-  /// stream. Must be 0 at quiescence.
+  /// Delivered handler calls queued behind an earlier call on their
+  /// stream, with no runner yet. Must be 0 at quiescence.
   size_t gatedCallCount() const {
     size_t N = 0;
-    for (const auto &[Tag, D] : Domains)
-      N += D.Waiting.size();
+    for (const auto &[Tag, T] : Domains)
+      for (const auto &[Sq, Call] : T)
+        N += !Call.Runner;
     return N;
   }
 
 private:
-  struct ExecDomain {
-    /// Whether this stream's group runs calls in parallel (no execution
-    /// gate).
-    bool Parallel = false;
-    /// One wait queue per blocked call, so a completion wakes exactly its
-    /// successor (not the whole herd).
-    std::map<stream::Seq, std::unique_ptr<sim::WaitQueue>> Waiting;
-    /// Live call executions, executing or gated, in seq order: a serial
-    /// stream's first entry is the one call allowed to run. Also the
-    /// orphans to destroy when the stream dies.
-    std::map<stream::Seq, sim::ProcessHandle> Running;
+  /// A delivered call, executing or queued.
+  struct LiveCall {
+    /// Moved out by the runner before the handler runs: a cancel or an
+    /// orphan destruction erases the entry while a handler in a critical
+    /// section can still complete the call.
+    stream::IncomingCall Call;
+    /// The process running this call, or about to; null while queued.
+    sim::ProcessHandle Runner;
   };
+  /// One stream's live calls in seq order, and the orphans to destroy when
+  /// it dies. Only a serial stream's first call has a runner, which takes
+  /// the queued ones in order; each parallel-group call has its own.
+  using CallTable = std::map<stream::Seq, LiveCall>;
 
   void onStreamDead(uint64_t Tag);
 
   void onIncomingCall(stream::IncomingCall IC);
+  /// Spawns the runner that starts with call \p It of \p T.
+  void startRunner(CallTable &T, CallTable::iterator It);
+  /// The runner body: executes call \p Sq of \p T, then each queued call
+  /// that becomes the table's first, yielding between two calls.
+  void runCalls(CallTable &T, stream::Seq Sq);
   void runCall(stream::IncomingCall &IC);
-  ExecDomain &domain(uint64_t Tag);
-  /// Wakes a serial domain's first live call if it is gated.
-  void wakeFirst(ExecDomain &D);
-  /// Transport cancel hook: kills the call process for (Tag, Sq) if it is
-  /// still running, and unblocks its successors.
+  /// Transport cancel hook: drops call (Tag, Sq), kills its runner if it
+  /// has one, and hands the queue behind it to a fresh runner.
   void cancelCall(uint64_t Tag, stream::Seq Sq);
   void onNodeCrash();
   /// {guardian, node, epoch}: a guardian rebuilt on a restarted node gets
@@ -306,8 +316,8 @@ private:
   std::unique_ptr<stream::StreamTransport> Transport;
   std::map<stream::PortId, std::function<void(stream::IncomingCall &)>>
       Executors;
-  std::map<uint64_t, ExecDomain> Domains;
-  /// Sum of Running.size() over all domains, kept in lockstep with every
+  std::map<uint64_t, CallTable> Domains;
+  /// Sum of the call tables' sizes, kept in lockstep with every
   /// insert/erase so admission control is O(1) per call.
   size_t LiveCallProcs = 0;
   std::set<stream::GroupId> ParallelGroups;

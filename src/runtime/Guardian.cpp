@@ -27,10 +27,7 @@ Guardian::Guardian(net::Network &Net, net::NodeId Node, std::string Name,
   CallsShed = &Reg.counter("call.shed", L);
   Retries = &Reg.counter("call.retries", L);
   Reg.gaugeProbe("runtime.handler_queue_depth", [this] {
-    size_t N = 0;
-    for (const auto &[Tag, D] : Domains)
-      N += D.Waiting.size();
-    return static_cast<double>(N);
+    return static_cast<double>(gatedCallCount());
   }, L);
   Reg.gaugeProbe("runtime.live_call_processes", [this] {
     return static_cast<double>(LiveCallProcs);
@@ -67,9 +64,13 @@ MetricLabels Guardian::labels() const {
 void Guardian::onNodeCrash() {
   Crashed = true;
   // The transport registered its crash observer first and has already shut
-  // down; all that remains is to kill the guardian's processes.
+  // down; all that remains is to kill the guardian's processes and drop
+  // the live calls, queued ones included: those have no process to unwind.
   for (const sim::ProcessHandle &P : Procs)
     Sim.kill(P);
+  for (auto &[Tag, T] : Domains)
+    T.clear();
+  LiveCallProcs = 0;
 }
 
 sim::ProcessHandle Guardian::spawnProcess(std::string ProcName,
@@ -90,25 +91,22 @@ void Guardian::trackProcess(sim::ProcessHandle P) {
   NextProcsSweep = std::max<size_t>(64, Procs.size() * 2);
 }
 
-Guardian::ExecDomain &Guardian::domain(uint64_t Tag) { return Domains[Tag]; }
-
 void Guardian::onIncomingCall(stream::IncomingCall IC) {
   if (Crashed)
     return;
-  ExecDomain &D = domain(IC.StreamTag);
-  D.Parallel = isParallelGroup(IC.Group);
-  // Admission control: shed the call before spawning a process for it.
-  // The reply is a conserving outcome — the sender sees
+  CallTable &T = Domains[IC.StreamTag];
+  // Admission control: shed the call before it enters the table. The
+  // reply is a conserving outcome — the sender sees
   // unavailable("overloaded") in order, like any other completion. Two
   // bounds compose: the guardian-wide MaxPendingCalls cap and the
   // per-stream MaxPendingPerStream quota (tenant isolation — one
   // storming stream cannot occupy every slot).
   bool OverGlobal =
       Cfg.MaxPendingCalls != 0 && LiveCallProcs >= Cfg.MaxPendingCalls;
-  bool OverStream = Cfg.MaxPendingPerStream != 0 &&
-                    D.Running.size() >= Cfg.MaxPendingPerStream;
+  bool OverStream =
+      Cfg.MaxPendingPerStream != 0 && T.size() >= Cfg.MaxPendingPerStream;
   if ((OverGlobal || OverStream) && ShedExemptPorts.count(IC.Port) == 0) {
-    // A shed seq never enters Running, so no call gates on it.
+    // A shed seq never enters the table, so no call waits on it.
     CallsShed->inc();
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::CallShed, Node,
@@ -117,79 +115,61 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
                 core::reasons::Overloaded);
     return;
   }
-  // One process (and agent) per call. The process waits for its turn so
-  // that calls on the same stream appear to execute in call order; calls
-  // on different streams (different tags) proceed concurrently. Both
-  // bodies capture 32 bytes and are stored inline in the Process; the
-  // constant name needs no formatting.
-  auto Call = std::make_shared<stream::IncomingCall>(std::move(IC));
-  sim::ProcessHandle P;
-  // A handler killed mid-flight (node crash, orphan destruction) unwinds
-  // out of the body without reaching trailing statements, so the executor
-  // tables — which feed the probe gauges — are cleaned by a guard, not by
-  // straight-line code.
-  struct Cleanup {
-    Guardian &G;
-    ExecDomain &D;
-    stream::Seq Mine;
-    ~Cleanup() {
-      D.Waiting.erase(Mine);
-      if (D.Running.erase(Mine)) {
-        --G.LiveCallProcs;
-        G.wakeFirst(D);
-      }
-    }
-  };
-  if (D.Parallel) {
-    // Explicit override: no gating; the transport reorders completions
-    // back into call order for the sender.
-    P = Sim.spawn("call", [this, Call, &D] {
-      Cleanup C{*this, D, Call->CallSeq};
-      runCall(*Call);
-    });
-  } else {
-    // The transport delivers a stream's calls in seq order, so a call is
-    // due once no earlier call of its stream is still running or gated:
-    // once it is the first key of Running.
-    P = Sim.spawn("call", [this, Call, &D] {
-      stream::Seq Mine = Call->CallSeq;
-      Cleanup C{*this, D, Mine};
-      if (D.Running.begin()->first != Mine) {
-        auto &Q = D.Waiting[Mine];
-        if (!Q)
-          Q = std::make_unique<sim::WaitQueue>(Sim);
-        while (D.Running.begin()->first != Mine)
-          Q->wait();
-        D.Waiting.erase(Mine);
-      }
-      runCall(*Call);
-    });
-  }
-  LiveCallProcs += D.Running.emplace(Call->CallSeq, P).second;
-  trackProcess(std::move(P));
+  // The transport delivers a stream's calls in seq order, so a serial
+  // call that finds an earlier call live waits in the table for that
+  // call's runner; calls on different streams (different tags) proceed
+  // concurrently. A parallel group's call skips the wait: the transport
+  // reorders completions back into call order for the sender.
+  bool Queued = !T.empty() && !isParallelGroup(IC.Group);
+  auto It = T.emplace_hint(T.end(), IC.CallSeq, LiveCall{std::move(IC), {}});
+  ++LiveCallProcs;
+  if (!Queued)
+    startRunner(T, It);
 }
 
-void Guardian::wakeFirst(ExecDomain &D) {
-  if (D.Parallel || D.Running.empty())
-    return;
-  auto First = D.Waiting.find(D.Running.begin()->first);
-  if (First != D.Waiting.end())
-    First->second->notifyOne();
+void Guardian::startRunner(CallTable &T, CallTable::iterator It) {
+  // The body captures 24 bytes and is stored inline in the Process; the
+  // constant name needs no formatting.
+  It->second.Runner =
+      Sim.spawn("call", [this, &T, Sq = It->first] { runCalls(T, Sq); });
+  trackProcess(It->second.Runner);
+}
+
+void Guardian::runCalls(CallTable &T, stream::Seq Sq) {
+  for (;;) {
+    stream::IncomingCall IC = std::move(T.find(Sq)->second.Call);
+    runCall(IC);
+    // A cancel, an orphan destruction or a crash erases the entry of the
+    // runner it kills; a handler in a critical section still gets here.
+    auto It = T.find(Sq);
+    if (It == T.end())
+      return;
+    sim::ProcessHandle Self = std::move(It->second.Runner);
+    T.erase(It);
+    --LiveCallProcs;
+    if (T.empty() || T.begin()->second.Runner)
+      return; // Drained, or a parallel group: every call has its runner.
+    Sq = T.begin()->first;
+    T.begin()->second.Runner = std::move(Self);
+    // Whatever else is ready now runs before the next call, as it would
+    // before a process of the call's own: traces keep their order.
+    Sim.yieldNow();
+  }
 }
 
 void Guardian::cancelCall(uint64_t Tag, stream::Seq Sq) {
-  ExecDomain &D = domain(Tag);
-  auto RIt = D.Running.find(Sq);
-  if (RIt == D.Running.end())
+  CallTable &T = Domains[Tag];
+  auto It = T.find(Sq);
+  if (It == T.end())
     return;
-  // Tear the call process down through the same machinery as orphan
-  // destruction. Erase the Running entry here, not just in the process's
-  // cleanup guard: a process killed before its first turn never runs its
-  // body, so the guard never fires.
-  Sim.kill(RIt->second);
-  D.Running.erase(RIt);
+  // Tear the runner down through the same machinery as orphan
+  // destruction; a queued call has none.
+  if (It->second.Runner)
+    Sim.kill(It->second.Runner);
+  T.erase(It);
   --LiveCallProcs;
-  wakeFirst(D);
+  if (!T.empty() && !T.begin()->second.Runner)
+    startRunner(T, T.begin());
 }
 
 bool Guardian::takeRetryToken(const net::Address &Remote, double Budget) {
@@ -221,24 +201,25 @@ void Guardian::onStreamDead(uint64_t Tag) {
   // The stream broke or was superseded: destroy its orphaned executions
   // (paper, Section 4.2: the system "will find these computations and
   // destroy them later" — here, promptly). The call that triggered the
-  // break may be the current process; it finishes its own cleanup.
+  // break may be the current runner's; it finishes that call and exits.
   auto It = Domains.find(Tag);
   if (It == Domains.end())
     return;
   sim::Process *Self = sim::Simulation::current();
-  for (auto &[Seq, PH] : It->second.Running) {
-    if (PH.get() == Self)
+  for (auto &[Seq, Call] : It->second) {
+    if (Call.Runner && Call.Runner.get() == Self)
       continue;
     OrphansDestroyed->inc();
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::OrphanDestroyed, Node, Tag, Seq, 0, {}});
-    Sim.kill(PH);
+    if (Call.Runner)
+      Sim.kill(Call.Runner);
   }
-  // The clear covers every entry — including the current process's, whose
-  // cleanup guard will then erase nothing — so the live counter drops by
-  // the full map size here, exactly once.
-  LiveCallProcs -= It->second.Running.size();
-  It->second.Running.clear();
+  // The clear covers every entry — including the current runner's, which
+  // then finds its entry gone and exits — so the live counter drops by the
+  // full table size here, exactly once.
+  LiveCallProcs -= It->second.size();
+  It->second.clear();
 }
 
 void Guardian::runCall(stream::IncomingCall &IC) {

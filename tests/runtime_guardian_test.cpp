@@ -188,6 +188,38 @@ TEST_F(RuntimeFixture, CallsOnOneStreamExecuteInOrder) {
                                       "start:3", "end:3"}));
 }
 
+TEST_F(RuntimeFixture, OneProcessRunsAPipelinedStream) {
+  // Process-per-stream (paper, Section 4.3): 16 pipelined calls on one
+  // serial stream share one server process, and 15 of them wait in the
+  // stream's table while the first runs.
+  build();
+  size_t GatedDuringFirst = 0;
+  auto Nap = Server->addHandler<int32_t(int32_t)>(
+      "nap", [&](int32_t V) -> Outcome<int32_t> {
+        S.sleep(msec(1));
+        if (V == 0)
+          GatedDuringFirst = Server->gatedCallCount();
+        return V;
+      });
+  uint64_t Spawned = 0;
+  Client->spawnProcess("main", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), Nap);
+    uint64_t Before = S.processesSpawned();
+    std::vector<Promise<int32_t>> Ps;
+    for (int32_t I = 0; I < 16; ++I)
+      Ps.push_back(H.streamCall(I));
+    H.flush();
+    for (int32_t I = 0; I < 16; ++I)
+      EXPECT_EQ(Ps[I].claim().value(), I);
+    Spawned = S.processesSpawned() - Before;
+  });
+  S.run();
+  EXPECT_EQ(GatedDuringFirst, 15u);
+  EXPECT_EQ(Spawned, 1u) << "one runner for the whole batch";
+  EXPECT_EQ(Server->callsExecuted(), 16u);
+  EXPECT_EQ(Server->liveCallProcessCount(), 0u);
+}
+
 TEST_F(RuntimeFixture, CallsOnDifferentStreamsInterleave) {
   // The mailer scenario: two clients' calls run concurrently, while each
   // client's own calls stay ordered.
@@ -296,6 +328,11 @@ TEST_F(RuntimeFixture, ArgumentDecodeFailureFailsCallAndBreaksStream) {
   EXPECT_STREQ(Kinds[0], "");        // Before the bad call: unaffected.
   EXPECT_STREQ(Kinds[1], "failure"); // The bad call fails...
   EXPECT_STREQ(Kinds[2], "failure"); // ...and the break kills the rest.
+  // Call 2 broke its own stream while call 3 waited behind it: the queued
+  // call is the one orphan, and nothing stays live or queued.
+  EXPECT_EQ(Server->orphansDestroyed(), 1u);
+  EXPECT_EQ(Server->liveCallProcessCount(), 0u);
+  EXPECT_EQ(Server->gatedCallCount(), 0u);
 }
 
 TEST_F(RuntimeFixture, ResultEncodeFailureBreaksStream) {
@@ -389,6 +426,35 @@ TEST_F(RuntimeFixture, CrashKillsGuardianProcesses) {
   S.run();
   EXPECT_FALSE(Finished);
   EXPECT_LT(S.now(), sec(100));
+}
+
+TEST_F(RuntimeFixture, CrashDropsCallsQueuedBehindARunningOne) {
+  // A queued call has no process of its own to unwind, so the crash must
+  // drop it from the stream's table.
+  GC.Stream.RetransmitTimeout = msec(10);
+  GC.Stream.MaxRetries = 2;
+  build();
+  size_t GatedAtCrash = 0;
+  std::vector<std::string> Kinds;
+  Client->spawnProcess("main", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), Slow);
+    std::vector<Promise<int32_t>> Ps;
+    for (int32_t I = 1; I <= 3; ++I)
+      Ps.push_back(H.streamCall(I));
+    H.flush();
+    S.sleep(msec(3)); // Call 1 is executing (5ms); 2 and 3 wait behind it.
+    GatedAtCrash = Server->gatedCallCount();
+    Net->crash(SN);
+    for (auto &P : Ps)
+      Kinds.push_back(P.claim().exceptionName());
+  });
+  S.run();
+  EXPECT_EQ(GatedAtCrash, 2u);
+  EXPECT_EQ(ExecLog, (std::vector<std::string>{"start:1"}));
+  EXPECT_EQ(Kinds, (std::vector<std::string>(3, "unavailable")));
+  EXPECT_TRUE(Server->crashed());
+  EXPECT_EQ(Server->liveCallProcessCount(), 0u);
+  EXPECT_EQ(Server->gatedCallCount(), 0u);
 }
 
 TEST_F(RuntimeFixture, WoundedProcessCannotMakeRemoteCalls) {

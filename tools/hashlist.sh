@@ -3,13 +3,14 @@
 #
 #   <command> seed N [name] ok|FAIL trace=EVENTS@HASH
 #
-# Run it on two builds and diff the outputs: every changed trace hash and
+# tools/hashlist.golden holds the list the committed code prints; CI's
+# release job diffs a fresh list against it: every changed trace hash and
 # every changed battery status shows up. A change that deletes code should
-# leave the list identical (see ROADMAP.md).
+# leave the list identical (see ROADMAP.md). A change that moves a hash or
+# a status updates the golden file and says why in CHANGES.md.
 #
-#   tools/hashlist.sh before/build/tools > before.txt
-#   tools/hashlist.sh build/tools > after.txt
-#   diff before.txt after.txt
+#   tools/hashlist.sh build/tools > hashlist.txt
+#   diff -u tools/hashlist.golden hashlist.txt
 #
 # Extra flags are appended to every command. Seeds run once each
 # (--no-replay); the list itself is the determinism check.
