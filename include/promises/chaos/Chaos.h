@@ -15,8 +15,8 @@
 /// and heals, loss bursts, and transport shutdowns at randomized virtual
 /// times while a multi-client/multi-server workload runs; at quiescence a
 /// battery of invariants is checked (counter conservation, exactly-once
-/// per-stream execution order, no leaked timers or broken-stream map
-/// entries, no live or gated call processes, every promise resolved).
+/// per-stream execution order, no leaked timers, no live or gated call
+/// processes, every promise resolved).
 /// Everything — fault times, workload, trace-event stream — is a pure
 /// function of the seed, so a failing seed replays byte-identically and
 /// becomes a one-line regression test.

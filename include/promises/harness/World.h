@@ -88,8 +88,7 @@ public:
   /// each breach the quiescence audit finds. The audit wants no process
   /// still live, every datagram delivered or dropped, and on every client
   /// and every server incarnation every issued call settled, no timer
-  /// armed, every broken stream reclaimed, and no call process or gated
-  /// call leaked.
+  /// armed, and no call process or gated call leaked.
   void conclude(RunReport &R);
 
   /// Every server incarnation's config; each gets its own retransmit

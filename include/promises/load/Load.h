@@ -115,7 +115,8 @@ struct LoadScenario {
   /// base (capacity-measuring) window, the rest the overload window.
   double SplitFrac = 0.5;
   /// When > 0: overload-window goodput must be at least this fraction of
-  /// base-window goodput (the no-congestion-collapse floor).
+  /// what that window could have served, min(its offered rate,
+  /// base-window goodput) (the no-congestion-collapse floor).
   double GoodputFloor = 0;
   bool Chaos = false; ///< Run a chaos fault plan during the storm.
   std::string ChaosProfile = "mixed";
@@ -187,7 +188,7 @@ struct LoadReport : harness::RunReport {
   uint64_t ServerExpired = 0;
   double CapacityCps = 0;   ///< Analytic: MaxPendingCalls / ServiceTime.
   double BaseGoodputCps = 0, OverGoodputCps = 0;
-  double GoodputRatio = 0;  ///< Over / Base (the floor gates this).
+  double GoodputRatio = 0;  ///< Over / Base.
   double P50Us = 0, P99Us = 0, P999Us = 0; ///< All-tenant Normal latency.
 
   // Durability tallies (zero unless the run is durable). The battery

@@ -39,7 +39,9 @@
 
 #include "promises/core/Exceptions.h"
 #include "promises/net/Network.h"
+#include "promises/sim/Sync.h"
 #include "promises/stream/Messages.h"
+#include "promises/stream/SeqRing.h"
 #include "promises/support/InlineFunction.h"
 #include "promises/support/Metrics.h"
 #include "promises/support/Rng.h"
@@ -47,9 +49,10 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 
 namespace promises::stream {
 
@@ -386,18 +389,12 @@ public:
   StreamCounters counters() const;
 
   /// --- Test introspection ---
+  /// Streams ever opened on each side, broken ones included: a stream's
+  /// record lives as long as the transport.
   size_t senderStreamCount() const;
   size_t receiverStreamCount() const;
-  /// Fully-broken sender streams reduced to tombstones (incarnation +
-  /// break outcome only); a later call on the same key resurrects them.
-  size_t retiredStreamCount() const;
   /// Timers currently armed across all sender and receiver streams.
   size_t armedTimerCount() const;
-  /// Broken sender streams still holding full state. Transient while a
-  /// process is pinned in synch or undelivered outcomes remain; at
-  /// quiescence every broken stream must have been reduced to a tombstone,
-  /// so a nonzero value then means reclamation leaked.
-  size_t brokenSenderStreamCount() const;
   /// Calls in flight (issued but not delivery-acknowledged) on one stream;
   /// the quantity MaxInFlightCalls bounds.
   size_t senderWindowSize(AgentId Agent, net::Address Remote,
@@ -410,16 +407,35 @@ public:
 
 private:
   friend class CallCompletion;
-  struct SenderStream;
-  struct ReceiverStream;
 
-  /// A sender stream's incarnation, break outcome and synch marks.
-  /// SenderStream extends it; once a broken stream is reclaimed, this
-  /// record alone stays in its table entry as the tombstone: enough to
-  /// keep isBroken() observable and to resurrect the stream — with
-  /// incarnation continuity, so the receiver's stale-incarnation filter
-  /// still works — when the agent calls again.
-  struct StreamRecord {
+  // Keys carry the full epoch-qualified address: streams to different
+  // incarnations of a remote node never share state, so a post-restart
+  // binding that reuses a port number cannot inherit (or corrupt) the
+  // sequencing of a stream to the pre-crash incarnation.
+  using SenderKey = std::tuple<AgentId, net::Address, GroupId>;
+  using ReceiverKey = std::tuple<net::Address, AgentId, GroupId>;
+
+  /// Endpoint circuit breaker of one (agent, remote, group) stream.
+  struct Breaker {
+    int Consecutive = 0; ///< Timeout breaks since the last sign of life.
+    uint8_t State = 0;   ///< 0 closed, 1 open, 2 half-open.
+    uint64_t ProbeTimer = sim::NoEvent;
+  };
+
+  // Both stream records are complete here, ahead of the tables that hold
+  // them by value: the standard lets only vector, list and forward_list
+  // take an incomplete element type.
+
+  /// Everything the sender keeps for one (agent, remote, group) stream,
+  /// from its first call to the end of the transport. A break keeps the
+  /// record, so isBroken() stays observable and the breaker stays
+  /// tripped; the next call reincarnates it in place, so the incarnation
+  /// only grows and the receiver's stale-incarnation filter stays sound.
+  struct SenderStream {
+    SenderStream(sim::Simulation &S, const SenderKey &K)
+        : Agent(std::get<0>(K)), Remote(std::get<1>(K)),
+          Group(std::get<2>(K)), FulfillQ(S), WindowMx(S), WindowCv(S) {}
+
     Incarnation Inc = 1;
     bool Broken = false;
     bool BrokenIsFailure = false;
@@ -430,53 +446,112 @@ private:
     bool BreakSinceMarkIsFailure = false;
     std::string BreakSinceMarkReason;
 
+    AgentId Agent;
+    net::Address Remote;
+    GroupId Group;
+
+    Seq NextSeq = 1;             ///< The next issued call takes this seq.
+    Seq TransmittedThrough = 0;  ///< Sent at least once through here.
+    Seq AckedCallThrough = 0;    ///< Receiver delivered through here.
+    Seq CompletedThroughMax = 0; ///< Receiver executed through here.
+    Seq FulfilledThrough = 0;    ///< Outcomes handed to callbacks through
+                                 ///< here (always in order).
+    Seq LastAckSent = 0;         ///< AckReplyThrough in our last batch.
+
+    struct Slot {
+      bool NoReply = false;
+      bool IsRpc = false;
+      sim::Time IssuedAt = 0; ///< For the call-latency histogram.
+      ReplyCallback Cb;
+    };
+    /// Calls kept for retransmission: (AckedCallThrough, NextSeq).
+    SeqRing<CallReq> Window;
+    /// Callbacks awaiting outcomes: (FulfilledThrough, NextSeq).
+    SeqRing<Slot> Slots;
+    /// Explicit replies received but not yet consumable in order.
+    SeqRing<WireReply> PendingReplies;
+    size_t BufferedBytes = 0; ///< Untransmitted argument bytes.
+    size_t WindowBytes = 0;   ///< Argument bytes retained in Window.
+
+    // Timers (event ids; sim::NoEvent when never armed).
+    uint64_t FlushTimer = sim::NoEvent;
+    uint64_t RetransTimer = sim::NoEvent;
+    uint64_t AckTimer = sim::NoEvent;
+    int Retries = 0;
+    Seq LastProgressAcked = 0;
+    Seq LastProgressFulfilled = 0;
+    sim::Time CurrentRto = 0; ///< Backed-off retransmit timeout; 0 = base.
+
+    sim::WaitQueue FulfillQ;  ///< synch waiters.
+    sim::SimMutex WindowMx;   ///< Guards the window-space condition.
+    sim::SimCondVar WindowCv; ///< Signalled when window space frees.
+    Breaker B;
+
     void resetMark() {
       ExceptionSinceMark = false;
       BreakSinceMark = false;
       BreakSinceMarkIsFailure = false;
       BreakSinceMarkReason.clear();
     }
+    Seq untransmittedCount() const { return NextSeq - 1 - TransmittedThrough; }
+    Seq outstanding() const { return NextSeq - 1 - FulfilledThrough; }
   };
 
-  /// Endpoint circuit breaker. It lives in the stream's table entry, so
-  /// it stays tripped while the broken stream collapses to a tombstone.
-  struct Breaker {
-    int Consecutive = 0; ///< Timeout breaks since the last sign of life.
-    uint8_t State = 0;   ///< 0 closed, 1 open, 2 half-open.
-    uint64_t ProbeTimer = sim::NoEvent;
+  /// Everything the receiver keeps for one (sender, agent, group) stream.
+  /// A newer incarnation resets the record in place under a fresh tag.
+  struct ReceiverStream {
+    uint64_t Tag = 0;
+    net::Address SenderAddr;
+    AgentId Agent = 0;
+    GroupId Group = 0;
+    Incarnation Inc = 1;
+
+    Seq NextExpected = 1;    ///< Next call seq to deliver to user code.
+    SeqRing<CallReq> Future; ///< Received ahead of order.
+    Seq CompletedThrough = 0;
+    /// Calls executed beyond the contiguous prefix (only possible when the
+    /// runtime opts a group into parallel execution); nullopt entries are
+    /// normally-terminated sends with no explicit reply.
+    SeqRing<std::optional<WireReply>> DoneAhead;
+    SeqRing<WireReply> UnackedReplies;
+    Seq FlushThrough = 0;       ///< Completions <= this flush immediately.
+    Seq FlushWhenCompleted = 0; ///< RPC replies wanted as soon as the
+                                ///< prefix reaches this seq.
+    Seq LastSentCompleted = 0;
+    Seq LastSentAck = 0;
+    Seq LastBatchedReply = 0; ///< Highest reply ever included in a batch;
+                              ///< normal batches send only newer ones.
+    bool NeedAck = false; ///< Duplicate calls seen; re-ack soon.
+
+    bool Broken = false;
+    bool BrokenIsFailure = false;
+    std::string BreakReason;
+
+    /// Seqs cancelled by the sender. Undelivered seqs wait here until
+    /// delivery order reaches them (then complete as cancelled without
+    /// touching user code); already-delivered seqs are added after their
+    /// cancel completion so a killed-but-critical-section call process
+    /// cannot complete the call a second time when it finally unwinds.
+    std::set<Seq> Cancelled;
+
+    uint64_t ReplyFlushTimer = sim::NoEvent;
+    uint64_t AckTimer = sim::NoEvent;
   };
 
-  /// Everything the sender keeps for one (agent, remote, group) stream.
-  struct SenderEntry {
-    std::unique_ptr<SenderStream> Live; ///< Null once reclaimed.
-    StreamRecord Tombstone;             ///< What survives while Live is null.
-    Breaker B;
-  };
-
-  // Keys carry the full epoch-qualified address: streams to different
-  // incarnations of a remote node never share state, so a post-restart
-  // binding that reuses a port number cannot inherit (or corrupt) the
-  // sequencing of a stream to the pre-crash incarnation.
-  using SenderKey = std::tuple<AgentId, net::Address, GroupId>;
-  using ReceiverKey = std::tuple<net::Address, AgentId, GroupId>;
   /// Entries are never erased while the transport lives, so pointers to
-  /// them (the hot-path cache, breaker timers) stay valid.
-  using SenderTable = std::map<SenderKey, SenderEntry>;
-  using KeyedEntry = SenderTable::value_type;
+  /// them (the hot-path cache, timers) stay valid.
+  using SenderTable = std::map<SenderKey, SenderStream>;
 
-  /// The entry for \p K, or null. A one-entry cache makes the common
+  /// The stream for \p K, or null. A one-entry cache makes the common
   /// call-the-same-stream-again case a single key compare.
-  KeyedEntry *findEntry(const SenderKey &K) const;
-  /// The entry for \p K, inserted (without a stream) if absent.
-  KeyedEntry &entry(const SenderKey &K);
-  SenderStream *findSender(AgentId A, net::Address R, GroupId G) const;
-  /// The live stream of \p KE, resurrected from its tombstone if need be.
-  SenderStream &getSender(KeyedEntry &KE);
+  SenderStream *findSender(const SenderKey &K) const;
+  /// The stream for \p K, opened if absent.
+  SenderStream &sender(const SenderKey &K);
 
-  void breakerOnTimeoutBreak(KeyedEntry &KE);
-  void breakerOnReply(KeyedEntry &KE);
-  void armBreakerProbe(KeyedEntry &KE);
-  void sendBreakerProbe(KeyedEntry &KE);
+  void breakerOnTimeoutBreak(SenderStream &S);
+  void breakerOnReply(SenderStream &S);
+  void armBreakerProbe(SenderStream &S);
+  void sendBreakerProbe(SenderStream &S);
 
   // Sender-side machinery.
   void transmitNewCalls(SenderStream &S, bool FlushReplies);
@@ -493,11 +568,10 @@ private:
   void reincarnate(SenderStream &S);
   bool windowFull(const SenderStream &S) const;
   void blockForWindow(SenderStream &S);
-  void maybeRetireSender(SenderEntry &E);
 
   // Receiver-side machinery.
-  /// The receiver stream a call batch belongs to (a newer incarnation
-  /// supersedes the old one), or null for a stale incarnation.
+  /// The receiver stream a call batch belongs to (opened if absent, and
+  /// reset in place for a newer incarnation), or null for a stale one.
   ReceiverStream *receiverFor(const net::Address &From,
                               const CallBatchMsg &M);
   void handleCallBatch(const net::Address &From, CallBatchMsg &M);
@@ -558,8 +632,10 @@ private:
   SenderTable Senders;
   /// The entry the last lookup found: almost every operation in a tight
   /// call loop targets the stream targeted last time.
-  mutable KeyedEntry *LastSender = nullptr;
-  std::map<ReceiverKey, std::unique_ptr<ReceiverStream>> Receivers;
+  mutable SenderTable::value_type *LastSender = nullptr;
+  std::map<ReceiverKey, ReceiverStream> Receivers;
+  /// The current incarnation of each receiver stream, by the tag the
+  /// runtime names it by; a superseded incarnation's tag is absent.
   std::map<uint64_t, ReceiverStream *> ReceiversByTag;
 };
 

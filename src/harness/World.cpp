@@ -193,9 +193,6 @@ void World::conclude(RunReport &R) {
                         (unsigned long long)C.CallsBroken));
     if (size_t N = G.transport().armedTimerCount())
       violate(strprintf("%s: %zu timers still armed", Who, N));
-    if (size_t N = G.transport().brokenSenderStreamCount())
-      violate(strprintf("%s: %zu broken sender streams not reclaimed", Who,
-                        N));
     if (size_t N = G.liveCallProcessCount())
       violate(strprintf("%s: %zu call processes leaked", Who, N));
     if (size_t N = G.gatedCallCount())

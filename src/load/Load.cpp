@@ -694,6 +694,7 @@ LoadReport World::finish() {
   // 4. Per-tenant accounting, retry-budget bounds, and breaker bounds.
   double SplitSec = static_cast<double>(splitAt()) / 1e9;
   double OverSec = static_cast<double>(Duration) / 1e9 - SplitSec;
+  double OverOfferedCps = 0; // Arrivals in the overload window, per second.
   for (size_t T = 0; T != Sc.Tenants.size(); ++T) {
     const TenantSpec &Ten = Sc.Tenants[T];
     TenantReport &R = Tallies[T].R;
@@ -764,6 +765,8 @@ LoadReport World::finish() {
                               : 0;
     Rep.OverGoodputCps +=
         OverSec > 0 ? static_cast<double>(R.OverNormal) / OverSec : 0;
+    OverOfferedCps +=
+        OverSec > 0 ? static_cast<double>(R.OverOffered) / OverSec : 0;
   }
   Rep.GoodputRatio =
       Rep.BaseGoodputCps > 0 ? Rep.OverGoodputCps / Rep.BaseGoodputCps : 0;
@@ -804,15 +807,21 @@ LoadReport World::finish() {
                         (unsigned long long)ShedEvents,
                         (unsigned long long)Rep.ServerShed));
 
-    // 7. Graceful degradation: overload-window goodput holds the floor.
+    // 7. Graceful degradation: overload-window goodput holds the floor
+    // of what that window could have served — its offered rate, capped by
+    // the goodput the base window measured. Arrivals are open-loop, so the
+    // offered rate does not depend on the system; a window offered more
+    // than the base window served is held to the plain ratio.
     if (Sc.GoodputFloor > 0) {
+      double Servable = std::min(OverOfferedCps, Rep.BaseGoodputCps);
       if (Rep.BaseGoodputCps <= 0)
         violate("goodput floor set but base-window goodput is zero");
-      else if (Rep.GoodputRatio < Sc.GoodputFloor)
-        violate(strprintf("goodput collapse: overload/base ratio %.3f "
-                          "below floor %.3f (%.0f -> %.0f cps)",
-                          Rep.GoodputRatio, Sc.GoodputFloor,
-                          Rep.BaseGoodputCps, Rep.OverGoodputCps));
+      else if (Rep.OverGoodputCps < Sc.GoodputFloor * Servable)
+        violate(strprintf("goodput collapse: %.0f cps in the overload "
+                          "window, below floor %.3f of %.0f servable cps "
+                          "(base goodput %.0f, offered %.0f)",
+                          Rep.OverGoodputCps, Sc.GoodputFloor, Servable,
+                          Rep.BaseGoodputCps, OverOfferedCps));
     }
 
     // 8. Tenant isolation: compliant tenants keep their p99 SLO and are

@@ -158,102 +158,6 @@ std::optional<Message> promises::stream::decodeMessage(wire::ByteView B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stream state
-//===----------------------------------------------------------------------===//
-
-struct StreamTransport::SenderStream : StreamRecord {
-  SenderStream(sim::Simulation &S, const SenderKey &K)
-      : Agent(std::get<0>(K)), Remote(std::get<1>(K)), Group(std::get<2>(K)),
-        FulfillQ(S), WindowMx(S), WindowCv(S) {}
-
-  AgentId Agent;
-  net::Address Remote;
-  GroupId Group;
-
-  Seq NextSeq = 1;             ///< The next issued call takes this seq.
-  Seq TransmittedThrough = 0;  ///< Sent at least once through here.
-  Seq AckedCallThrough = 0;    ///< Receiver delivered through here.
-  Seq CompletedThroughMax = 0; ///< Receiver executed through here.
-  Seq FulfilledThrough = 0;    ///< Outcomes handed to callbacks through
-                               ///< here (always in order).
-  Seq LastAckSent = 0;         ///< AckReplyThrough in our last batch.
-
-  struct Slot {
-    bool NoReply = false;
-    bool IsRpc = false;
-    sim::Time IssuedAt = 0; ///< For the call-latency histogram.
-    ReplyCallback Cb;
-  };
-  /// Calls kept for retransmission: (AckedCallThrough, NextSeq).
-  SeqRing<CallReq> Window;
-  /// Callbacks awaiting outcomes: (FulfilledThrough, NextSeq).
-  SeqRing<Slot> Slots;
-  /// Explicit replies received but not yet consumable in order.
-  SeqRing<WireReply> PendingReplies;
-  size_t BufferedBytes = 0; ///< Untransmitted argument bytes.
-  size_t WindowBytes = 0;   ///< Argument bytes retained in Window.
-
-  // Timers (event ids; sim::NoEvent when never armed).
-  uint64_t FlushTimer = sim::NoEvent;
-  uint64_t RetransTimer = sim::NoEvent;
-  uint64_t AckTimer = sim::NoEvent;
-  int Retries = 0;
-  Seq LastProgressAcked = 0;
-  Seq LastProgressFulfilled = 0;
-  sim::Time CurrentRto = 0; ///< Backed-off retransmit timeout; 0 = base.
-
-  sim::WaitQueue FulfillQ; ///< synch waiters.
-  /// Processes currently blocked on this stream (synch, or a full
-  /// in-flight window). A pinned stream must not be retired: the blocked
-  /// frames hold references into it.
-  int PinCount = 0;
-  sim::SimMutex WindowMx;   ///< Guards the window-space condition.
-  sim::SimCondVar WindowCv; ///< Signalled when window space frees.
-
-  Seq untransmittedCount() const { return NextSeq - 1 - TransmittedThrough; }
-  Seq outstanding() const { return NextSeq - 1 - FulfilledThrough; }
-};
-
-struct StreamTransport::ReceiverStream {
-  uint64_t Tag = 0;
-  net::Address SenderAddr;
-  AgentId Agent = 0;
-  GroupId Group = 0;
-  Incarnation Inc = 1;
-
-  Seq NextExpected = 1; ///< Next call seq to deliver to user code.
-  SeqRing<CallReq> Future; ///< Received ahead of order.
-  Seq CompletedThrough = 0;
-  /// Calls executed beyond the contiguous prefix (only possible when the
-  /// runtime opts a group into parallel execution); nullopt entries are
-  /// normally-terminated sends with no explicit reply.
-  SeqRing<std::optional<WireReply>> DoneAhead;
-  SeqRing<WireReply> UnackedReplies;
-  Seq FlushThrough = 0;     ///< Completions <= this flush immediately.
-  Seq FlushWhenCompleted = 0; ///< RPC replies wanted as soon as the
-                              ///< prefix reaches this seq.
-  Seq LastSentCompleted = 0;
-  Seq LastSentAck = 0;
-  Seq LastBatchedReply = 0; ///< Highest reply ever included in a batch;
-                            ///< normal batches send only newer ones.
-  bool NeedAck = false; ///< Duplicate calls seen; re-ack soon.
-
-  bool Broken = false;
-  bool BrokenIsFailure = false;
-  std::string BreakReason;
-
-  /// Seqs cancelled by the sender. Undelivered seqs wait here until
-  /// delivery order reaches them (then complete as cancelled without
-  /// touching user code); already-delivered seqs are added after their
-  /// cancel completion so a killed-but-critical-section call process
-  /// cannot complete the call a second time when it finally unwinds.
-  std::set<Seq> Cancelled;
-
-  uint64_t ReplyFlushTimer = sim::NoEvent;
-  uint64_t AckTimer = sim::NoEvent;
-};
-
-//===----------------------------------------------------------------------===//
 // Construction / teardown
 //===----------------------------------------------------------------------===//
 
@@ -358,11 +262,8 @@ void StreamTransport::shutdown(bool Settle) {
     Net.unbind(Addr);
   // Wake order is scheduling-visible: blocked processes resume in notify
   // order, which is the table's (agent, remote, group) order.
-  for (auto &[K, E] : Senders) {
-    Sim.cancel(E.B.ProbeTimer);
-    if (!E.Live)
-      continue;
-    SenderStream &S = *E.Live;
+  for (auto &[K, S] : Senders) {
+    Sim.cancel(S.B.ProbeTimer);
     Sim.cancel(S.FlushTimer);
     Sim.cancel(S.RetransTimer);
     Sim.cancel(S.AckTimer);
@@ -390,8 +291,8 @@ void StreamTransport::shutdown(bool Settle) {
     S.WindowCv.notifyAll();
   }
   for (auto &[K, R] : Receivers) {
-    Sim.cancel(R->ReplyFlushTimer);
-    Sim.cancel(R->AckTimer);
+    Sim.cancel(R.ReplyFlushTimer);
+    Sim.cancel(R.AckTimer);
   }
 }
 
@@ -399,55 +300,27 @@ void StreamTransport::shutdown(bool Settle) {
 // Sender side
 //===----------------------------------------------------------------------===//
 
-StreamTransport::KeyedEntry *
-StreamTransport::findEntry(const SenderKey &K) const {
-  if (LastSender && LastSender->first == K)
-    return LastSender;
-  auto It = Senders.find(K);
-  if (It == Senders.end())
-    return nullptr;
-  LastSender = const_cast<KeyedEntry *>(&*It);
-  return LastSender;
+StreamTransport::SenderStream *
+StreamTransport::findSender(const SenderKey &K) const {
+  if (!LastSender || LastSender->first != K) {
+    auto It = Senders.find(K);
+    if (It == Senders.end())
+      return nullptr;
+    LastSender = const_cast<SenderTable::value_type *>(&*It);
+  }
+  return &LastSender->second;
 }
 
-StreamTransport::KeyedEntry &StreamTransport::entry(const SenderKey &K) {
-  if (LastSender && LastSender->first == K)
-    return *LastSender;
-  LastSender = &*Senders.try_emplace(K).first;
-  return *LastSender;
+StreamTransport::SenderStream &StreamTransport::sender(const SenderKey &K) {
+  if (!LastSender || LastSender->first != K)
+    LastSender = &*Senders.try_emplace(K, Sim, K).first;
+  return LastSender->second;
 }
 
-size_t StreamTransport::senderStreamCount() const {
-  size_t N = 0;
-  for (const auto &[K, E] : Senders)
-    N += E.Live != nullptr;
-  return N;
-}
-
-size_t StreamTransport::retiredStreamCount() const {
-  return Senders.size() - senderStreamCount();
-}
+size_t StreamTransport::senderStreamCount() const { return Senders.size(); }
 
 size_t StreamTransport::receiverStreamCount() const {
   return Receivers.size();
-}
-
-StreamTransport::SenderStream *
-StreamTransport::findSender(AgentId A, net::Address R, GroupId G) const {
-  KeyedEntry *KE = findEntry({A, R, G});
-  return KE ? KE->second.Live.get() : nullptr;
-}
-
-StreamTransport::SenderStream &StreamTransport::getSender(KeyedEntry &KE) {
-  auto &[K, E] = KE;
-  if (!E.Live) {
-    // A fresh entry's record is a new stream's; a tombstone's resurrects
-    // the broken stream it was, so the incarnation and the break outcome
-    // carry over (the next call reincarnates it).
-    E.Live = std::make_unique<SenderStream>(Sim, K);
-    static_cast<StreamRecord &>(*E.Live) = std::move(E.Tombstone);
-  }
-  return *E.Live;
 }
 
 bool StreamTransport::windowFull(const SenderStream &S) const {
@@ -462,11 +335,6 @@ void StreamTransport::blockForWindow(SenderStream &S) {
   if (Reg.enabled())
     Reg.emit({T0, EventKind::SenderBlocked, Node, S.Agent, S.Window.size(),
               0, {}});
-  ++S.PinCount;
-  struct Unpin {
-    int &Count;
-    ~Unpin() { --Count; }
-  } U{S.PinCount};
   {
     // FIFO mutex + condition: blocked issuers reacquire in block order,
     // so window space is handed out in issue (= seq) order.
@@ -481,20 +349,6 @@ void StreamTransport::blockForWindow(SenderStream &S) {
               S.Agent, S.Window.size(), Blocked, {}});
 }
 
-void StreamTransport::maybeRetireSender(SenderEntry &E) {
-  if (Dead || !E.Live)
-    return;
-  SenderStream &S = *E.Live;
-  if (!S.Broken || S.PinCount > 0)
-    return;
-  assert(!Sim.pending(S.FlushTimer) && !Sim.pending(S.RetransTimer) &&
-         !Sim.pending(S.AckTimer) && "broken stream left a timer armed");
-  assert(S.Slots.empty() && S.Window.empty() &&
-         "broken stream retains calls");
-  E.Tombstone = std::move(static_cast<StreamRecord &>(S));
-  E.Live.reset();
-}
-
 StreamTransport::IssueResult
 StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
                            PortId Port, wire::Bytes Args, bool NoReply,
@@ -502,15 +356,14 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
                            sim::Time DeadlineAt) {
   if (Dead)
     return {false, core::reasons::TransportShutDown};
-  KeyedEntry &KE = entry({Agent, Remote, Group});
+  SenderStream &S = sender({Agent, Remote, Group});
   // Circuit breaker: a tripped endpoint fails fast before any stream state
   // is touched — no seq consumed, no datagram sent, no promise blocks.
-  if (KE.second.B.State != 0) {
+  if (S.B.State != 0) {
     Counters.BreakerFastFails->inc();
-    armBreakerProbe(KE);
+    armBreakerProbe(S);
     return {false, core::reasons::CircuitOpen};
   }
-  SenderStream &S = getSender(KE);
   // Flow control: block (in issue order) until the in-flight window has
   // room. Only simulated processes can block; scheduler-context callers
   // (timers, tests poking the transport directly) bypass the limit. A
@@ -565,7 +418,7 @@ bool StreamTransport::cancelCall(AgentId Agent, net::Address Remote,
                                  GroupId Group, Seq Sq, Incarnation Inc) {
   if (Dead)
     return false;
-  SenderStream *S = findSender(Agent, Remote, Group);
+  SenderStream *S = findSender({Agent, Remote, Group});
   if (!S || S->Broken || S->Inc != Inc)
     return false;
   if (Sq <= S->FulfilledThrough || Sq >= S->NextSeq)
@@ -702,14 +555,12 @@ void StreamTransport::onSenderRetransTimer(SenderStream &S) {
   S.LastProgressFulfilled = S.FulfilledThrough;
   if (++S.Retries > Cfg.MaxRetries) {
     // The system "tried hard"; give up and break (paper, Section 2).
-    KeyedEntry &KE = *findEntry({S.Agent, S.Remote, S.Group});
     breakSender(S, /*IsFailure=*/false, core::reasons::CannotCommunicate);
     // Only timeout breaks feed the circuit breaker: they are the
     // endpoint-unreachable signal. Receiver-reported breaks arrive in
     // reply batches, proving reachability.
     if (Cfg.BreakerThreshold > 0)
-      breakerOnTimeoutBreak(KE);
-    maybeRetireSender(KE.second);
+      breakerOnTimeoutBreak(S);
     return;
   }
   if (AwaitingAck) {
@@ -740,15 +591,14 @@ void StreamTransport::armSenderAckTimer(SenderStream &S) {
 
 void StreamTransport::handleReplyBatch(const net::Address &From,
                                        ReplyBatchMsg &M) {
-  KeyedEntry *KE = findEntry({M.Agent, From, M.Group});
-  if (!KE)
+  SenderStream *S = findSender({M.Agent, From, M.Group});
+  if (!S)
     return;
   // Any reply batch proves the endpoint is reachable, so it closes an
   // open/half-open breaker — before the liveness checks below, because the
-  // probed stream is typically broken or already retired to a tombstone.
-  breakerOnReply(*KE);
-  SenderStream *S = KE->second.Live.get();
-  if (!S || S->Broken || M.Inc != S->Inc)
+  // probed stream is typically broken.
+  breakerOnReply(*S);
+  if (S->Broken || M.Inc != S->Inc)
     return;
 
   // Delivery acknowledgements let the retransmission window shrink — and
@@ -784,7 +634,6 @@ void StreamTransport::handleReplyBatch(const net::Address &From,
   fulfillInOrder(*S);
   if (M.Broken) {
     breakSender(*S, M.BreakIsFailure, M.BreakReason);
-    maybeRetireSender(KE->second);
     return;
   }
   if (!M.Replies.empty() && !AnyNew) {
@@ -936,7 +785,7 @@ void StreamTransport::flush(AgentId Agent, net::Address Remote,
                             GroupId Group) {
   if (Dead)
     return;
-  SenderStream *S = findSender(Agent, Remote, Group);
+  SenderStream *S = findSender({Agent, Remote, Group});
   if (!S || S->Broken)
     return;
   transmitNewCalls(*S, /*FlushReplies=*/true);
@@ -946,21 +795,11 @@ SynchResult StreamTransport::synch(AgentId Agent, net::Address Remote,
                                    GroupId Group) {
   assert(sim::Simulation::inProcess() &&
          "synch must be called from a simulated process");
-  KeyedEntry &KE = entry({Agent, Remote, Group});
-  SenderStream &S = getSender(KE);
+  SenderStream &S = sender({Agent, Remote, Group});
   if (!S.Broken)
     transmitNewCalls(S, /*FlushReplies=*/true);
-  {
-    // Pin the stream across the blocking wait: a break must not retire it
-    // out from under this frame.
-    ++S.PinCount;
-    struct Unpin {
-      int &Count;
-      ~Unpin() { --Count; }
-    } U{S.PinCount};
-    while (!S.Broken && !Dead && S.outstanding() > 0)
-      S.FulfillQ.wait();
-  }
+  while (!S.Broken && !Dead && S.outstanding() > 0)
+    S.FulfillQ.wait();
   // A shutdown settled every outstanding call and set the break mark, so
   // a dead transport reports itself here.
   SynchResult Out;
@@ -972,7 +811,6 @@ SynchResult StreamTransport::synch(AgentId Agent, net::Address Remote,
     Out.K = SynchResult::Kind::ExceptionReply;
   }
   S.resetMark();
-  maybeRetireSender(KE.second);
   return Out;
 }
 
@@ -980,7 +818,7 @@ void StreamTransport::restart(AgentId Agent, net::Address Remote,
                               GroupId Group) {
   if (Dead)
     return;
-  SenderStream &S = getSender(entry({Agent, Remote, Group}));
+  SenderStream &S = sender({Agent, Remote, Group});
   if (!S.Broken)
     breakSender(S, /*IsFailure=*/false, core::reasons::StreamRestarted);
   reincarnate(S);
@@ -988,36 +826,23 @@ void StreamTransport::restart(AgentId Agent, net::Address Remote,
 
 bool StreamTransport::isBroken(AgentId Agent, net::Address Remote,
                                GroupId Group) const {
-  const KeyedEntry *KE = findEntry({Agent, Remote, Group});
-  if (!KE)
-    return false;
-  const SenderEntry &E = KE->second;
-  return E.Live ? E.Live->Broken : E.Tombstone.Broken;
+  const SenderStream *S = findSender({Agent, Remote, Group});
+  return S && S->Broken;
 }
 
 size_t StreamTransport::armedTimerCount() const {
   size_t N = 0;
-  for (const auto &[K, E] : Senders) {
-    N += Sim.pending(E.B.ProbeTimer);
-    if (E.Live)
-      N += Sim.pending(E.Live->FlushTimer) + Sim.pending(E.Live->RetransTimer) +
-           Sim.pending(E.Live->AckTimer);
-  }
+  for (const auto &[K, S] : Senders)
+    N += Sim.pending(S.B.ProbeTimer) + Sim.pending(S.FlushTimer) +
+         Sim.pending(S.RetransTimer) + Sim.pending(S.AckTimer);
   for (const auto &[K, R] : Receivers)
-    N += Sim.pending(R->ReplyFlushTimer) + Sim.pending(R->AckTimer);
-  return N;
-}
-
-size_t StreamTransport::brokenSenderStreamCount() const {
-  size_t N = 0;
-  for (const auto &[K, E] : Senders)
-    N += E.Live && E.Live->Broken;
+    N += Sim.pending(R.ReplyFlushTimer) + Sim.pending(R.AckTimer);
   return N;
 }
 
 size_t StreamTransport::senderWindowSize(AgentId Agent, net::Address Remote,
                                          GroupId Group) const {
-  SenderStream *S = findSender(Agent, Remote, Group);
+  SenderStream *S = findSender({Agent, Remote, Group});
   return S ? S->Window.size() : 0;
 }
 
@@ -1025,8 +850,8 @@ size_t StreamTransport::senderWindowSize(AgentId Agent, net::Address Remote,
 // Endpoint circuit breaker
 //===----------------------------------------------------------------------===//
 
-void StreamTransport::breakerOnTimeoutBreak(KeyedEntry &KE) {
-  Breaker &B = KE.second.B;
+void StreamTransport::breakerOnTimeoutBreak(SenderStream &S) {
+  Breaker &B = S.B;
   if (B.State != 0)
     return; // Already open; probes decide when to close.
   if (++B.Consecutive < Cfg.BreakerThreshold)
@@ -1034,14 +859,13 @@ void StreamTransport::breakerOnTimeoutBreak(KeyedEntry &KE) {
   B.State = 1;
   Counters.BreakerOpens->inc();
   if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::BreakerOpen, Node,
-              std::get<0>(KE.first), static_cast<uint64_t>(B.Consecutive), 0,
-              {}});
-  armBreakerProbe(KE);
+    Reg.emit({Sim.now(), EventKind::BreakerOpen, Node, S.Agent,
+              static_cast<uint64_t>(B.Consecutive), 0, {}});
+  armBreakerProbe(S);
 }
 
-void StreamTransport::breakerOnReply(KeyedEntry &KE) {
-  Breaker &B = KE.second.B;
+void StreamTransport::breakerOnReply(SenderStream &S) {
+  Breaker &B = S.B;
   // Any reply batch — even a break notice — proves reachability: reset
   // the consecutive-timeout count, and close the breaker if tripped.
   B.Consecutive = 0;
@@ -1051,51 +875,47 @@ void StreamTransport::breakerOnReply(KeyedEntry &KE) {
   Sim.cancel(B.ProbeTimer);
   Counters.BreakerCloses->inc();
   if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::BreakerClose, Node,
-              std::get<0>(KE.first), 0, 0, {}});
+    Reg.emit({Sim.now(), EventKind::BreakerClose, Node, S.Agent, 0, 0, {}});
 }
 
-void StreamTransport::armBreakerProbe(KeyedEntry &KE) {
-  if (Sim.pending(KE.second.B.ProbeTimer) || Dead)
+void StreamTransport::armBreakerProbe(SenderStream &S) {
+  if (Sim.pending(S.B.ProbeTimer) || Dead)
     return;
   // The timer fires exactly once (rearmed only by the next fail-fast), so
   // an unreachable endpoint cannot keep the event queue alive forever.
-  KE.second.B.ProbeTimer = Sim.schedule(Cfg.BreakerCooldown, [this, &KE] {
-    if (Dead || KE.second.B.State == 0)
+  S.B.ProbeTimer = Sim.schedule(Cfg.BreakerCooldown, [this, &S] {
+    if (Dead || S.B.State == 0)
       return;
-    sendBreakerProbe(KE);
+    sendBreakerProbe(S);
   });
 }
 
-void StreamTransport::sendBreakerProbe(KeyedEntry &KE) {
-  auto &[K, E] = KE;
+void StreamTransport::sendBreakerProbe(SenderStream &S) {
+  S.B.State = 2; // Half-open: one probe in flight, any reply closes.
+  Counters.BreakerProbes->inc();
   // Probe at the stream's current incarnation so the receiver's
   // stale-incarnation filter lets it through.
-  Incarnation Inc = E.Live ? E.Live->Inc : E.Tombstone.Inc;
-  E.B.State = 2; // Half-open: one probe in flight, any reply closes.
-  Counters.BreakerProbes->inc();
-  CallBatchHeader H{std::get<0>(K), std::get<2>(K), Inc, 0,
-                    /*FlushReplies=*/true};
+  CallBatchHeader H{S.Agent, S.Group, S.Inc, 0, /*FlushReplies=*/true};
   Counters.AckBatchesSent->inc();
-  Net.send(Addr, std::get<1>(K), encodeFramedCallBatch(H, {}, 1, 0));
+  Net.send(Addr, S.Remote, encodeFramedCallBatch(H, {}, 1, 0));
 }
 
 int StreamTransport::breakerState(AgentId Agent, net::Address Remote,
                                   GroupId Group) const {
-  const KeyedEntry *KE = findEntry({Agent, Remote, Group});
-  return KE ? KE->second.B.State : 0;
+  const SenderStream *S = findSender({Agent, Remote, Group});
+  return S ? S->B.State : 0;
 }
 
 size_t StreamTransport::openBreakerCount() const {
   size_t N = 0;
-  for (const auto &[K, E] : Senders)
-    N += E.B.State != 0;
+  for (const auto &[K, S] : Senders)
+    N += S.B.State != 0;
   return N;
 }
 
 Seq StreamTransport::outstandingCalls(AgentId Agent, net::Address Remote,
                                       GroupId Group) const {
-  SenderStream *S = findSender(Agent, Remote, Group);
+  SenderStream *S = findSender({Agent, Remote, Group});
   return S ? S->outstanding() : 0;
 }
 
@@ -1105,33 +925,33 @@ Seq StreamTransport::outstandingCalls(AgentId Agent, net::Address Remote,
 
 StreamTransport::ReceiverStream *
 StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
-  auto &Slot = Receivers[ReceiverKey{From, M.Agent, M.Group}];
-  if (Slot && Slot->Inc == M.Inc)
-    return Slot.get();
-  if (Slot) {
-    if (M.Inc < Slot->Inc)
+  auto [It, Fresh] = Receivers.try_emplace({From, M.Agent, M.Group});
+  ReceiverStream &R = It->second;
+  if (!Fresh) {
+    if (M.Inc == R.Inc)
+      return &R;
+    if (M.Inc < R.Inc)
       return nullptr; // A stale incarnation: drop before touching state.
-    // A newer incarnation replaces the old one; the old stream is dead
-    // (its completions will be dropped). Its timers capture the old
-    // object, so cancel them before destroying it.
-    Sim.cancel(Slot->ReplyFlushTimer);
-    Sim.cancel(Slot->AckTimer);
-    ReceiversByTag.erase(Slot->Tag);
+    // A newer incarnation supersedes the old one, which is dead: its tag
+    // leaves the index, so its completions are dropped, and its timers
+    // are cancelled before the record is reset for the new incarnation.
+    Sim.cancel(R.ReplyFlushTimer);
+    Sim.cancel(R.AckTimer);
+    ReceiversByTag.erase(R.Tag);
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::StreamSuperseded, Node,
-                Slot->Tag, M.Inc, 0, {}});
+                R.Tag, M.Inc, 0, {}});
     if (StreamDeadHook)
-      StreamDeadHook(Slot->Tag); // Orphaned executions get destroyed.
+      StreamDeadHook(R.Tag); // Orphaned executions get destroyed.
+    R = ReceiverStream();
   }
-  auto R = std::make_unique<ReceiverStream>();
-  R->Tag = NextStreamTag++;
-  R->SenderAddr = From;
-  R->Agent = M.Agent;
-  R->Group = M.Group;
-  R->Inc = M.Inc;
-  ReceiversByTag[R->Tag] = R.get();
-  Slot = std::move(R);
-  return Slot.get();
+  R.Tag = NextStreamTag++;
+  R.SenderAddr = From;
+  R.Agent = M.Agent;
+  R.Group = M.Group;
+  R.Inc = M.Inc;
+  ReceiversByTag[R.Tag] = &R;
+  return &R;
 }
 
 void StreamTransport::handleCallBatch(const net::Address &From,
@@ -1233,10 +1053,10 @@ void CallCompletion::operator()(ReplyStatus St, uint32_t ExTag,
 
 void StreamTransport::handleCancel(const net::Address &From,
                                    const CancelMsg &M) {
-  auto It = Receivers.find(ReceiverKey{From, M.Agent, M.Group});
+  auto It = Receivers.find({From, M.Agent, M.Group});
   if (It == Receivers.end())
     return;
-  ReceiverStream &R = *It->second;
+  ReceiverStream &R = It->second;
   if (R.Broken || R.Inc != M.Inc)
     return;
   for (Seq S : M.Seqs) {
