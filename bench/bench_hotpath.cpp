@@ -4,7 +4,9 @@
 //
 // Wall-clock cost of the data-plane hot path: one call's full journey
 // issue -> encode -> seal -> deliver -> decode -> claim, measured over a
-// real transport pair in one simulation. Unlike the EXPERIMENTS.md benches
+// real transport pair in one simulation, on three paths: RPCs on one
+// stream, pipelined stream calls, and RPCs that each open a stream on a
+// fresh agent. Unlike the EXPERIMENTS.md benches
 // (virtual-time, protocol-level), this one measures what the host CPU
 // actually pays per call, plus two machine-independent companions:
 //
@@ -129,6 +131,17 @@ void runRpc(World &W, const wire::Bytes &Args, uint64_t N) {
     issueOne(W, Args, /*IsRpc=*/true).claim();
 }
 
+/// Fresh mode: RPCs that each run on a new agent, so every call opens a
+/// stream at both ends, as a two-phase coordinator's call to each
+/// participant does. The records stay: the transports' tables grow with
+/// every call.
+void runFresh(World &W, const wire::Bytes &Args, uint64_t N) {
+  for (uint64_t I = 0; I != N; ++I) {
+    W.Agent = W.Client->newAgent();
+    issueOne(W, Args, /*IsRpc=*/true).claim();
+  }
+}
+
 /// Stream mode: a bounded pipeline of buffered stream calls — the
 /// throughput path (batching amortizes the per-message costs).
 void runStream(World &W, const wire::Bytes &Args, uint64_t N,
@@ -223,9 +236,13 @@ int main(int Argc, char **Argv) {
         runStream(W, Args, N, Opt.Pipeline);
       });
 
+  Sample Fresh = measure(Opt, [](World &W, const wire::Bytes &Args,
+                                 uint64_t N) { runFresh(W, Args, N); });
+
   std::vector<cli::Metric> Metrics;
   addMetrics(Metrics, "rpc", Rpc);
   addMetrics(Metrics, "stream", Stream);
+  addMetrics(Metrics, "fresh", Fresh);
   std::string Record = cli::benchRecord("bench_hotpath", 7,
                                         {{"calls", Opt.Calls},
                                          {"warmup", Opt.Warmup},

@@ -30,7 +30,7 @@
 
 #include "promises/runtime/Handler.h"
 
-#include <cassert>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -246,21 +246,22 @@ public:
   /// a scan): the admission-control check reads it once per incoming call,
   /// and a per-call walk over every stream's table turns a storm into
   /// quadratic work.
-  size_t liveCallProcessCount() const {
-    assert(LiveCallProcs == [this] {
-      size_t N = 0;
-      for (const auto &[Tag, T] : Domains)
-        N += T.size();
-      return N;
-    }() && "live-call counter out of sync with call tables");
-    return LiveCallProcs;
+  size_t liveCallProcessCount() const { return LiveCallProcs; }
+
+  /// The calls in the stream tables, counted by a scan: what
+  /// liveCallProcessCount() must equal at every instant.
+  size_t tabledCallCount() const {
+    size_t N = 0;
+    for (const CallTable &T : Domains)
+      N += T.size();
+    return N;
   }
 
   /// Delivered handler calls queued behind an earlier call on their
   /// stream, with no runner yet. Must be 0 at quiescence.
   size_t gatedCallCount() const {
     size_t N = 0;
-    for (const auto &[Tag, T] : Domains)
+    for (const CallTable &T : Domains)
       for (const auto &[Sq, Call] : T)
         N += !Call.Runner;
     return N;
@@ -281,6 +282,8 @@ private:
   /// the queued ones in order; each parallel-group call has its own.
   using CallTable = std::map<stream::Seq, LiveCall>;
 
+  /// The call table of stream \p Tag, made if absent.
+  CallTable &table(uint64_t Tag);
   void onStreamDead(uint64_t Tag);
 
   void onIncomingCall(stream::IncomingCall IC);
@@ -316,7 +319,11 @@ private:
   std::unique_ptr<stream::StreamTransport> Transport;
   std::map<stream::PortId, std::function<void(stream::IncomingCall &)>>
       Executors;
-  std::map<uint64_t, CallTable> Domains;
+  /// The call tables by stream tag: tag T's is slot T - 1, as the
+  /// transport hands tags out densely. A deque, so a table stays put
+  /// while its runner holds it; a drained table stays too, so a call on a
+  /// warm stream allocates nothing.
+  std::deque<CallTable> Domains;
   /// Sum of the call tables' sizes, kept in lockstep with every
   /// insert/erase so admission control is O(1) per call.
   size_t LiveCallProcs = 0;

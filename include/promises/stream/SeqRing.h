@@ -11,10 +11,12 @@
 /// window, its outcome slots, a receiver's ahead-of-order buffers), so
 /// every lookup was a pointer-chasing tree walk and every insert a node
 /// allocation. The ring stores entries inline in a power-of-two slot
-/// array indexed by `S & Mask`: O(1) find/insert/erase, zero allocations
-/// after warm-up (capacity is retained across clear() — per-stream state
-/// recycles the way PR 6 recycles fiber stacks), and cache-line locality
-/// for the dense ranges that dominate.
+/// array indexed by `S & Mask`: O(1) find/insert/erase, and cache-line
+/// locality for the dense ranges that dominate. The first insert
+/// allocates 2 slots and each growth doubles, so a stream that carries
+/// one call at a time holds a few hundred bytes of rings for its whole
+/// life, while a deep pipeline grows to its span once and then allocates
+/// nothing: capacity is retained across erase() and clear().
 ///
 /// Invariants:
 ///  * All present seqs lie in [Lo, Hi), and Hi - Lo <= capacity, so a
@@ -147,7 +149,7 @@ private:
   size_t index(Seq S) const { return static_cast<size_t>(S) & Mask; }
 
   void grow(Seq Needed) {
-    size_t Cap = Slots.empty() ? 16 : Slots.size();
+    size_t Cap = Slots.empty() ? 2 : Slots.size();
     while (Cap < Needed)
       Cap *= 2;
     std::vector<Entry> Fresh(Cap);

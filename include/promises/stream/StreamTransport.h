@@ -48,11 +48,12 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <vector>
 
 namespace promises::stream {
 
@@ -181,7 +182,9 @@ struct IncomingCall {
   uint64_t StreamTag = 0; ///< Ordering domain: calls sharing a tag must
                           ///< appear to execute in CallSeq order (unless
                           ///< the runtime opted the group into parallel
-                          ///< execution).
+                          ///< execution). Tags are dense: a transport
+                          ///< tags the n-th receiver stream incarnation
+                          ///< it opens n.
   Seq CallSeq = 0;
   GroupId Group = 0;
   PortId Port = 0;
@@ -415,6 +418,24 @@ private:
   using SenderKey = std::tuple<AgentId, net::Address, GroupId>;
   using ReceiverKey = std::tuple<net::Address, AgentId, GroupId>;
 
+  /// Hashes either key: each field word times its own odd constant,
+  /// summed, with the high half folded onto the low, so keys that differ
+  /// in any one field land in unrelated buckets.
+  struct KeyHash {
+    static size_t hash(AgentId A, const net::Address &R, GroupId G) {
+      uint64_t H = A * 0x9e3779b97f4a7c15ull +
+                   (uint64_t{R.Node} << 32 | R.Port) * 0xbf58476d1ce4e5b9ull +
+                   (uint64_t{R.Epoch} << 32 | G) * 0x94d049bb133111ebull;
+      return H ^ (H >> 32);
+    }
+    size_t operator()(const SenderKey &K) const {
+      return hash(std::get<0>(K), std::get<1>(K), std::get<2>(K));
+    }
+    size_t operator()(const ReceiverKey &K) const {
+      return hash(std::get<1>(K), std::get<0>(K), std::get<2>(K));
+    }
+  };
+
   /// Endpoint circuit breaker of one (agent, remote, group) stream.
   struct Breaker {
     int Consecutive = 0; ///< Timeout breaks since the last sign of life.
@@ -538,9 +559,12 @@ private:
     uint64_t AckTimer = sim::NoEvent;
   };
 
-  /// Entries are never erased while the transport lives, so pointers to
-  /// them (the hot-path cache, timers) stay valid.
-  using SenderTable = std::map<SenderKey, SenderStream>;
+  /// Entries are never erased while the transport lives, and a rehash
+  /// moves no entry, so pointers to them (the hot-path cache, timers)
+  /// stay valid.
+  using SenderTable = std::unordered_map<SenderKey, SenderStream, KeyHash>;
+  using ReceiverTable =
+      std::unordered_map<ReceiverKey, ReceiverStream, KeyHash>;
 
   /// The stream for \p K, or null. A one-entry cache makes the common
   /// call-the-same-stream-again case a single key compare.
@@ -584,6 +608,12 @@ private:
   void armReplyFlushTimer(ReceiverStream &R);
   void armReceiverAckTimer(ReceiverStream &R);
 
+  /// The current incarnation tagged \p Tag, or null once superseded.
+  ReceiverStream *receiverByTag(uint64_t Tag) const {
+    return Tag - 1 < ReceiversByTag.size() ? ReceiversByTag[Tag - 1]
+                                           : nullptr;
+  }
+
   /// Verifies and decodes an arriving frame in place, then dispatches it.
   void onDatagram(net::Datagram D);
 
@@ -615,7 +645,6 @@ private:
   net::Address Addr;
   bool Dead = false;
   AgentId LastAgent = 0;
-  uint64_t NextStreamTag = 1;
   std::function<void(IncomingCall)> CallSink;
   std::function<void(uint64_t)> StreamDeadHook;
   std::function<void(uint64_t, Seq)> CallCancelHook;
@@ -627,16 +656,19 @@ private:
   /// inside a handler: every delivery is a fresh scheduler event.
   MessageBuffers Rx;
 
-  /// In (agent, remote, group) order, which is the order shutdown()
-  /// settles streams in.
+  // The stream tables grow with every stream the transport ever opens
+  // (neworder opens a few per transaction), so none is a tree: the two
+  // keyed tables are hashed and the tag index is a vector. Only
+  // shutdown() iterates in an order that reaches the trace, and it sorts.
   SenderTable Senders;
   /// The entry the last lookup found: almost every operation in a tight
   /// call loop targets the stream targeted last time.
   mutable SenderTable::value_type *LastSender = nullptr;
-  std::map<ReceiverKey, ReceiverStream> Receivers;
-  /// The current incarnation of each receiver stream, by the tag the
-  /// runtime names it by; a superseded incarnation's tag is absent.
-  std::map<uint64_t, ReceiverStream *> ReceiversByTag;
+  ReceiverTable Receivers;
+  /// The receiver streams by the tag the runtime names them by: tag T is
+  /// slot T - 1, and tags are handed out as the vector grows. A
+  /// superseded incarnation's slot is null.
+  std::vector<ReceiverStream *> ReceiversByTag;
 };
 
 } // namespace promises::stream

@@ -193,8 +193,12 @@ void World::conclude(RunReport &R) {
                         (unsigned long long)C.CallsBroken));
     if (size_t N = G.transport().armedTimerCount())
       violate(strprintf("%s: %zu timers still armed", Who, N));
-    if (size_t N = G.liveCallProcessCount())
-      violate(strprintf("%s: %zu call processes leaked", Who, N));
+    size_t Live = G.liveCallProcessCount();
+    if (Live)
+      violate(strprintf("%s: %zu call processes leaked", Who, Live));
+    if (size_t InTables = G.tabledCallCount(); InTables != Live)
+      violate(strprintf("%s: live-call counter %zu != %zu calls in tables",
+                        Who, Live, InTables));
     if (size_t N = G.gatedCallCount())
       violate(strprintf("%s: %zu gated calls leaked", Who, N));
   };

@@ -68,7 +68,7 @@ void Guardian::onNodeCrash() {
   // the live calls, queued ones included: those have no process to unwind.
   for (const sim::ProcessHandle &P : Procs)
     Sim.kill(P);
-  for (auto &[Tag, T] : Domains)
+  for (CallTable &T : Domains)
     T.clear();
   LiveCallProcs = 0;
 }
@@ -91,10 +91,16 @@ void Guardian::trackProcess(sim::ProcessHandle P) {
   NextProcsSweep = std::max<size_t>(64, Procs.size() * 2);
 }
 
+Guardian::CallTable &Guardian::table(uint64_t Tag) {
+  if (Tag > Domains.size())
+    Domains.resize(Tag);
+  return Domains[Tag - 1];
+}
+
 void Guardian::onIncomingCall(stream::IncomingCall IC) {
   if (Crashed)
     return;
-  CallTable &T = Domains[IC.StreamTag];
+  CallTable &T = table(IC.StreamTag);
   // Admission control: shed the call before it enters the table. The
   // reply is a conserving outcome — the sender sees
   // unavailable("overloaded") in order, like any other completion. Two
@@ -158,7 +164,7 @@ void Guardian::runCalls(CallTable &T, stream::Seq Sq) {
 }
 
 void Guardian::cancelCall(uint64_t Tag, stream::Seq Sq) {
-  CallTable &T = Domains[Tag];
+  CallTable &T = table(Tag);
   auto It = T.find(Sq);
   if (It == T.end())
     return;
@@ -202,11 +208,11 @@ void Guardian::onStreamDead(uint64_t Tag) {
   // (paper, Section 4.2: the system "will find these computations and
   // destroy them later" — here, promptly). The call that triggered the
   // break may be the current runner's; it finishes that call and exits.
-  auto It = Domains.find(Tag);
-  if (It == Domains.end())
+  if (Tag > Domains.size())
     return;
+  CallTable &T = Domains[Tag - 1];
   sim::Process *Self = sim::Simulation::current();
-  for (auto &[Seq, Call] : It->second) {
+  for (auto &[Seq, Call] : T) {
     if (Call.Runner && Call.Runner.get() == Self)
       continue;
     OrphansDestroyed->inc();
@@ -218,8 +224,8 @@ void Guardian::onStreamDead(uint64_t Tag) {
   // The clear covers every entry — including the current runner's, which
   // then finds its entry gone and exits — so the live counter drops by the
   // full table size here, exactly once.
-  LiveCallProcs -= It->second.size();
-  It->second.clear();
+  LiveCallProcs -= T.size();
+  T.clear();
 }
 
 void Guardian::runCall(stream::IncomingCall &IC) {

@@ -260,9 +260,17 @@ void StreamTransport::shutdown(bool Settle) {
   Dead = true;
   if (Net.isUp(Node))
     Net.unbind(Addr);
-  // Wake order is scheduling-visible: blocked processes resume in notify
-  // order, which is the table's (agent, remote, group) order.
-  for (auto &[K, S] : Senders) {
+  // Settle and wake order is scheduling-visible: callbacks run and
+  // blocked processes resume in the order the streams are visited, so
+  // visit them in (agent, remote, group) order, not the hash table's.
+  std::vector<SenderTable::value_type *> Order;
+  Order.reserve(Senders.size());
+  for (SenderTable::value_type &E : Senders)
+    Order.push_back(&E);
+  std::sort(Order.begin(), Order.end(),
+            [](const auto *A, const auto *B) { return A->first < B->first; });
+  for (SenderTable::value_type *E : Order) {
+    SenderStream &S = E->second;
     Sim.cancel(S.B.ProbeTimer);
     Sim.cancel(S.FlushTimer);
     Sim.cancel(S.RetransTimer);
@@ -937,7 +945,7 @@ StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
     // are cancelled before the record is reset for the new incarnation.
     Sim.cancel(R.ReplyFlushTimer);
     Sim.cancel(R.AckTimer);
-    ReceiversByTag.erase(R.Tag);
+    ReceiversByTag[R.Tag - 1] = nullptr;
     if (Reg.enabled())
       Reg.emit({Sim.now(), EventKind::StreamSuperseded, Node,
                 R.Tag, M.Inc, 0, {}});
@@ -945,12 +953,12 @@ StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
       StreamDeadHook(R.Tag); // Orphaned executions get destroyed.
     R = ReceiverStream();
   }
-  R.Tag = NextStreamTag++;
+  ReceiversByTag.push_back(&R);
+  R.Tag = ReceiversByTag.size();
   R.SenderAddr = From;
   R.Agent = M.Agent;
   R.Group = M.Group;
   R.Inc = M.Inc;
-  ReceiversByTag[R.Tag] = &R;
   return &R;
 }
 
@@ -1041,14 +1049,14 @@ void CallCompletion::operator()(ReplyStatus St, uint32_t ExTag,
   assert(T && "completing a call no transport delivered");
   if (T->Dead)
     return;
-  auto It = T->ReceiversByTag.find(Tag);
-  if (It == T->ReceiversByTag.end())
+  StreamTransport::ReceiverStream *R = T->receiverByTag(Tag);
+  if (!R)
     return; // Superseded incarnation.
-  if (It->second->Cancelled.count(S))
+  if (R->Cancelled.count(S))
     return; // Already completed as cancelled; the call process was killed
             // but unwound late (critical section).
-  T->completeCall(*It->second, S, NoReply, FlushReply, St, ExTag,
-                  std::move(Payload), std::move(Reason));
+  T->completeCall(*R, S, NoReply, FlushReply, St, ExTag, std::move(Payload),
+                  std::move(Reason));
 }
 
 void StreamTransport::handleCancel(const net::Address &From,
@@ -1193,21 +1201,18 @@ void StreamTransport::armReceiverAckTimer(ReceiverStream &R) {
 }
 
 bool StreamTransport::isReceiverBroken(uint64_t StreamTag) const {
-  auto It = ReceiversByTag.find(StreamTag);
-  if (It == ReceiversByTag.end())
-    return true; // Superseded by a newer incarnation: equally dead.
-  return It->second->Broken;
+  const ReceiverStream *R = receiverByTag(StreamTag);
+  // A superseded incarnation is equally dead.
+  return !R || R->Broken;
 }
 
 void StreamTransport::breakReceiverStream(uint64_t StreamTag,
                                           std::string Reason,
                                           bool IsFailure) {
-  auto It = ReceiversByTag.find(StreamTag);
-  if (It == ReceiversByTag.end())
+  ReceiverStream *RP = receiverByTag(StreamTag);
+  if (!RP || RP->Broken)
     return;
-  ReceiverStream &R = *It->second;
-  if (R.Broken)
-    return;
+  ReceiverStream &R = *RP;
   Counters.ReceiverBreaks->inc();
   if (Reg.enabled())
     Reg.emit({Sim.now(), EventKind::ReceiverBreak, Node,

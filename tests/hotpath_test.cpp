@@ -17,12 +17,14 @@
 //    a flushed call batch only its frame.
 //  * InlineFunction: captures up to InlineFunctionBytes never allocate.
 //  * End-to-end allocation budgets: a transport round trip stays under an
-//    allocation ceiling (the bench's machine-independent companion), and
-//    a typed stream call through Guardian and RemoteHandler makes an
-//    exact number of allocations.
+//    allocation ceiling (the bench's machine-independent companion), a
+//    typed stream call through Guardian and RemoteHandler makes an exact
+//    number of allocations, and so does opening a stream, which also
+//    leaves an exact number of bytes held.
 //
 // This binary installs a global operator-new hook, so it holds every test
-// that counts allocations; keep hook-free tests in the other suites.
+// that counts allocations or held bytes; keep hook-free tests in the
+// other suites.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +43,9 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <new>
@@ -52,29 +56,49 @@ using namespace promises;
 // Allocation counting hook
 //===----------------------------------------------------------------------===//
 
+// Each block carries its requested size in a header, so a delete knows
+// what it releases: heldBytes() is the bytes requested and not yet
+// released, whatever the allocator rounds them up to.
 static std::atomic<uint64_t> GAllocs{0};
+static std::atomic<uint64_t> GHeld{0};
+static constexpr std::size_t SizeHeader = alignof(std::max_align_t);
 
 void *operator new(std::size_t N) {
   GAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(N ? N : 1))
-    return P;
+  if (auto *P = static_cast<char *>(std::malloc(SizeHeader + N))) {
+    std::memcpy(P, &N, sizeof N);
+    GHeld.fetch_add(N, std::memory_order_relaxed);
+    return P + SizeHeader;
+  }
   throw std::bad_alloc();
 }
 void *operator new[](std::size_t N) { return ::operator new(N); }
 // Out of line, so GCC does not pair an inlined free() with the operator
 // new above and warn (-Wmismatched-new-delete) in every test body.
-[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
-[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P) noexcept {
+  if (!P)
+    return;
+  char *Block = static_cast<char *>(P) - SizeHeader;
+  std::size_t N = 0;
+  std::memcpy(&N, Block, sizeof N);
+  GHeld.fetch_sub(N, std::memory_order_relaxed);
+  std::free(Block);
+}
+[[gnu::noinline]] void operator delete[](void *P) noexcept {
+  ::operator delete(P);
+}
 [[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
-  std::free(P);
+  ::operator delete(P);
 }
 [[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
-  std::free(P);
+  ::operator delete(P);
 }
 
 static uint64_t allocCount() {
   return GAllocs.load(std::memory_order_relaxed);
 }
+
+static uint64_t heldBytes() { return GHeld.load(std::memory_order_relaxed); }
 
 //===----------------------------------------------------------------------===//
 // SeqRing
@@ -152,23 +176,75 @@ TEST(SeqRing, EraseThenReinsertSameSeq) {
   EXPECT_EQ(R.at(3), (std::vector<int>{9}));
   // And erase() must reset the slot to T{} so owned buffers free eagerly.
   R.erase(3);
-  R.insert(3 + 16, {7}); // Same slot index after one full mask cycle.
+  R.insert(3 + 16, {7}); // The same slot: 16 is a multiple of the capacity.
   EXPECT_EQ(R.at(3 + 16), (std::vector<int>{7}));
 }
 
 TEST(SeqRing, GrowthPreservesSparseEntries) {
   stream::SeqRing<int> R;
-  // Span wider than the initial 16 slots, inserted out of order.
+  // Grows from its first 2 slots to 4, 8 and 64, with gaps inside the
+  // span each time; the last entry lands out of order.
   R.insert(100, 0);
+  R.insert(103, 3);
+  R.insert(107, 7);
   R.insert(140, 40);
   R.insert(121, 21);
-  EXPECT_EQ(R.size(), 3u);
+  EXPECT_EQ(R.size(), 5u);
   EXPECT_EQ(R.at(100), 0);
+  EXPECT_EQ(R.at(103), 3);
+  EXPECT_EQ(R.at(107), 7);
   EXPECT_EQ(R.at(121), 21);
   EXPECT_EQ(R.at(140), 40);
+  EXPECT_FALSE(R.contains(101));
+  EXPECT_FALSE(R.contains(139));
   std::vector<uint64_t> Seen;
   R.forEach([&](uint64_t S, const int &) { Seen.push_back(S); });
-  EXPECT_EQ(Seen, (std::vector<uint64_t>{100, 121, 140}));
+  EXPECT_EQ(Seen, (std::vector<uint64_t>{100, 103, 107, 121, 140}));
+}
+
+TEST(SeqRing, MarchesThousandSeqsThroughTwoSlots) {
+  // An RPC stream's pattern: the next call issues before the last one
+  // retires, so at most two seqs are present. The first insert allocates
+  // the ring's 2 slots (a uint64_t and its present flag: 16 B each), and
+  // they serve every later seq.
+  stream::SeqRing<uint64_t> R;
+  uint64_t A0 = allocCount();
+  uint64_t H0 = heldBytes();
+  R.insert(1, 3);
+  for (uint64_t S = 2; S <= 1000; ++S) {
+    R.insert(S, S * 3);
+    R.erase(S - 1);
+    ASSERT_EQ(R.firstSeq(), S);
+    ASSERT_EQ(R.at(S), S * 3);
+  }
+  EXPECT_EQ(R.size(), 1u);
+  EXPECT_EQ(allocCount() - A0, 1u) << "two slots hold a window of two";
+  EXPECT_EQ(heldBytes() - H0, 2 * 16u);
+}
+
+TEST(SeqRing, InsertFarBelowLoGrowsFromTwoSlots) {
+  // Reply batches overtake each other: a seq far below everything present
+  // arrives while the ring still has its first 2 slots, both full.
+  stream::SeqRing<int> R;
+  R.insert(1000, 0);
+  R.insert(1001, 1);
+  R.insert(970, -30);
+  EXPECT_EQ(R.size(), 3u);
+  EXPECT_EQ(R.firstSeq(), 970u);
+  EXPECT_EQ(R.lastSeq(), 1001u);
+  EXPECT_EQ(R.at(970), -30);
+  EXPECT_EQ(R.at(1000), 0);
+  EXPECT_EQ(R.at(1001), 1);
+  EXPECT_FALSE(R.contains(971));
+  EXPECT_FALSE(R.contains(999));
+  std::vector<uint64_t> Seen;
+  R.forEach([&](uint64_t S, const int &) { Seen.push_back(S); });
+  EXPECT_EQ(Seen, (std::vector<uint64_t>{970, 1000, 1001}));
+  // One growth spans the 32 seqs: filling the gap allocates nothing.
+  uint64_t Before = allocCount();
+  R.insert(985, 15);
+  EXPECT_EQ(allocCount(), Before);
+  EXPECT_EQ(R.at(985), 15);
 }
 
 TEST(SeqRing, ClearKeepsCapacityWarm) {
@@ -182,6 +258,15 @@ TEST(SeqRing, ClearKeepsCapacityWarm) {
     R.insert(S, 2);
   EXPECT_EQ(allocCount(), Before) << "clear() must retain the slot array";
   EXPECT_EQ(R.at(7), 2);
+  // Also the first 2-slot array.
+  stream::SeqRing<int> Small;
+  Small.insert(1, 1);
+  Small.clear();
+  Before = allocCount();
+  Small.insert(7, 7);
+  Small.insert(8, 8);
+  EXPECT_EQ(allocCount(), Before) << "clear() must retain the 2-slot array";
+  EXPECT_EQ(Small.at(8), 8);
 }
 
 //===----------------------------------------------------------------------===//
@@ -584,9 +669,13 @@ TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
   constexpr int K = 4;
 
   // Calls: with no call sink installed they park in the receive window
-  // (nothing is delivered, so nothing is acked or replied to).
+  // (nothing is delivered, so nothing is acked or replied to). The warm-up
+  // parks seqs 1..K and 2K+1, so the window already spans the seqs the
+  // measured batch parks and does not grow while it is counted.
   W.Net.send(Src, Server.address(),
              stream::encodeFramedMessage(callBatchOf(1, K, 100)));
+  W.Net.send(Src, Server.address(),
+             stream::encodeFramedMessage(callBatchOf(2 * K + 1, 1, 100)));
   W.Sim.run(); // Warm: creates the receiver stream and its windows.
   wire::Bytes Calls = stream::encodeFramedMessage(callBatchOf(1 + K, K, 100));
   uint64_t Before = allocCount();
@@ -734,19 +823,22 @@ TEST(HotPathBudget, TypedStreamCallAllocations) {
 }
 
 TEST(HotPathBudget, FreshStreamRpcAllocations) {
-  // What opening a stream costs: one Guardian→KvStore echo RPC with a
-  // 64-byte argument on a fresh agent, after warm-up, makes exactly 22
-  // allocations. An RPC on a warm stream makes 11 at steady state (11.001
-  // a call over 1,000 calls). The fresh one makes those 11, one pure-ack
-  // frame (the warm stream's delayed ack, which a call on another stream
-  // cannot carry), and the new stream's 10 records, which live as long as
-  // the two transports:
-  //  * the first growth of six 16-slot rings: the sender's retransmit
+  // What opening a stream costs. A Guardian→KvStore echo RPC with a
+  // 64-byte argument, run alone from a quiet system, makes 11 allocations
+  // on a warm stream and 19 on a fresh agent's stream. The 8 more are the
+  // new stream's records, which live as long as the two transports:
+  //  * the first growth of six rings to 2 slots: the sender's retransmit
   //    window, reply slots and pending replies, and the receiver's
   //    ahead-of-order calls, out-of-order completions and unacknowledged
-  //    replies (896, 1,280, 1,280, 896, 1,408 and 1,280 B);
-  //  * the client's `Senders` node, and the server's `Receivers`,
-  //    `ReceiversByTag` and `Domains` nodes.
+  //    replies (112, 160, 160, 112, 176 and 160 B);
+  //  * the hash nodes of the client's `Senders` (552 B) and the server's
+  //    `Receivers` (416 B).
+  // Those 1,848 B are what the fresh stream leaves held once its reply is
+  // acknowledged, beyond what the warm call leaves (its finished runner,
+  // until the server next sweeps finished processes). The rest grows in
+  // steps that this fourth stream does not reach: the server's tag
+  // vector and the two tables' bucket arrays when they double, and the
+  // guardian's call tables (48 B a stream) by a 10-table block.
   sim::Simulation Sim;
   Sim.metrics().setEnabled(false);
   net::SimNetwork Net(Sim);
@@ -757,23 +849,44 @@ TEST(HotPathBudget, FreshStreamRpcAllocations) {
   auto Warm = runtime::bindHandler(Client, Client.newAgent(), Kv.Echo);
   auto Fresh = runtime::bindHandler(Client, Client.newAgent(), Kv.Echo);
   const std::string Arg(64, 'e');
-  uint64_t Allocs = 0;
-  bool Echoed = false;
-  Client.spawnProcess("caller", [&] {
-    // Warm slabs, pools, stacks and heaps, also for a call that opens a
-    // stream: it holds more datagrams and events in flight at once.
+  // Warm slabs, pools, stacks and heaps, also for a call that opens a
+  // stream: it holds more datagrams and events in flight at once.
+  Client.spawnProcess("warm-up", [&] {
     for (int I = 0; I != 200; ++I)
       Warm.call(Arg);
     for (int I = 0; I != 2; ++I)
       runtime::bindHandler(Client, Client.newAgent(), Kv.Echo).call(Arg);
     for (int I = 0; I != 20; ++I)
       Warm.call(Arg);
-    uint64_t A0 = allocCount();
-    auto O = Fresh.call(Arg);
-    Allocs = allocCount() - A0;
-    Echoed = O.value() == Arg;
   });
   Sim.run();
-  EXPECT_TRUE(Echoed);
-  EXPECT_EQ(Allocs, 22u);
+  // One RPC in a caller process of its own, run to quiescence so every
+  // delayed ack has gone out: its allocations, and the bytes it leaves.
+  struct Cost {
+    uint64_t Allocs = 0;
+    uint64_t Held = 0;
+    bool Echoed = false;
+  };
+  auto CallAlone = [&](auto &Handler) {
+    Cost C;
+    uint64_t H0 = heldBytes();
+    Sim.spawn("caller", [&] {
+      uint64_t A0 = allocCount();
+      auto O = Handler.call(Arg);
+      C.Allocs = allocCount() - A0;
+      C.Echoed = O.value() == Arg;
+    });
+    Sim.run();
+    C.Held = heldBytes() - H0;
+    return C;
+  };
+  Cost OnWarm = CallAlone(Warm);
+  Cost OnFresh = CallAlone(Fresh);
+  EXPECT_TRUE(OnWarm.Echoed);
+  EXPECT_TRUE(OnFresh.Echoed);
+  EXPECT_EQ(OnWarm.Allocs, 11u);
+  EXPECT_EQ(OnFresh.Allocs, 19u);
+  EXPECT_EQ(OnFresh.Held - OnWarm.Held, 1848u)
+      << OnWarm.Held << " B held after the warm call, " << OnFresh.Held
+      << " B after the fresh one";
 }
