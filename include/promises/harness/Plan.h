@@ -122,9 +122,16 @@ struct RunReport : FaultTally {
   std::vector<std::string> Violations;
   bool ok() const { return Violations.empty(); }
 
-  uint64_t TraceEvents = 0; ///< Recorded events, dropped ones included.
-  uint64_t TraceHash = 0;   ///< FNV-1a over every event's fields, in order.
+  /// Every event the run's registry recorded, including those its buffer
+  /// no longer keeps (MetricsRegistry::eventsRecorded).
+  uint64_t TraceEvents = 0;
+  /// The registry's FNV-1a digest over every recorded event's fields, in
+  /// record order (MetricsRegistry::traceDigest).
+  uint64_t TraceHash = 0;
   sim::Time VirtualEnd = 0;
+  /// A failed run's last recorded events, formatted oldest first
+  /// (harness::World::postMortem); empty for a run that passed.
+  std::vector<std::string> PostMortem;
 };
 
 } // namespace promises::harness

@@ -9,9 +9,10 @@
 /// simulation recording its trace-event stream, a simulated network,
 /// server slots hosting a succession of guardian incarnations and media
 /// that crash with their node, the fault-plan interpreter, the quiescence
-/// audit and the trace digest. A harness derives its world from this one
-/// and supplies what a fresh server incarnation installs; it keeps only
-/// its workload and its scenario-specific checks.
+/// audit, and the trace digest and post-mortem read from the simulation's
+/// registry. A harness derives its world from this one and supplies what
+/// a fresh server incarnation installs; it keeps only its workload and
+/// its scenario-specific checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,6 +91,12 @@ public:
   /// and every server incarnation every issued call settled, no timer
   /// armed, and no call process or gated call leaked.
   void conclude(RunReport &R);
+
+  /// Fills \p R's post-mortem with the last PostMortemEvents recorded
+  /// events, one formatted line each. Harnesses call it for a failed run
+  /// only.
+  void postMortem(RunReport &R) const;
+  static constexpr size_t PostMortemEvents = 16;
 
   /// Every server incarnation's config; each gets its own retransmit
   /// seed.

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The unified observability core: one registry of named, labelled
-/// counters, gauges, and histograms, plus a buffer of typed TraceEvent
-/// records, shared by every layer (sim, net, stream, runtime, baseline).
+/// counters, gauges, and histograms, plus the one sink for typed
+/// TraceEvent records, shared by every layer (sim, net, stream, runtime,
+/// baseline).
 ///
 /// Design rules (see docs/OBSERVABILITY.md):
 ///
@@ -18,14 +19,18 @@
 ///    they replace.
 ///  * Histograms and trace events are *gated*: when the registry is
 ///    disabled (the default) an observe()/emit() site costs one predicted
-///    branch, so benchmarks are unaffected. Enable with
-///    MetricsRegistry::setEnabled(true) or the PROMISES_METRICS /
-///    PROMISES_METRICS_DIR environment variables.
+///    branch, so benchmarks are unaffected, and sites call them
+///    unconditionally. Enable with MetricsRegistry::setEnabled(true) or the
+///    PROMISES_METRICS / PROMISES_METRICS_DIR environment variables.
 ///  * Gauges may be backed by a *probe* callback (e.g. event-queue depth)
 ///    evaluated only at export time — zero hot-path cost.
+///  * Every recorded event is folded into a running FNV-1a digest and a
+///    per-kind count as it is recorded, so the digest and the counts cover
+///    the whole run; the buffer keeps only the newest MaxEvents events, for
+///    the exporters and post-mortems.
 ///
 /// Exporters: a human-readable summary, JSON Lines (one metric per line),
-/// and the chrome://tracing JSON format for the event buffer.
+/// and the chrome://tracing JSON format for the kept events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +46,11 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -185,10 +194,15 @@ enum class EventKind : uint8_t {
   Custom,           ///< Anything else; see Detail.
 };
 
+inline constexpr size_t NumEventKinds =
+    static_cast<size_t>(EventKind::Custom) + 1;
+
 /// Stable lowercase name for an event kind ("sender_break", ...).
 const char *eventKindName(EventKind K);
 
-/// One structured trace record. TsNs is virtual time.
+/// One structured trace record. TsNs is virtual time. Recording it is one
+/// store: the registry interns Detail, so a recorded event's Detail views
+/// text the registry keeps for its whole life.
 struct TraceEvent {
   uint64_t TsNs = 0;
   EventKind Kind = EventKind::Custom;
@@ -196,8 +210,14 @@ struct TraceEvent {
   uint64_t Id = 0;    ///< Agent id, stream tag, or process id.
   uint64_t Seq = 0;   ///< Call seq, incarnation, or batch size.
   uint64_t DurNs = 0; ///< When nonzero: a span [TsNs, TsNs + DurNs].
-  std::string Detail; ///< Break reason etc.; often empty.
+  std::string_view Detail; ///< Break reason etc.; often empty.
 };
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+static_assert(sizeof(TraceEvent) <= 56, "TraceEvent layout budget");
+
+/// One line of text for \p E: virtual time in ms, node, kind, id, seq,
+/// duration and detail (the post-mortem rendering).
+std::string formatEvent(const TraceEvent &E);
 
 /// The registry. One per Simulation (reachable from every layer via
 /// sim::Simulation::metrics()); freestanding instances are fine in tests.
@@ -228,16 +248,29 @@ public:
   Gauge &gaugeProbe(const std::string &Name, std::function<double()> Probe,
                     MetricLabels Labels = {});
 
-  /// Appends a trace event if enabled. The buffer is capped (MaxEvents);
-  /// overflow increments droppedEvents() instead of growing unboundedly.
-  void emit(TraceEvent E);
-
-  const std::vector<TraceEvent> &events() const { return Events; }
-  uint64_t droppedEvents() const { return DroppedEvents; }
-  void clearEvents() {
-    Events.clear();
-    DroppedEvents = 0;
+  /// Records a trace event if enabled; a disabled registry costs the one
+  /// branch, so sites call this unconditionally.
+  void emit(const TraceEvent &E) {
+    if (EnabledFlag)
+      record(E);
   }
+
+  /// Events recorded since construction, including those the buffer no
+  /// longer keeps.
+  uint64_t eventsRecorded() const { return Recorded; }
+  /// Recorded events of kind \p K.
+  uint64_t eventCount(EventKind K) const {
+    return KindCounts[static_cast<size_t>(K)];
+  }
+  /// FNV-1a over every recorded event, in record order: TsNs, Kind, Node,
+  /// Id, Seq and DurNs as 8 little-endian bytes each, then each Detail
+  /// byte widened to a u64. The offset basis while nothing is recorded.
+  uint64_t traceDigest() const { return Digest; }
+
+  /// The newest min(\p N, kept) recorded events, oldest first.
+  std::vector<TraceEvent> recentEvents(size_t N) const;
+  /// The kept events (the newest MaxEvents recorded), oldest first.
+  std::vector<TraceEvent> events() const { return recentEvents(MaxEvents); }
 
   /// --- Exporters ---
 
@@ -256,6 +289,11 @@ public:
   bool writeChromeTraceFile(const std::string &Path) const;
 
   static constexpr size_t MaxEvents = 1 << 20;
+  static constexpr uint64_t DigestBasis = 0xcbf29ce484222325ull;
+  /// Distinct details kept. A detail can be text off the wire (a peer's
+  /// break reason), so past this many a new one is kept as a placeholder;
+  /// the digest still folds its own bytes.
+  static constexpr size_t MaxDetails = 1 << 12;
 
 private:
   enum class Type : uint8_t { Counter, Gauge, Histogram };
@@ -270,6 +308,7 @@ private:
 
   static std::string key(const std::string &Name, const MetricLabels &Labels);
   Instrument &find(Type T, const std::string &Name, MetricLabels Labels);
+  void record(TraceEvent E);
 
   bool EnabledFlag = false;
   // Deques give the handles stable addresses.
@@ -277,8 +316,23 @@ private:
   std::deque<Gauge> GaugePool;
   std::deque<Histogram> HistogramPool;
   std::map<std::string, Instrument> Instruments; ///< Sorted for export.
-  std::vector<TraceEvent> Events;
-  uint64_t DroppedEvents = 0;
+  /// The kept events: a ring of MaxEvents slots in blocks of BlockEvents,
+  /// each allocated when recording first reaches it and never moved.
+  /// Recorded event I sits in slot I % MaxEvents, so past MaxEvents each
+  /// event overwrites the oldest.
+  static constexpr size_t BlockEvents = 1 << 10;
+  std::vector<std::unique_ptr<TraceEvent[]>> Blocks;
+  const TraceEvent &slot(uint64_t I) const {
+    uint64_t S = I % MaxEvents;
+    return Blocks[S / BlockEvents][S % BlockEvents];
+  }
+  uint64_t keptEvents() const {
+    return std::min<uint64_t>(Recorded, MaxEvents);
+  }
+  std::set<std::string, std::less<>> Details; ///< Interned Detail text.
+  uint64_t Recorded = 0;
+  uint64_t Digest = DigestBasis;
+  std::array<uint64_t, NumEventKinds> KindCounts{};
 };
 
 } // namespace promises

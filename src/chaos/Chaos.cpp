@@ -507,7 +507,10 @@ ChaosReport World::finish() {
 ChaosReport chaos::runChaos(const ChaosOptions &O) {
   World W(O);
   W.S.run();
-  return W.finish();
+  ChaosReport R = W.finish();
+  if (!R.ok())
+    W.postMortem(R);
+  return R;
 }
 
 std::string chaos::replayCommand(const ChaosOptions &O) {

@@ -31,14 +31,6 @@ net::NetConfig harness::faultNetConfig(const ChaosProfile &P) {
 
 namespace {
 
-uint64_t fnv1a(uint64_t H, uint64_t V) {
-  for (int I = 0; I != 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xff;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 net::NetConfig seeded(net::NetConfig NC, uint64_t Seed) {
   NC.Seed = mixSeed(Seed, 0);
   return NC;
@@ -149,21 +141,9 @@ void World::conclude(RunReport &R) {
   static_cast<FaultTally &>(R) = Faults;
   R.VirtualEnd = S.now();
 
-  // The determinism oracle: digest the trace-event stream in order.
-  const MetricsRegistry &Reg = S.metrics();
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (const TraceEvent &E : Reg.events()) {
-    H = fnv1a(H, E.TsNs);
-    H = fnv1a(H, static_cast<uint64_t>(E.Kind));
-    H = fnv1a(H, E.Node);
-    H = fnv1a(H, E.Id);
-    H = fnv1a(H, E.Seq);
-    H = fnv1a(H, E.DurNs);
-    for (char C : E.Detail)
-      H = fnv1a(H, static_cast<unsigned char>(C));
-  }
-  R.TraceEvents = Reg.events().size() + Reg.droppedEvents();
-  R.TraceHash = H;
+  // The determinism oracle: the registry digested every event it recorded.
+  R.TraceEvents = S.metrics().eventsRecorded();
+  R.TraceHash = S.metrics().traceDigest();
 
   auto violate = [&](std::string Msg) {
     R.Violations.push_back(std::move(Msg));
@@ -206,4 +186,9 @@ void World::conclude(RunReport &R) {
     audit(*G);
   for (auto &G : ServerGuardians)
     audit(*G);
+}
+
+void World::postMortem(RunReport &R) const {
+  for (const TraceEvent &E : S.metrics().recentEvents(PostMortemEvents))
+    R.PostMortem.push_back(formatEvent(E));
 }

@@ -686,10 +686,7 @@ LoadReport World::finish() {
     Rep.ServerShed += G->callsShed();
     Rep.ServerExpired += G->deadlinesExpired();
   }
-  uint64_t ShedEvents = 0;
-  for (const TraceEvent &E : S.metrics().events())
-    if (E.Kind == EventKind::CallShed)
-      ++ShedEvents;
+  uint64_t ShedEvents = S.metrics().eventCount(EventKind::CallShed);
 
   // 4. Per-tenant accounting, retry-budget bounds, and breaker bounds.
   double SplitSec = static_cast<double>(splitAt()) / 1e9;
@@ -973,7 +970,10 @@ LoadReport World::finish() {
 LoadReport load::runLoad(const LoadOptions &O) {
   World W(O);
   W.S.run();
-  return W.finish();
+  LoadReport R = W.finish();
+  if (!R.ok())
+    W.postMortem(R);
+  return R;
 }
 
 std::string load::replayCommand(const LoadOptions &O) {

@@ -71,8 +71,7 @@ void Network::crash(NodeId N) {
   if (!Nd.Up)
     return;
   Nd.Up = false;
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name});
+  Reg.emit({Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name});
   // Remove every binding on the node (addresses sort by node first);
   // later deliveries count as drops.
   auto It = Binds.lower_bound(Address{N, 0, 0});
@@ -98,8 +97,7 @@ void Network::restart(NodeId N) {
   ++Nd.Epoch;
   Nd.NextPort = 1;
   onRestart(N);
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name});
+  Reg.emit({Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name});
 }
 
 void Network::countSend(NodeId From, uint64_t WireBytes) {
@@ -246,9 +244,8 @@ void SimNetwork::send(Address From, Address To, wire::Bytes Payload) {
       }
       Totals.Corrupted->inc();
       node(From.Node).Counters.Corrupted->inc();
-      if (Reg.enabled())
-        Reg.emit({Sim.now(), EventKind::DatagramCorrupted, From.Node, From.Port,
-                  Bits, 0, ""});
+      Reg.emit({Sim.now(), EventKind::DatagramCorrupted, From.Node, From.Port,
+                Bits, 0, ""});
     }
     uint32_t Slot = park(std::move(D), SentAt);
     Sim.schedule(ArriveAt + Extra - Sim.now(), [this, Slot] { arrive(Slot); });

@@ -114,9 +114,8 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
   if ((OverGlobal || OverStream) && ShedExemptPorts.count(IC.Port) == 0) {
     // A shed seq never enters the table, so no call waits on it.
     CallsShed->inc();
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::CallShed, Node,
-                IC.StreamTag, IC.CallSeq, 0, {}});
+    Reg.emit({Sim.now(), EventKind::CallShed, Node,
+              IC.StreamTag, IC.CallSeq, 0, {}});
     IC.Complete(stream::ReplyStatus::Unavailable, 0, {},
                 core::reasons::Overloaded);
     return;
@@ -198,9 +197,8 @@ void Guardian::creditRetryToken(const net::Address &Remote, double Budget,
 
 void Guardian::noteRetry(stream::AgentId Agent, int Attempt) {
   Retries->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::CallRetry, Node, Agent,
-              static_cast<uint64_t>(Attempt), 0, {}});
+  Reg.emit({Sim.now(), EventKind::CallRetry, Node, Agent,
+            static_cast<uint64_t>(Attempt), 0, {}});
 }
 
 void Guardian::onStreamDead(uint64_t Tag) {
@@ -216,8 +214,7 @@ void Guardian::onStreamDead(uint64_t Tag) {
     if (Call.Runner && Call.Runner.get() == Self)
       continue;
     OrphansDestroyed->inc();
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::OrphanDestroyed, Node, Tag, Seq, 0, {}});
+    Reg.emit({Sim.now(), EventKind::OrphanDestroyed, Node, Tag, Seq, 0, {}});
     if (Call.Runner)
       Sim.kill(Call.Runner);
   }
@@ -238,9 +235,8 @@ void Guardian::runCall(stream::IncomingCall &IC) {
   // calls is dropped without running the handler.
   if (IC.DeadlineNs != 0 && Sim.now() >= IC.DeadlineNs) {
     DeadlinesExpired->inc();
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::DeadlineExpired, Node,
-                IC.StreamTag, IC.CallSeq, 0, {}});
+    Reg.emit({Sim.now(), EventKind::DeadlineExpired, Node,
+              IC.StreamTag, IC.CallSeq, 0, {}});
     IC.Complete(stream::ReplyStatus::Unavailable, 0, {},
                 core::reasons::DeadlineExpired);
     return;

@@ -340,9 +340,8 @@ bool StreamTransport::windowFull(const SenderStream &S) const {
 void StreamTransport::blockForWindow(SenderStream &S) {
   sim::Time T0 = Sim.now();
   Counters.CallsBlocked->inc();
-  if (Reg.enabled())
-    Reg.emit({T0, EventKind::SenderBlocked, Node, S.Agent, S.Window.size(),
-              0, {}});
+  Reg.emit({T0, EventKind::SenderBlocked, Node, S.Agent, S.Window.size(),
+            0, {}});
   {
     // FIFO mutex + condition: blocked issuers reacquire in block order,
     // so window space is handed out in issue (= seq) order.
@@ -352,9 +351,8 @@ void StreamTransport::blockForWindow(SenderStream &S) {
   }
   sim::Time Blocked = Sim.now() - T0;
   Counters.BlockTimeUs->observe(static_cast<double>(Blocked) / 1e3);
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::SenderUnblocked, Node,
-              S.Agent, S.Window.size(), Blocked, {}});
+  Reg.emit({Sim.now(), EventKind::SenderUnblocked, Node,
+            S.Agent, S.Window.size(), Blocked, {}});
 }
 
 StreamTransport::IssueResult
@@ -404,9 +402,7 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
   Slot.Cb = std::move(OnReply);
   S.Slots.insert(Sq, std::move(Slot));
   Counters.CallsIssued->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::CallIssued, Node, Agent, Sq,
-              0, {}});
+  Reg.emit({Sim.now(), EventKind::CallIssued, Node, Agent, Sq, 0, {}});
 
   if (IsRpc) {
     // RPCs "are sent over the network immediately, to minimize the delay
@@ -483,8 +479,7 @@ void StreamTransport::sendCallBatch(SenderStream &S, Seq FromSeq,
     if (!IsRetransmit)
       Counters.BatchOccupancy->observe(static_cast<double>(Calls));
   }
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::CallBatchTx, Node, S.Agent, Calls, 0, {}});
+  Reg.emit({Sim.now(), EventKind::CallBatchTx, Node, S.Agent, Calls, 0, {}});
   Net.send(Addr, S.Remote, std::move(Frame));
 }
 
@@ -695,13 +690,10 @@ void StreamTransport::fulfillInOrder(SenderStream &S) {
     S.FulfilledThrough = Next;
     Progress = true;
     Counters.CallsFulfilled->inc();
-    if (Reg.enabled()) {
-      sim::Time Now = Sim.now();
-      sim::Time Lat = Now - Slot->IssuedAt;
-      Counters.CallLatencyUs->observe(static_cast<double>(Lat) / 1e3);
-      Reg.emit({Slot->IssuedAt, EventKind::CallSpan, Node, S.Agent,
-                Next, Lat, {}});
-    }
+    sim::Time Lat = Sim.now() - Slot->IssuedAt;
+    Counters.CallLatencyUs->observe(static_cast<double>(Lat) / 1e3);
+    Reg.emit({Slot->IssuedAt, EventKind::CallSpan, Node, S.Agent, Next, Lat,
+              {}});
     bool WasRpc = Slot->IsRpc;
     ReplyCallback Cb = std::move(Slot->Cb);
     S.Slots.erase(Next);
@@ -724,9 +716,8 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
   if (S.Broken)
     return;
   Counters.SenderBreaks->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::SenderBreak, Node, S.Agent,
-              S.Inc, 0, Reason});
+  Reg.emit({Sim.now(), EventKind::SenderBreak, Node, S.Agent,
+            S.Inc, 0, Reason});
   S.Broken = true;
   S.BrokenIsFailure = IsFailure;
   S.BreakReason = Reason;
@@ -764,9 +755,8 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
 void StreamTransport::reincarnate(SenderStream &S) {
   PROMISES_CHECK(S.Broken, "reincarnate of a live stream");
   Counters.Restarts->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::StreamRestart, Node, S.Agent,
-              static_cast<uint64_t>(S.Inc) + 1, 0, {}});
+  Reg.emit({Sim.now(), EventKind::StreamRestart, Node, S.Agent,
+            static_cast<uint64_t>(S.Inc) + 1, 0, {}});
   ++S.Inc;
   S.NextSeq = 1;
   S.TransmittedThrough = 0;
@@ -866,9 +856,8 @@ void StreamTransport::breakerOnTimeoutBreak(SenderStream &S) {
     return;
   B.State = 1;
   Counters.BreakerOpens->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::BreakerOpen, Node, S.Agent,
-              static_cast<uint64_t>(B.Consecutive), 0, {}});
+  Reg.emit({Sim.now(), EventKind::BreakerOpen, Node, S.Agent,
+            static_cast<uint64_t>(B.Consecutive), 0, {}});
   armBreakerProbe(S);
 }
 
@@ -882,8 +871,7 @@ void StreamTransport::breakerOnReply(SenderStream &S) {
   B.State = 0;
   Sim.cancel(B.ProbeTimer);
   Counters.BreakerCloses->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::BreakerClose, Node, S.Agent, 0, 0, {}});
+  Reg.emit({Sim.now(), EventKind::BreakerClose, Node, S.Agent, 0, 0, {}});
 }
 
 void StreamTransport::armBreakerProbe(SenderStream &S) {
@@ -946,9 +934,8 @@ StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
     Sim.cancel(R.ReplyFlushTimer);
     Sim.cancel(R.AckTimer);
     ReceiversByTag[R.Tag - 1] = nullptr;
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::StreamSuperseded, Node,
-                R.Tag, M.Inc, 0, {}});
+    Reg.emit({Sim.now(), EventKind::StreamSuperseded, Node,
+              R.Tag, M.Inc, 0, {}});
     if (StreamDeadHook)
       StreamDeadHook(R.Tag); // Orphaned executions get destroyed.
     R = ReceiverStream();
@@ -1017,9 +1004,7 @@ void StreamTransport::deliverReadyCalls(ReceiverStream &R) {
       // completes (as cancelled) through the reply path so the sender's
       // accounting is conserved.
       Counters.CallsCancelled->inc();
-      if (Reg.enabled())
-        Reg.emit({Sim.now(), EventKind::CallCancelled, Node,
-                  R.Tag, C.S, 0, {}});
+      Reg.emit({Sim.now(), EventKind::CallCancelled, Node, R.Tag, C.S, 0, {}});
       completeCall(R, C.S, /*NoReply=*/false, C.FlushReply,
                    ReplyStatus::Unavailable, 0, {},
                    core::reasons::Cancelled);
@@ -1081,9 +1066,7 @@ void StreamTransport::handleCancel(const net::Address &From,
     // orphan, then complete on its behalf. The completion must precede the
     // Cancelled insert — it is a real completion, not a late duplicate.
     Counters.CallsCancelled->inc();
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::CallCancelled, Node,
-                R.Tag, S, 0, {}});
+    Reg.emit({Sim.now(), EventKind::CallCancelled, Node, R.Tag, S, 0, {}});
     if (CallCancelHook)
       CallCancelHook(R.Tag, S);
     completeCall(R, S, /*NoReply=*/false, /*FlushReply=*/true,
@@ -1172,9 +1155,7 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   Sim.cancel(R.AckTimer);
   Counters.ReplyBatchesSent->inc();
   Counters.ReplyOccupancy->observe(static_cast<double>(Replies));
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag, Replies, 0,
-              {}});
+  Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag, Replies, 0, {}});
   Net.send(Addr, R.SenderAddr, std::move(Frame));
 }
 
@@ -1214,9 +1195,8 @@ void StreamTransport::breakReceiverStream(uint64_t StreamTag,
     return;
   ReceiverStream &R = *RP;
   Counters.ReceiverBreaks->inc();
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::ReceiverBreak, Node,
-              StreamTag, 0, 0, Reason});
+  Reg.emit({Sim.now(), EventKind::ReceiverBreak, Node,
+            StreamTag, 0, 0, Reason});
   R.Broken = true;
   R.BrokenIsFailure = IsFailure;
   R.BreakReason = std::move(Reason);
@@ -1248,9 +1228,8 @@ void StreamTransport::onDatagram(net::Datagram D) {
     Counters.FramesTrailingBytes->inc(Trailing);
   if (!Payload) {
     Counters.FramesCorruptDropped->inc();
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
-                Addr.Port, D.Payload.size(), 0, wire::frameErrorName(FE)});
+    Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
+              Addr.Port, D.Payload.size(), 0, wire::frameErrorName(FE)});
     return;
   }
   std::optional<MessageKind> Kind = decodeMessage(*Payload, Rx);
@@ -1260,9 +1239,8 @@ void StreamTransport::onDatagram(net::Datagram D) {
     // Count and trace it distinctly; the chaos invariants treat any
     // occurrence as a violation.
     Counters.MalformedDropped->inc();
-    if (Reg.enabled())
-      Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
-                Addr.Port, Payload->size(), 0, "malformed message"});
+    Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
+              Addr.Port, Payload->size(), 0, "malformed message"});
     return;
   }
   switch (*Kind) {

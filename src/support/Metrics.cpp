@@ -6,6 +6,8 @@
 
 #include "promises/support/Metrics.h"
 
+#include "promises/support/StrUtil.h"
+
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -198,14 +200,67 @@ Histogram &MetricsRegistry::histogram(const std::string &Name,
   return *find(Type::Histogram, Name, std::move(Labels)).H;
 }
 
-void MetricsRegistry::emit(TraceEvent E) {
-  if (!EnabledFlag)
-    return;
-  if (Events.size() >= MaxEvents) {
-    ++DroppedEvents;
-    return;
+namespace {
+
+uint64_t fnv1a(uint64_t H, uint64_t V) {
+  for (int I = 0; I != 8; ++I) {
+    H ^= (V >> (I * 8)) & 0xff;
+    H *= 0x100000001b3ull;
   }
-  Events.push_back(std::move(E));
+  return H;
+}
+
+} // namespace
+
+void MetricsRegistry::record(TraceEvent E) {
+  uint64_t H = Digest;
+  H = fnv1a(H, E.TsNs);
+  H = fnv1a(H, static_cast<uint64_t>(E.Kind));
+  H = fnv1a(H, E.Node);
+  H = fnv1a(H, E.Id);
+  H = fnv1a(H, E.Seq);
+  H = fnv1a(H, E.DurNs);
+  for (char C : E.Detail)
+    H = fnv1a(H, static_cast<unsigned char>(C));
+  Digest = H;
+  ++KindCounts[static_cast<size_t>(E.Kind)];
+
+  if (!E.Detail.empty()) {
+    auto It = Details.lower_bound(E.Detail);
+    if (It != Details.end() && *It == E.Detail)
+      E.Detail = *It;
+    else if (Details.size() < MaxDetails)
+      E.Detail = *Details.emplace_hint(It, E.Detail);
+    else
+      E.Detail = "(detail table full)";
+  }
+  uint64_t S = Recorded % MaxEvents;
+  if (S / BlockEvents == Blocks.size())
+    Blocks.push_back(std::make_unique<TraceEvent[]>(BlockEvents));
+  Blocks[S / BlockEvents][S % BlockEvents] = E;
+  ++Recorded;
+}
+
+std::vector<TraceEvent> MetricsRegistry::recentEvents(size_t N) const {
+  uint64_t Kept = std::min<uint64_t>(N, keptEvents());
+  std::vector<TraceEvent> Out;
+  Out.reserve(Kept);
+  for (uint64_t I = Recorded - Kept; I != Recorded; ++I)
+    Out.push_back(slot(I));
+  return Out;
+}
+
+std::string promises::formatEvent(const TraceEvent &E) {
+  std::string S = strprintf(
+      "%.6fms node=%u %s id=%llu seq=%llu dur=%.6fms",
+      static_cast<double>(E.TsNs) / 1e6, E.Node, eventKindName(E.Kind),
+      (unsigned long long)E.Id, (unsigned long long)E.Seq,
+      static_cast<double>(E.DurNs) / 1e6);
+  if (!E.Detail.empty()) {
+    S += ' ';
+    S += E.Detail;
+  }
+  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -214,7 +269,7 @@ void MetricsRegistry::emit(TraceEvent E) {
 
 namespace {
 
-void jsonEscape(std::ostream &OS, const std::string &S) {
+void jsonEscape(std::ostream &OS, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':
@@ -305,9 +360,9 @@ void MetricsRegistry::writeSummary(std::ostream &OS) const {
     }
     OS << "\n";
   }
-  if (!Events.empty() || DroppedEvents)
-    OS << "  trace events: " << Events.size() << " captured, "
-       << DroppedEvents << " dropped\n";
+  if (Recorded)
+    OS << "  trace events: " << keptEvents() << " captured, "
+       << Recorded - keptEvents() << " dropped\n";
 }
 
 void MetricsRegistry::writeJsonLines(std::ostream &OS) const {
@@ -348,7 +403,7 @@ void MetricsRegistry::writeJsonLines(std::ostream &OS) const {
     }
     OS << "}\n";
   }
-  for (const TraceEvent &E : Events) {
+  for (const TraceEvent &E : events()) {
     OS << "{\"type\":\"event\",\"kind\":\"" << eventKindName(E.Kind)
        << "\",\"ts_ns\":" << E.TsNs << ",\"node\":" << E.Node
        << ",\"id\":" << E.Id << ",\"seq\":" << E.Seq;
@@ -361,14 +416,15 @@ void MetricsRegistry::writeJsonLines(std::ostream &OS) const {
     }
     OS << "}\n";
   }
-  if (DroppedEvents)
-    OS << "{\"type\":\"meta\",\"dropped_events\":" << DroppedEvents << "}\n";
+  if (Recorded > keptEvents())
+    OS << "{\"type\":\"meta\",\"dropped_events\":"
+       << Recorded - keptEvents() << "}\n";
 }
 
 void MetricsRegistry::writeChromeTrace(std::ostream &OS) const {
   OS << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool First = true;
-  for (const TraceEvent &E : Events) {
+  for (const TraceEvent &E : events()) {
     if (!First)
       OS << ",";
     First = false;

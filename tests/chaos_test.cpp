@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "promises/chaos/Chaos.h"
+#include "promises/harness/World.h"
 #include "promises/runtime/RemoteHandler.h"
 
 #include <gtest/gtest.h>
@@ -276,6 +277,33 @@ TEST(ChaosDirected, RetransmitsDoNotExecuteOnNewIncarnation) {
   // The client saw exactly one outcome for the call: a break.
   ASSERT_TRUE(Err.has_value());
   EXPECT_EQ(Err->Name, "unavailable");
+}
+
+TEST(ChaosDirected, PostMortemEndsWithTheLastRecordedEvent) {
+  // A client process that blocks forever fails the quiescence audit. The
+  // post-mortem's last line is the run's last recorded event: the crash
+  // of the server's node at 1 ms.
+  harness::World W(1, harness::faultNetConfig(ChaosProfile::crashes()), 1, 1,
+                   [](size_t, uint32_t, runtime::Guardian &) {});
+  W.installServer(0);
+  runtime::Guardian &Client = W.addClient(0, "cli0", {});
+  WaitQueue Never(W.S);
+  Client.spawnProcess("stuck", [&] { Never.wait(); });
+  harness::ChaosPlan Plan;
+  Plan.Actions.push_back({msec(1), harness::ChaosAction::Kind::CrashNode});
+  W.schedule(Plan);
+  W.S.run();
+
+  harness::RunReport R;
+  W.conclude(R);
+  ASSERT_EQ(R.Violations.size(), 1u);
+  EXPECT_EQ(R.Violations[0], "1 processes still live at quiescence");
+  EXPECT_TRUE(R.PostMortem.empty()); // Filled only on request.
+  W.postMortem(R);
+  ASSERT_FALSE(R.PostMortem.empty());
+  EXPECT_LE(R.PostMortem.size(), harness::World::PostMortemEvents);
+  EXPECT_EQ(R.PostMortem.back(),
+            "1.000000ms node=0 node_crash id=0 seq=0 dur=0.000000ms srv0");
 }
 
 } // namespace

@@ -16,6 +16,8 @@
 //    payload, an arriving frame only the buffers its decode hands on, and
 //    a flushed call batch only its frame.
 //  * InlineFunction: captures up to InlineFunctionBytes never allocate.
+//  * Trace recording: an event whose detail the registry has seen before
+//    is stored without an allocation.
 //  * End-to-end allocation budgets: a transport round trip stays under an
 //    allocation ceiling (the bench's machine-independent companion), a
 //    typed stream call through Guardian and RemoteHandler makes an exact
@@ -37,6 +39,7 @@
 #include "promises/stream/SeqRing.h"
 #include "promises/stream/StreamTransport.h"
 #include "promises/support/InlineFunction.h"
+#include "promises/support/Metrics.h"
 #include "promises/wire/Frame.h"
 
 #include <gtest/gtest.h>
@@ -889,4 +892,22 @@ TEST(HotPathBudget, FreshStreamRpcAllocations) {
   EXPECT_EQ(OnFresh.Held - OnWarm.Held, 1848u)
       << OnWarm.Held << " B held after the warm call, " << OnFresh.Held
       << " B after the fresh one";
+}
+
+TEST(HotPathBudget, RecordingASeenDetailAllocatesNothing) {
+  // An enabled registry stores an event whose detail it has seen before
+  // as one copy into its buffer: the detail is interned, not copied.
+  MetricsRegistry R;
+  R.setEnabled(true);
+  const std::string Reason = core::reasons::CannotCommunicate;
+  const TraceEvent E{1000, EventKind::SenderBreak, 1, 42, 1, 0, Reason};
+  // The first record interns the detail and allocates the buffer's first
+  // block, which has room for the next hundred.
+  R.emit(E);
+  uint64_t A0 = allocCount();
+  for (int I = 0; I != 100; ++I)
+    R.emit(E);
+  EXPECT_EQ(allocCount() - A0, 0u);
+  EXPECT_EQ(R.eventsRecorded(), 101u);
+  EXPECT_EQ(R.events().back().Detail, "cannot communicate");
 }

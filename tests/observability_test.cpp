@@ -3,9 +3,10 @@
 // Part of the promises project (PLDI 1988 reproduction).
 //
 // The metrics registry (support/Metrics.h) and its wiring through the
-// layers: instrument identity, gating, conservation invariants at
-// quiescence, typed trace events on break/restart/orphan paths, and the
-// exporters.
+// layers: instrument identity, gating, the trace sink (digest against a
+// reference fold, per-kind counts, the ring past its cap, interned
+// details), conservation invariants at quiescence, typed trace events on
+// break/restart/orphan paths, and the exporters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -189,8 +190,12 @@ TEST(MetricsRegistry, PercentileIsTotalOnGarbageInput) {
 TEST(MetricsRegistry, EventsGatedAndRecorded) {
   MetricsRegistry R;
   R.emit({100, EventKind::SenderBreak, 1, 2, 3, 0, "early"});
-  EXPECT_TRUE(R.events().empty()); // Disabled: dropped silently.
-  EXPECT_EQ(R.droppedEvents(), 0u);
+  // Disabled: nothing is recorded, digested or counted.
+  EXPECT_TRUE(R.events().empty());
+  EXPECT_EQ(R.eventsRecorded(), 0u);
+  EXPECT_EQ(R.traceDigest(), MetricsRegistry::DigestBasis);
+  for (size_t K = 0; K != NumEventKinds; ++K)
+    EXPECT_EQ(R.eventCount(static_cast<EventKind>(K)), 0u);
 
   R.setEnabled(true);
   R.emit({200, EventKind::CallIssued, 1, 42, 7, 0, {}});
@@ -200,9 +205,116 @@ TEST(MetricsRegistry, EventsGatedAndRecorded) {
   EXPECT_STREQ(eventKindName(R.events()[0].Kind), "call_issued");
   EXPECT_STREQ(eventKindName(EventKind::OrphanDestroyed),
                "orphan_destroyed");
+  EXPECT_EQ(R.eventsRecorded(), 1u);
+  EXPECT_EQ(R.eventCount(EventKind::CallIssued), 1u);
+  EXPECT_EQ(R.eventCount(EventKind::SenderBreak), 0u);
+}
 
-  R.clearEvents();
-  EXPECT_TRUE(R.events().empty());
+// The digest's reference fold, written out independently of the
+// registry: FNV-1a over each field as 8 little-endian bytes, then each
+// Detail byte widened to a u64. tools/hashlist.golden was produced by
+// exactly this fold.
+uint64_t referenceFold(uint64_t H, const TraceEvent &E) {
+  auto Word = [&H](uint64_t V) {
+    for (int I = 0; I != 8; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  Word(E.TsNs);
+  Word(static_cast<uint64_t>(E.Kind));
+  Word(E.Node);
+  Word(E.Id);
+  Word(E.Seq);
+  Word(E.DurNs);
+  for (char C : E.Detail)
+    Word(static_cast<unsigned char>(C));
+  return H;
+}
+
+TEST(MetricsRegistry, DigestMatchesReferenceFold) {
+  MetricsRegistry R;
+  R.setEnabled(true);
+  const TraceEvent Es[] = {
+      {1000, EventKind::CallIssued, 1, 42, 7, 0, {}},
+      {2000, EventKind::SenderBreak, 3, 42, 1, 0, "cannot communicate"},
+      {3000, EventKind::CallSpan, 1, 42, 7, 2000, {}},
+  };
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (const TraceEvent &E : Es) {
+    R.emit(E);
+    H = referenceFold(H, E);
+  }
+  EXPECT_EQ(R.traceDigest(), H);
+  EXPECT_EQ(R.eventsRecorded(), 3u);
+}
+
+TEST(MetricsRegistry, DigestCoversEventsPastTheCap) {
+  // The buffer fills, then keeps the newest MaxEvents: about 60 MB, and
+  // as much again for the copy events() returns.
+  MetricsRegistry R;
+  R.setEnabled(true);
+  const uint64_t N = MetricsRegistry::MaxEvents + 1;
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint64_t I = 0; I != N; ++I) {
+    TraceEvent E{I, EventKind::CallIssued, 1, 9, I, 0, {}};
+    if (I == 0 || I == N - 1)
+      E.Detail = I == 0 ? "first" : "last";
+    R.emit(E);
+    H = referenceFold(H, E);
+  }
+  EXPECT_EQ(R.eventsRecorded(), N);
+  EXPECT_EQ(R.eventCount(EventKind::CallIssued), N);
+  EXPECT_EQ(R.traceDigest(), H);
+
+  // The oldest event fell out; the kept ones run oldest first.
+  std::vector<TraceEvent> Kept = R.events();
+  ASSERT_EQ(Kept.size(), MetricsRegistry::MaxEvents);
+  EXPECT_EQ(Kept.front().Seq, 1u);
+  EXPECT_EQ(Kept.back().Seq, N - 1);
+  EXPECT_EQ(Kept.back().Detail, "last");
+  std::vector<TraceEvent> Tail = R.recentEvents(2);
+  ASSERT_EQ(Tail.size(), 2u);
+  EXPECT_EQ(Tail[0].Seq, N - 2);
+  EXPECT_EQ(Tail[1].Seq, N - 1);
+
+  std::ostringstream Sum;
+  R.writeSummary(Sum);
+  EXPECT_NE(Sum.str().find("trace events: 1048576 captured, 1 dropped"),
+            std::string::npos);
+}
+
+TEST(MetricsRegistry, DetailFromATemporaryReadsBackIntact) {
+  MetricsRegistry R;
+  R.setEnabled(true);
+  // Longer than any small-string buffer, and dead once emit returns.
+  R.emit({1, EventKind::ReceiverBreak, 2, 5, 0, 0,
+          std::string("reason held by a temporary string, ") + "twice over"});
+  R.emit({2, EventKind::Custom, 2, 5, 0, 0, std::string(40, 'x')});
+  std::vector<TraceEvent> Es = R.events();
+  ASSERT_EQ(Es.size(), 2u);
+  EXPECT_EQ(Es[0].Detail, "reason held by a temporary string, twice over");
+  EXPECT_EQ(Es[1].Detail, std::string(40, 'x'));
+}
+
+TEST(MetricsRegistry, DistinctDetailsPastTheTableKeepAPlaceholder) {
+  // A break reason can be text off the wire, so the interned details are
+  // bounded; the digest still folds every detail's own bytes.
+  MetricsRegistry R;
+  R.setEnabled(true);
+  uint64_t H = MetricsRegistry::DigestBasis;
+  for (size_t I = 0; I != MetricsRegistry::MaxDetails + 1; ++I) {
+    std::string Reason = "reason " + std::to_string(I);
+    TraceEvent E{I, EventKind::SenderBreak, 1, 2, 3, 0, Reason};
+    R.emit(E);
+    H = referenceFold(H, E);
+  }
+  EXPECT_EQ(R.traceDigest(), H);
+  std::vector<TraceEvent> Last = R.recentEvents(2);
+  ASSERT_EQ(Last.size(), 2u);
+  EXPECT_EQ(Last[0].Detail,
+            "reason " + std::to_string(MetricsRegistry::MaxDetails - 1));
+  EXPECT_EQ(Last[1].Detail, "(detail table full)");
 }
 
 TEST(MetricsRegistry, ExportersEmitAllInstrumentKinds) {
@@ -578,9 +690,7 @@ TEST_F(WorldFixture, StreamConservationAcrossCrashBreak) {
 //===----------------------------------------------------------------------===//
 
 uint64_t countKind(const MetricsRegistry &R, EventKind K) {
-  return static_cast<uint64_t>(
-      std::count_if(R.events().begin(), R.events().end(),
-                    [K](const TraceEvent &E) { return E.Kind == K; }));
+  return R.eventCount(K);
 }
 
 TEST_F(WorldFixture, CrashEmitsBreakAndNodeEvents) {

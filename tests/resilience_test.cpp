@@ -522,10 +522,7 @@ TEST_F(ResilienceFixture, ShedCompletionCountsOnceAsShedOnly) {
   // Exactly one shed, mirrored one-to-one by the trace events, and no
   // breaker or retry involvement anywhere.
   EXPECT_EQ(Server->callsShed(), 1u);
-  size_t ShedEvents = 0;
-  for (const auto &E : S.metrics().events())
-    ShedEvents += E.Kind == EventKind::CallShed;
-  EXPECT_EQ(ShedEvents, 1u);
+  EXPECT_EQ(S.metrics().eventCount(EventKind::CallShed), 1u);
   EXPECT_EQ(Client->transport().counters().BreakerFastFails, 0u);
   EXPECT_EQ(Client->transport().counters().BreakerOpens, 0u);
   EXPECT_EQ(Client->retriesIssued(), 0u);

@@ -10,8 +10,8 @@
 /// strictly (a value must parse whole and lie in its range), print the
 /// usage text, and list the valid flags after an unknown one. chaossim and
 /// loadsim also share the seed sweep: the determinism double-run and the
-/// FAIL/ok/replay lines. Every gated bench writes its result as one bench
-/// record, the shape tools/check_bench.py compares.
+/// FAIL/ok/event/replay lines. Every gated bench writes its result as one
+/// bench record, the shape tools/check_bench.py compares.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -308,11 +308,11 @@ inline Table sweepFlags(SweepOptions &SW) {
 
 /// Runs the sweep's seeds: Prepare(Seed) gives a seed's options, Run its
 /// report. Unless --no-replay, a clean seed runs twice and must replay to
-/// the same trace. Prints each failing seed with its violations and the
-/// Replay command line, each passing seed unless --quiet, and then
-/// "N/M seeds ok [Name]". After(Options, Report), when given, runs once
-/// per seed after its lines; a nonzero result ends the sweep as its exit
-/// code. Returns 0 if every seed passed, else 1.
+/// the same trace. Prints each failing seed with its violations, its
+/// post-mortem events and the Replay command line, each passing seed
+/// unless --quiet, and then "N/M seeds ok [Name]". After(Options, Report),
+/// when given, runs once per seed after its lines; a nonzero result ends
+/// the sweep as its exit code. Returns 0 if every seed passed, else 1.
 template <class Opts, class Rep>
 int sweep(const SweepOptions &SW, const std::string &Name,
           const std::function<Opts(uint64_t Seed)> &Prepare,
@@ -337,6 +337,7 @@ int sweep(const SweepOptions &SW, const std::string &Name,
             (unsigned long long)R2.TraceHash));
         for (const std::string &V : R2.Violations)
           R.Violations.push_back("replay: " + V);
+        R.PostMortem = std::move(R2.PostMortem);
       }
     }
 
@@ -346,6 +347,8 @@ int sweep(const SweepOptions &SW, const std::string &Name,
                   Name.c_str(), R.summary().c_str());
       for (const std::string &V : R.Violations)
         std::printf("  violation: %s\n", V.c_str());
+      for (const std::string &E : R.PostMortem)
+        std::printf("  event: %s\n", E.c_str());
       std::printf("  replay: %s\n", Replay(O).c_str());
     } else if (!SW.Quiet) {
       std::printf("seed %llu [%s]: ok %s\n", (unsigned long long)S,
