@@ -6,7 +6,9 @@
 // issue -> encode -> seal -> deliver -> decode -> claim, measured over a
 // real transport pair in one simulation, on three paths: RPCs on one
 // stream, pipelined stream calls, and RPCs that each open a stream on a
-// fresh agent. Unlike the EXPERIMENTS.md benches
+// fresh agent. A fourth, typed, path runs the same pipeline the way users
+// write it: RemoteHandler::streamCall through a client Guardian to a
+// KvStore echo on a second one. Unlike the EXPERIMENTS.md benches
 // (virtual-time, protocol-level), this one measures what the host CPU
 // actually pays per call, plus two machine-independent companions:
 //
@@ -23,8 +25,10 @@
 
 #include "Cli.h"
 
+#include "promises/apps/KvStore.h"
 #include "promises/core/Promise.h"
 #include "promises/net/Network.h"
+#include "promises/runtime/RemoteHandler.h"
 #include "promises/sim/Simulation.h"
 #include "promises/stream/StreamTransport.h"
 #include "promises/wire/Frame.h"
@@ -99,7 +103,8 @@ struct World {
     Server = std::make_unique<stream::StreamTransport>(Net, S);
     Agent = Client->newAgent();
     Server->setCallSink([](stream::IncomingCall IC) {
-      IC.Complete(stream::ReplyStatus::Normal, 0, std::move(IC.Args), {});
+      IC.Complete(stream::ReplyStatus::Normal, 0,
+                  wire::Bytes(IC.Args.begin(), IC.Args.end()), {});
     });
   }
 };
@@ -161,47 +166,102 @@ void runStream(World &W, const wire::Bytes &Args, uint64_t N,
     InFlight[Claim].claim();
 }
 
+/// Typed mode: the stream pipeline as users write it. \p Ring holds the
+/// calls in flight; each slot's call is claimed, and its echo checked,
+/// before the slot is reused, and the last ones are drained.
+template <typename Handler>
+void runTyped(Handler &Echo, const std::string &Arg, uint64_t N,
+              std::vector<core::Promise<std::string>> &Ring) {
+  auto Claim = [&](core::Promise<std::string> &P) {
+    if (P.valid() && P.claim().value() != Arg) {
+      std::fprintf(stderr, "typed echo returned the wrong value\n");
+      std::abort();
+    }
+    P = core::Promise<std::string>();
+  };
+  for (uint64_t I = 0; I != N; ++I) {
+    core::Promise<std::string> &P = Ring[I % Ring.size()];
+    Claim(P);
+    P = Echo.streamCall(Arg);
+  }
+  for (core::Promise<std::string> &P : Ring)
+    Claim(P);
+}
+
+/// Runs \p Run(N) for Opt.Warmup untimed calls, then for Opt.Calls timed
+/// ones, inside the calling simulated process.
+template <typename Fn>
+Sample timeCalls(const Options &Opt, net::Network &Net, Fn &&Run) {
+  Run(Opt.Warmup); // Warm slabs, rings, and stream state.
+  uint64_t Allocs0 = GAllocs.load(std::memory_order_relaxed);
+  wire::FrameStats FS0 = wire::frameStats();
+  uint64_t Bytes0 = Net.counters().BytesSent;
+  auto T0 = std::chrono::steady_clock::now();
+  Run(Opt.Calls);
+  auto T1 = std::chrono::steady_clock::now();
+  uint64_t Allocs1 = GAllocs.load(std::memory_order_relaxed);
+  wire::FrameStats FS1 = wire::frameStats();
+  uint64_t Bytes1 = Net.counters().BytesSent;
+  double N = static_cast<double>(Opt.Calls);
+  Sample Out;
+  Out.NsPerCall =
+      static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
+              .count()) /
+      N;
+  Out.AllocsPerCall = static_cast<double>(Allocs1 - Allocs0) / N;
+  Out.SealCopiedPerCall =
+      static_cast<double>(FS1.PayloadBytesCopied - FS0.PayloadBytesCopied) /
+      N;
+  Out.WireBytesPerCall = static_cast<double>(Bytes1 - Bytes0) / N;
+  return Out;
+}
+
 template <typename Fn>
 Sample measure(const Options &Opt, Fn &&Run) {
   World W;
   wire::Bytes Args(Opt.ArgBytes, 0xAB);
   Sample Out;
   W.Sim.spawn("driver", [&] {
-    Run(W, Args, Opt.Warmup); // Warm slabs, rings, and stream state.
-    uint64_t Allocs0 = GAllocs.load(std::memory_order_relaxed);
-    wire::FrameStats FS0 = wire::frameStats();
-    uint64_t Bytes0 = W.Net.counters().BytesSent;
-    auto T0 = std::chrono::steady_clock::now();
-    Run(W, Args, Opt.Calls);
-    auto T1 = std::chrono::steady_clock::now();
-    uint64_t Allocs1 = GAllocs.load(std::memory_order_relaxed);
-    wire::FrameStats FS1 = wire::frameStats();
-    uint64_t Bytes1 = W.Net.counters().BytesSent;
-    double N = static_cast<double>(Opt.Calls);
-    Out.NsPerCall =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
-                .count()) /
-        N;
-    Out.AllocsPerCall = static_cast<double>(Allocs1 - Allocs0) / N;
-    Out.SealCopiedPerCall =
-        static_cast<double>(FS1.PayloadBytesCopied - FS0.PayloadBytesCopied) /
-        N;
-    Out.WireBytesPerCall = static_cast<double>(Bytes1 - Bytes0) / N;
+    Out = timeCalls(Opt, W.Net, [&](uint64_t N) { Run(W, Args, N); });
   });
   W.Sim.run();
   return Out;
 }
 
+/// The typed path: a client Guardian and a KvStore guardian on their own
+/// nodes, Opt.Pipeline echo calls of Opt.ArgBytes in flight.
+Sample measureTyped(const Options &Opt) {
+  sim::Simulation Sim;
+  net::SimNetwork Net(Sim);
+  runtime::Guardian Server(Net, Net.addNode("server"), "server");
+  runtime::Guardian Client(Net, Net.addNode("client"), "client");
+  apps::KvStore Kv =
+      apps::installKvStore(Server, apps::KvStoreConfig{.ServiceTime = 0});
+  auto Echo = runtime::bindHandler(Client, Client.newAgent(), Kv.Echo);
+  const std::string Arg(Opt.ArgBytes, 'e');
+  std::vector<core::Promise<std::string>> Ring(Opt.Pipeline);
+  Sample Out;
+  Client.spawnProcess("driver", [&] {
+    Out = timeCalls(Opt, Net,
+                    [&](uint64_t N) { runTyped(Echo, Arg, N, Ring); });
+  });
+  Sim.run();
+  return Out;
+}
+
 /// The record's rows for one path: wall ns/call may drift 25%; the
 /// allocation and seal-copy counts are deterministic and must not grow.
+/// The typed path reports no seal-copy row: its sends are the stream
+/// path's.
 void addMetrics(std::vector<cli::Metric> &Out, const std::string &Path,
-                const Sample &S) {
+                const Sample &S, bool SealRow = true) {
   Out.push_back({Path + "_ns_per_call", S.NsPerCall, "ns", cli::Lower, 0.25});
   Out.push_back({Path + "_allocs_per_call", S.AllocsPerCall, "allocs",
                  cli::Lower, 0});
-  Out.push_back({Path + "_seal_copied_bytes_per_call", S.SealCopiedPerCall,
-                 "bytes", cli::Lower, 0});
+  if (SealRow)
+    Out.push_back({Path + "_seal_copied_bytes_per_call", S.SealCopiedPerCall,
+                   "bytes", cli::Lower, 0});
   Out.push_back({Path + "_wire_bytes_per_call", S.WireBytesPerCall, "bytes",
                  cli::Lower, cli::ReportOnly});
 }
@@ -238,11 +298,13 @@ int main(int Argc, char **Argv) {
 
   Sample Fresh = measure(Opt, [](World &W, const wire::Bytes &Args,
                                  uint64_t N) { runFresh(W, Args, N); });
+  Sample Typed = measureTyped(Opt);
 
   std::vector<cli::Metric> Metrics;
   addMetrics(Metrics, "rpc", Rpc);
   addMetrics(Metrics, "stream", Stream);
   addMetrics(Metrics, "fresh", Fresh);
+  addMetrics(Metrics, "typed", Typed, /*SealRow=*/false);
   std::string Record = cli::benchRecord("bench_hotpath", 7,
                                         {{"calls", Opt.Calls},
                                          {"warmup", Opt.Warmup},

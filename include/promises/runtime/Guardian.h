@@ -150,6 +150,7 @@ public:
     stream::PortId Port = NextPort++;
     Executors[Port] = [this, Impl = std::move(Impl)](
                           stream::IncomingCall &IC) mutable {
+      // Decoded straight from the frame the call arrived in.
       std::string Why;
       auto Args = wire::decodeFromBytes<ArgsTuple>(IC.Args, &Why);
       if (!Args) {
@@ -262,8 +263,7 @@ public:
   size_t gatedCallCount() const {
     size_t N = 0;
     for (const CallTable &T : Domains)
-      for (const auto &[Sq, Call] : T)
-        N += !Call.Runner;
+      T.forEach([&N](stream::Seq, const LiveCall &Call) { N += !Call.Runner; });
     return N;
   }
 
@@ -279,16 +279,18 @@ private:
   };
   /// One stream's live calls in seq order, and the orphans to destroy when
   /// it dies. Only a serial stream's first call has a runner, which takes
-  /// the queued ones in order; each parallel-group call has its own.
-  using CallTable = std::map<stream::Seq, LiveCall>;
+  /// the queued ones in order; each parallel-group call has its own. The
+  /// transport delivers a stream's calls in seq order, so they sit in a
+  /// ring by seq, which keeps its slots once the stream goes quiet.
+  using CallTable = stream::SeqRing<LiveCall>;
 
   /// The call table of stream \p Tag, made if absent.
   CallTable &table(uint64_t Tag);
   void onStreamDead(uint64_t Tag);
 
   void onIncomingCall(stream::IncomingCall IC);
-  /// Spawns the runner that starts with call \p It of \p T.
-  void startRunner(CallTable &T, CallTable::iterator It);
+  /// Spawns the runner that starts with call \p Sq of \p T.
+  void startRunner(CallTable &T, stream::Seq Sq);
   /// The runner body: executes call \p Sq of \p T, then each queued call
   /// that becomes the table's first, yielding between two calls.
   void runCalls(CallTable &T, stream::Seq Sq);
@@ -321,8 +323,8 @@ private:
       Executors;
   /// The call tables by stream tag: tag T's is slot T - 1, as the
   /// transport hands tags out densely. A deque, so a table stays put
-  /// while its runner holds it; a drained table stays too, so a call on a
-  /// warm stream allocates nothing.
+  /// while its runner holds it; a drained table keeps its ring too, so a
+  /// call on a warm stream allocates nothing.
   std::deque<CallTable> Domains;
   /// Sum of the call tables' sizes, kept in lockstep with every
   /// insert/erase so admission control is O(1) per call.

@@ -112,7 +112,7 @@ bool outcomeToWire(const core::Outcome<Ret, Exs...> &O,
 
 /// Decodes a declared exception selected by \p Tag.
 template <typename OutcomeT, core::ExceptionType... Exs>
-OutcomeT decodeExceptionOutcome(uint32_t Tag, const wire::Bytes &Payload) {
+OutcomeT decodeExceptionOutcome(uint32_t Tag, wire::ByteView Payload) {
   OutcomeT Result{core::Failure{"unknown exception tag"}};
   if constexpr (sizeof...(Exs) != 0) {
     uint32_t I = 0;

@@ -24,6 +24,10 @@
 /// sender-driven (see StreamTransport.h). StreamConfig::StateShapedReplies
 /// makes every batch a recovery batch (the A1 ablation).
 ///
+/// A sender builds CallReq and WireReply values and encodes them; a
+/// receiver decodes in place, into CallReqView and WireReplyView, whose
+/// bytes stay in the frame they arrived in (decodeMessage).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROMISES_STREAM_MESSAGES_H
@@ -33,8 +37,10 @@
 #include "promises/wire/Codec.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -86,6 +92,25 @@ struct CallReq {
 // Every retransmission and receive window holds one per call in flight.
 static_assert(sizeof(CallReq) <= 48, "CallReq grew");
 
+/// Bytes inside a received frame: a view of them, and the shared reference
+/// to the frame's buffer that keeps the view valid for as long as it is
+/// held. The reference is null while the frame is still the datagram being
+/// decoded, and for an empty view, which needs no frame.
+struct FrameSlice : wire::ByteView {
+  std::shared_ptr<const wire::Bytes> Frame;
+};
+
+/// A CallReq as the receiver decodes it: the arguments are a slice of the
+/// frame (the transport attaches the frame when it keeps the call).
+struct CallReqView {
+  Seq S = 0;
+  PortId Port = 0;
+  bool NoReply = false;
+  bool FlushReply = false;
+  uint64_t DeadlineNs = 0;
+  FrameSlice Args;
+};
+
 /// One explicit reply inside a ReplyBatchMsg.
 struct WireReply {
   Seq S = 0;
@@ -98,6 +123,16 @@ struct WireReply {
 };
 // Every unacked-reply and pending-reply ring holds one per reply.
 static_assert(sizeof(WireReply) <= 72, "WireReply grew");
+
+/// A WireReply as the sender decodes it: Payload and Reason view the frame
+/// and are valid only while the frame is being handled.
+struct WireReplyView {
+  Seq S = 0;
+  ReplyStatus Status = ReplyStatus::Normal;
+  uint32_t ExTag = 0;
+  wire::ByteView Payload;
+  std::string_view Reason;
+};
 
 /// The fields of a CallBatchMsg that precede its calls. The transport
 /// seals outgoing batches from a header plus its retransmission window
@@ -119,6 +154,11 @@ struct CallBatchMsg : CallBatchHeader {
   std::vector<CallReq> Calls;
 
   friend bool operator==(const CallBatchMsg &, const CallBatchMsg &) = default;
+};
+
+/// A CallBatchMsg decoded in place.
+struct CallBatchView : CallBatchHeader {
+  std::vector<CallReqView> Calls;
 };
 
 /// The fields of a ReplyBatchMsg that precede its replies (see
@@ -143,6 +183,11 @@ struct ReplyBatchMsg : ReplyBatchHeader {
 
   friend bool operator==(const ReplyBatchMsg &,
                          const ReplyBatchMsg &) = default;
+};
+
+/// A ReplyBatchMsg decoded in place.
+struct ReplyBatchView : ReplyBatchHeader {
+  std::vector<WireReplyView> Replies;
 };
 
 /// Sender -> receiver: cancel specific outstanding calls. Fire-and-forget
@@ -195,30 +240,39 @@ wire::Bytes encodeFramedReplyBatch(const ReplyBatchHeader &H,
                                    const SeqRing<WireReply> &Unacked,
                                    Seq After);
 
-/// Decodes a stream message; std::nullopt on malformed input.
-std::optional<Message> decodeMessage(wire::ByteView B);
-
 /// Decode targets a receiver keeps from one datagram to the next: one
-/// message per kind, so each batch's sequence keeps its capacity and a
-/// steady-state decode allocates only the Args/Payload/Reason buffers it
-/// hands on.
+/// message per kind, decoded in place, so each batch's sequence keeps its
+/// capacity and a steady-state decode allocates nothing.
 struct MessageBuffers {
-  CallBatchMsg Calls;
-  ReplyBatchMsg Replies;
+  CallBatchView Calls;
+  ReplyBatchView Replies;
   CancelMsg Cancel;
 };
 
-/// Decodes \p B into the member of \p Into that matches its kind and
-/// returns that kind, or std::nullopt on malformed input (the member is
-/// then unspecified).
+/// Decodes \p B in place into the member of \p Into that matches its
+/// kind and returns that kind, or std::nullopt on malformed input (the
+/// member is then unspecified). The decoded arguments, payloads and
+/// reasons view \p B. This is the one decoder of the receive path.
 std::optional<MessageKind> decodeMessage(wire::ByteView B,
                                          MessageBuffers &Into);
+
+/// Decodes a stream message into values that own their bytes: the in-place
+/// decode, copied out. std::nullopt on malformed input.
+std::optional<Message> decodeMessage(wire::ByteView B);
 
 } // namespace promises::stream
 
 namespace promises::wire {
 
+// A call and a reply are encoded from the values a sender builds and
+// decoded in place, into views: each codec half has one element type. A
+// view's size() only bounds how many elements a sequence decode reserves
+// for (minEncodedBytes).
+
 template <> struct Codec<stream::CallReq> {
+  /// Encoded bytes of a call besides its argument bytes.
+  static constexpr size_t FixedBytes = 8 + 4 + 1 + 1 + 8 + 4;
+
   static void encode(Encoder &E, const stream::CallReq &V) {
     E.writeU64(V.S);
     E.writeU32(V.Port);
@@ -227,22 +281,31 @@ template <> struct Codec<stream::CallReq> {
     E.writeU64(V.DeadlineNs);
     E.writeBytes(V.Args.data(), V.Args.size());
   }
-  static stream::CallReq decode(Decoder &D) {
-    stream::CallReq V;
+  static size_t size(const stream::CallReq &V) {
+    return FixedBytes + V.Args.size();
+  }
+};
+
+template <> struct Codec<stream::CallReqView> {
+  static stream::CallReqView decode(Decoder &D) {
+    stream::CallReqView V;
     V.S = D.readU64();
     V.Port = D.readU32();
     V.NoReply = D.readBool();
     V.FlushReply = D.readBool();
     V.DeadlineNs = D.readU64();
-    V.Args = D.readBytes();
+    V.Args = {D.readBytesView(), nullptr};
     return V;
   }
-  static size_t size(const stream::CallReq &V) {
-    return 8 + 4 + 1 + 1 + 8 + (4 + V.Args.size());
+  static size_t size(const stream::CallReqView &V) {
+    return Codec<stream::CallReq>::FixedBytes + V.Args.size();
   }
 };
 
 template <> struct Codec<stream::WireReply> {
+  /// Encoded bytes of a reply besides its payload and reason bytes.
+  static constexpr size_t FixedBytes = 8 + 1 + 4 + 4 + 4;
+
   static void encode(Encoder &E, const stream::WireReply &V) {
     E.writeU64(V.S);
     E.writeU8(static_cast<uint8_t>(V.Status));
@@ -250,8 +313,14 @@ template <> struct Codec<stream::WireReply> {
     E.writeBytes(V.Payload.data(), V.Payload.size());
     E.writeString(V.Reason);
   }
-  static stream::WireReply decode(Decoder &D) {
-    stream::WireReply V;
+  static size_t size(const stream::WireReply &V) {
+    return FixedBytes + V.Payload.size() + V.Reason.size();
+  }
+};
+
+template <> struct Codec<stream::WireReplyView> {
+  static stream::WireReplyView decode(Decoder &D) {
+    stream::WireReplyView V;
     V.S = D.readU64();
     uint8_t Raw = D.readU8();
     if (Raw > static_cast<uint8_t>(stream::ReplyStatus::Unavailable)) {
@@ -260,12 +329,13 @@ template <> struct Codec<stream::WireReply> {
     }
     V.Status = static_cast<stream::ReplyStatus>(Raw);
     V.ExTag = D.readU32();
-    V.Payload = D.readBytes();
-    V.Reason = D.readString();
+    V.Payload = D.readBytesView();
+    V.Reason = D.readStringView();
     return V;
   }
-  static size_t size(const stream::WireReply &V) {
-    return 8 + 1 + 4 + (4 + V.Payload.size()) + (4 + V.Reason.size());
+  static size_t size(const stream::WireReplyView &V) {
+    return Codec<stream::WireReply>::FixedBytes + V.Payload.size() +
+           V.Reason.size();
   }
 };
 
@@ -319,22 +389,13 @@ template <> struct Codec<stream::ReplyBatchHeader> {
   }
 };
 
-/// A batch is its header followed by its sequence. The decode-into form
-/// reuses the sequence's capacity (see stream::MessageBuffers).
+/// A batch is its header followed by its sequence. The decode side is
+/// BatchViewCodec.
 template <typename Msg, typename Header, typename Elem, auto Items>
 struct BatchCodec {
   static void encode(Encoder &E, const Msg &V) {
     Codec<Header>::encode(E, V);
     Codec<std::vector<Elem>>::encode(E, V.*Items);
-  }
-  static Msg decode(Decoder &D) {
-    Msg V;
-    decode(D, V);
-    return V;
-  }
-  static void decode(Decoder &D, Msg &Out) {
-    static_cast<Header &>(Out) = Codec<Header>::decode(D);
-    Codec<std::vector<Elem>>::decode(D, Out.*Items);
   }
   static size_t size(const Msg &V) {
     return Codec<Header>::size(V) + Codec<std::vector<Elem>>::size(V.*Items);
@@ -351,6 +412,27 @@ struct Codec<stream::ReplyBatchMsg>
     : BatchCodec<stream::ReplyBatchMsg, stream::ReplyBatchHeader,
                  stream::WireReply, &stream::ReplyBatchMsg::Replies> {};
 
+/// Decodes a batch in place into \p Out, reusing its sequence's capacity
+/// (see stream::MessageBuffers).
+template <typename View, typename Header, typename Elem, auto Items>
+struct BatchViewCodec {
+  static void decode(Decoder &D, View &Out) {
+    static_cast<Header &>(Out) = Codec<Header>::decode(D);
+    Codec<std::vector<Elem>>::decode(D, Out.*Items);
+  }
+};
+
+template <>
+struct Codec<stream::CallBatchView>
+    : BatchViewCodec<stream::CallBatchView, stream::CallBatchHeader,
+                     stream::CallReqView, &stream::CallBatchView::Calls> {};
+
+template <>
+struct Codec<stream::ReplyBatchView>
+    : BatchViewCodec<stream::ReplyBatchView, stream::ReplyBatchHeader,
+                     stream::WireReplyView,
+                     &stream::ReplyBatchView::Replies> {};
+
 template <> struct Codec<stream::CancelMsg> {
   static void encode(Encoder &E, const stream::CancelMsg &V) {
     E.writeU64(V.Agent);
@@ -358,11 +440,7 @@ template <> struct Codec<stream::CancelMsg> {
     E.writeU32(V.Inc);
     Codec<std::vector<stream::Seq>>::encode(E, V.Seqs);
   }
-  static stream::CancelMsg decode(Decoder &D) {
-    stream::CancelMsg V;
-    decode(D, V);
-    return V;
-  }
+  /// A cancel carries no bytes to view: decoding into \p Out is in place.
   static void decode(Decoder &D, stream::CancelMsg &Out) {
     Out.Agent = D.readU64();
     Out.Group = D.readU32();

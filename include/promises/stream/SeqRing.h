@@ -8,7 +8,8 @@
 /// A flat ring keyed by absolute sequence number, replacing the
 /// std::map<Seq, T> windows on the transport hot path. The maps held
 /// dense, mostly-contiguous sequence ranges (a sender's retransmission
-/// window, its outcome slots, a receiver's ahead-of-order buffers), so
+/// window, its outcome slots, a receiver's ahead-of-order buffers, and a
+/// guardian's live calls on one stream), so
 /// every lookup was a pointer-chasing tree walk and every insert a node
 /// allocation. The ring stores entries inline in a power-of-two slot
 /// array indexed by `S & Mask`: O(1) find/insert/erase, and cache-line

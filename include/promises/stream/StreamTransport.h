@@ -50,6 +50,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -124,7 +125,8 @@ inline sim::Time backoffRto(sim::Time Cur, double Factor, sim::Time Cap) {
   return static_cast<sim::Time>(Next);
 }
 
-/// The sender-visible outcome of one stream call.
+/// The sender-visible outcome of one stream call, as its reply callback
+/// sees it.
 struct ReplyOutcome {
   enum class Kind : uint8_t {
     Normal,      ///< Payload holds encoded results.
@@ -135,7 +137,9 @@ struct ReplyOutcome {
   };
   Kind K = Kind::Normal;
   uint32_t ExTag = 0;
-  wire::Bytes Payload;
+  /// Views the reply's bytes where they arrived: valid only during the
+  /// callback. Decode it there, or copy it.
+  wire::ByteView Payload;
   std::string Reason;
 
   static ReplyOutcome unavailable(std::string Why) {
@@ -190,7 +194,9 @@ struct IncomingCall {
   PortId Port = 0;
   bool NoReply = false;
   sim::Time DeadlineNs = 0; ///< Absolute deadline from the wire; 0 = none.
-  wire::Bytes Args;
+  /// The encoded arguments, a slice of the frame they arrived in: holding
+  /// the call keeps its frame alive.
+  FrameSlice Args;
   /// The runtime must invoke this exactly once when the call completes.
   /// Out-of-order completions within a stream are buffered; the sender
   /// still observes outcomes in call order.
@@ -254,8 +260,11 @@ struct StreamCounters {
   uint64_t FramesCorruptDropped = 0; ///< Arriving frames rejected before
                                      ///< decode (checksum/header damage).
   uint64_t MalformedDropped = 0;     ///< Frame-valid datagrams whose message
-                                     ///< failed to decode (local encode bug;
-                                     ///< chaos treats any as a violation).
+                                     ///< failed to decode, or spoke of calls
+                                     ///< the stream never sent or cannot
+                                     ///< hold (see handleReplyBatch and
+                                     ///< handleCallBatch); chaos treats any
+                                     ///< as a violation.
   uint64_t FramesTrailingBytes = 0;  ///< Bytes beyond a frame's declared
                                      ///< length (datagram padding), dropped
                                      ///< before decode.
@@ -527,8 +536,9 @@ private:
     GroupId Group = 0;
     Incarnation Inc = 1;
 
-    Seq NextExpected = 1;    ///< Next call seq to deliver to user code.
-    SeqRing<CallReq> Future; ///< Received ahead of order.
+    Seq NextExpected = 1;        ///< Next call seq to deliver to user code.
+    SeqRing<CallReqView> Future; ///< Received ahead of order, each call
+                                 ///< holding its frame.
     Seq CompletedThrough = 0;
     /// Calls executed beyond the contiguous prefix (only possible when the
     /// runtime opts a group into parallel execution); nullopt entries are
@@ -586,8 +596,14 @@ private:
   void armSenderRetransTimer(SenderStream &S);
   void armSenderAckTimer(SenderStream &S);
   void onSenderRetransTimer(SenderStream &S);
-  void handleReplyBatch(const net::Address &From, ReplyBatchMsg &M);
-  void fulfillInOrder(SenderStream &S);
+  /// Applies a reply batch; false when it claims more than the stream
+  /// sent, and was dropped.
+  bool handleReplyBatch(const net::Address &From, const ReplyBatchView &M);
+  /// Hands out every outcome now known, in call order: each reply comes
+  /// from PendingReplies or else from \p Frame, the batch being handled
+  /// (in ascending seq order). Replies in \p Frame that still wait behind
+  /// a gap are parked in PendingReplies as copies.
+  void fulfillInOrder(SenderStream &S, std::span<const WireReplyView> Frame);
   void breakSender(SenderStream &S, bool IsFailure, std::string Reason);
   void reincarnate(SenderStream &S);
   bool windowFull(const SenderStream &S) const;
@@ -597,8 +613,12 @@ private:
   /// The receiver stream a call batch belongs to (opened if absent, and
   /// reset in place for a newer incarnation), or null for a stale one.
   ReceiverStream *receiverFor(const net::Address &From,
-                              const CallBatchMsg &M);
-  void handleCallBatch(const net::Address &From, CallBatchMsg &M);
+                              const CallBatchHeader &M);
+  /// Takes the calls of a batch decoded from \p Datagram, whose buffer
+  /// the kept calls then share; false when a call was dropped as too far
+  /// ahead to hold.
+  bool handleCallBatch(const net::Address &From, CallBatchView &M,
+                       wire::Bytes &Datagram);
   void handleCancel(const net::Address &From, const CancelMsg &M);
   void deliverReadyCalls(ReceiverStream &R);
   void completeCall(ReceiverStream &R, Seq S, bool NoReply, bool FlushReply,
@@ -616,6 +636,9 @@ private:
 
   /// Verifies and decodes an arriving frame in place, then dispatches it.
   void onDatagram(net::Datagram D);
+  /// Counts and traces a frame-valid datagram that was dropped whole or in
+  /// part because of what it said.
+  void dropMalformed(size_t PayloadBytes);
 
   /// Registry-backed cells behind the StreamCounters view, plus the
   /// transport's histograms (gated on the registry's enabled flag).
@@ -650,10 +673,12 @@ private:
   std::function<void(uint64_t, Seq)> CallCancelHook;
   Cells Counters;
   Rng RetransRng; ///< Deterministic retransmit jitter (see StreamConfig).
-  /// What onDatagram decodes into. The handlers move the calls and
-  /// replies out but leave the sequences' capacity here for the next
-  /// datagram. Safe to reuse because no network delivers a datagram from
-  /// inside a handler: every delivery is a fresh scheduler event.
+  /// What onDatagram decodes into, in place: views into the datagram being
+  /// handled. The handlers keep what they need (a call with its frame, a
+  /// parked reply as a copy) and leave the sequences' capacity here for
+  /// the next datagram. Safe to reuse because no network delivers a
+  /// datagram from inside a handler: every delivery is a fresh scheduler
+  /// event.
   MessageBuffers Rx;
 
   // The stream tables grow with every stream the transport ever opens

@@ -248,8 +248,15 @@ public:
   Gauge &gaugeProbe(const std::string &Name, std::function<double()> Probe,
                     MetricLabels Labels = {});
 
-  /// Records a trace event if enabled; a disabled registry costs the one
-  /// branch, so sites call this unconditionally.
+  /// Records the trace event of these fields (TraceEvent's, in order) if
+  /// enabled. The event is built inside the branch, so a disabled registry
+  /// costs the one flag test and sites call this unconditionally.
+  void emit(uint64_t TsNs, EventKind Kind, uint32_t Node, uint64_t Id,
+            uint64_t Seq, uint64_t DurNs = 0, std::string_view Detail = {}) {
+    if (EnabledFlag)
+      record(TraceEvent{TsNs, Kind, Node, Id, Seq, DurNs, Detail});
+  }
+  /// Records \p E if enabled.
   void emit(const TraceEvent &E) {
     if (EnabledFlag)
       record(E);
@@ -308,7 +315,7 @@ private:
 
   static std::string key(const std::string &Name, const MetricLabels &Labels);
   Instrument &find(Type T, const std::string &Name, MetricLabels Labels);
-  void record(TraceEvent E);
+  void record(const TraceEvent &E);
 
   bool EnabledFlag = false;
   // Deques give the handles stable addresses.

@@ -265,9 +265,10 @@ std::optional<Bytes> encodeToBytes(const T &V, std::string *Reason = nullptr) {
 }
 
 /// Decodes a whole value from \p B; returns std::nullopt on failure or
-/// trailing garbage.
+/// trailing garbage. \p B may view a received frame: the value owns what
+/// it decodes.
 template <Transmissible T>
-std::optional<T> decodeFromBytes(const Bytes &B, std::string *Reason = nullptr) {
+std::optional<T> decodeFromBytes(ByteView B, std::string *Reason = nullptr) {
   Decoder D(B);
   T V = Codec<T>::decode(D);
   if (D.failed()) {

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace promises::wire {
@@ -176,34 +177,23 @@ public:
 
   /// Reads a length-prefixed byte sequence.
   Bytes readBytes() {
-    uint32_t N = readU32();
-    if (N > MaxStringBytes) {
-      fail("oversized byte sequence");
-      return {};
-    }
-    if (N > remaining()) {
-      fail("truncated byte sequence");
-      return {};
-    }
-    Bytes Out(Data + Pos, Data + Pos + N);
-    Pos += N;
-    return Out;
+    ByteView V = readBytesView();
+    return Bytes(V.begin(), V.end());
+  }
+
+  /// Reads a length-prefixed byte sequence in place: a view of the
+  /// decoded bytes, valid while they are.
+  ByteView readBytesView() {
+    return readSized("oversized byte sequence", "truncated byte sequence");
   }
 
   /// Reads a length-prefixed string.
-  std::string readString() {
-    uint32_t N = readU32();
-    if (N > MaxStringBytes) {
-      fail("oversized string");
-      return {};
-    }
-    if (N > remaining()) {
-      fail("truncated string");
-      return {};
-    }
-    std::string Out(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return Out;
+  std::string readString() { return std::string(readStringView()); }
+
+  /// Reads a length-prefixed string in place (see readBytesView).
+  std::string_view readStringView() {
+    ByteView V = readSized("oversized string", "truncated string");
+    return {reinterpret_cast<const char *>(V.data()), V.size()};
   }
 
   /// Marks the decoding failed (bounds violation or fallible user codec).
@@ -224,6 +214,24 @@ public:
   bool atEnd() const { return Pos == Len; }
 
 private:
+  /// The next length-prefixed run of bytes, in place; empty (and the
+  /// decoder failed with the matching reason) when its length is over
+  /// MaxStringBytes or past the end.
+  ByteView readSized(const char *Oversized, const char *Truncated) {
+    uint32_t N = readU32();
+    if (N > MaxStringBytes) {
+      fail(Oversized);
+      return {};
+    }
+    if (N > remaining()) {
+      fail(Truncated);
+      return {};
+    }
+    ByteView V(Data + Pos, N);
+    Pos += N;
+    return V;
+  }
+
   void readRaw(void *Out, size_t N) {
     if (Failed)
       return;

@@ -22,11 +22,10 @@ Mailbox::Mailbox(net::Network &Net, net::NodeId Node,
   Transport->setCallSink([this](stream::IncomingCall IC) {
     // Every incoming "call" is a one-way message: complete right away
     // (sends omit normal replies on the wire) and enqueue the payload.
-    Msg M;
-    M.Payload = std::move(IC.Args);
     IC.Complete(stream::ReplyStatus::Normal, 0, {}, "");
-    // Sender address travels in-band; decode the envelope.
-    wire::Decoder D(M.Payload);
+    // Sender address travels in-band; decode the envelope from the frame.
+    wire::Decoder D(IC.Args);
+    Msg M;
     M.From = wire::Codec<net::Address>::decode(D);
     M.Payload = D.readBytes();
     if (D.failed())

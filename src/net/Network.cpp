@@ -71,7 +71,7 @@ void Network::crash(NodeId N) {
   if (!Nd.Up)
     return;
   Nd.Up = false;
-  Reg.emit({Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name});
+  Reg.emit(Sim.now(), EventKind::NodeCrash, N, 0, 0, 0, Nd.Name);
   // Remove every binding on the node (addresses sort by node first);
   // later deliveries count as drops.
   auto It = Binds.lower_bound(Address{N, 0, 0});
@@ -97,7 +97,7 @@ void Network::restart(NodeId N) {
   ++Nd.Epoch;
   Nd.NextPort = 1;
   onRestart(N);
-  Reg.emit({Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name});
+  Reg.emit(Sim.now(), EventKind::NodeRestart, N, 0, 0, 0, Nd.Name);
 }
 
 void Network::countSend(NodeId From, uint64_t WireBytes) {
@@ -244,8 +244,8 @@ void SimNetwork::send(Address From, Address To, wire::Bytes Payload) {
       }
       Totals.Corrupted->inc();
       node(From.Node).Counters.Corrupted->inc();
-      Reg.emit({Sim.now(), EventKind::DatagramCorrupted, From.Node, From.Port,
-                Bits, 0, ""});
+      Reg.emit(Sim.now(), EventKind::DatagramCorrupted, From.Node, From.Port,
+               Bits);
     }
     uint32_t Slot = park(std::move(D), SentAt);
     Sim.schedule(ArriveAt + Extra - Sim.now(), [this, Slot] { arrive(Slot); });

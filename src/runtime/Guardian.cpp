@@ -114,8 +114,7 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
   if ((OverGlobal || OverStream) && ShedExemptPorts.count(IC.Port) == 0) {
     // A shed seq never enters the table, so no call waits on it.
     CallsShed->inc();
-    Reg.emit({Sim.now(), EventKind::CallShed, Node,
-              IC.StreamTag, IC.CallSeq, 0, {}});
+    Reg.emit(Sim.now(), EventKind::CallShed, Node, IC.StreamTag, IC.CallSeq);
     IC.Complete(stream::ReplyStatus::Unavailable, 0, {},
                 core::reasons::Overloaded);
     return;
@@ -126,36 +125,40 @@ void Guardian::onIncomingCall(stream::IncomingCall IC) {
   // concurrently. A parallel group's call skips the wait: the transport
   // reorders completions back into call order for the sender.
   bool Queued = !T.empty() && !isParallelGroup(IC.Group);
-  auto It = T.emplace_hint(T.end(), IC.CallSeq, LiveCall{std::move(IC), {}});
+  stream::Seq Sq = IC.CallSeq;
+  T.insert(Sq, LiveCall{std::move(IC), {}});
   ++LiveCallProcs;
   if (!Queued)
-    startRunner(T, It);
+    startRunner(T, Sq);
 }
 
-void Guardian::startRunner(CallTable &T, CallTable::iterator It) {
+void Guardian::startRunner(CallTable &T, stream::Seq Sq) {
   // The body captures 24 bytes and is stored inline in the Process; the
   // constant name needs no formatting.
-  It->second.Runner =
-      Sim.spawn("call", [this, &T, Sq = It->first] { runCalls(T, Sq); });
-  trackProcess(It->second.Runner);
+  sim::ProcessHandle &Runner = T.at(Sq).Runner;
+  Runner = Sim.spawn("call", [this, &T, Sq] { runCalls(T, Sq); });
+  trackProcess(Runner);
 }
 
 void Guardian::runCalls(CallTable &T, stream::Seq Sq) {
   for (;;) {
-    stream::IncomingCall IC = std::move(T.find(Sq)->second.Call);
-    runCall(IC);
+    {
+      // The call, and with it its frame, lives until it has run.
+      stream::IncomingCall IC = std::move(T.at(Sq).Call);
+      runCall(IC);
+    }
     // A cancel, an orphan destruction or a crash erases the entry of the
     // runner it kills; a handler in a critical section still gets here.
-    auto It = T.find(Sq);
-    if (It == T.end())
+    LiveCall *Done = T.find(Sq);
+    if (!Done)
       return;
-    sim::ProcessHandle Self = std::move(It->second.Runner);
-    T.erase(It);
+    sim::ProcessHandle Self = std::move(Done->Runner);
+    T.erase(Sq);
     --LiveCallProcs;
-    if (T.empty() || T.begin()->second.Runner)
+    if (T.empty() || T.at(T.firstSeq()).Runner)
       return; // Drained, or a parallel group: every call has its runner.
-    Sq = T.begin()->first;
-    T.begin()->second.Runner = std::move(Self);
+    Sq = T.firstSeq();
+    T.at(Sq).Runner = std::move(Self);
     // Whatever else is ready now runs before the next call, as it would
     // before a process of the call's own: traces keep their order.
     Sim.yieldNow();
@@ -164,17 +167,17 @@ void Guardian::runCalls(CallTable &T, stream::Seq Sq) {
 
 void Guardian::cancelCall(uint64_t Tag, stream::Seq Sq) {
   CallTable &T = table(Tag);
-  auto It = T.find(Sq);
-  if (It == T.end())
+  LiveCall *Call = T.find(Sq);
+  if (!Call)
     return;
   // Tear the runner down through the same machinery as orphan
   // destruction; a queued call has none.
-  if (It->second.Runner)
-    Sim.kill(It->second.Runner);
-  T.erase(It);
+  if (Call->Runner)
+    Sim.kill(Call->Runner);
+  T.erase(Sq);
   --LiveCallProcs;
-  if (!T.empty() && !T.begin()->second.Runner)
-    startRunner(T, T.begin());
+  if (!T.empty() && !T.at(T.firstSeq()).Runner)
+    startRunner(T, T.firstSeq());
 }
 
 bool Guardian::takeRetryToken(const net::Address &Remote, double Budget) {
@@ -197,8 +200,8 @@ void Guardian::creditRetryToken(const net::Address &Remote, double Budget,
 
 void Guardian::noteRetry(stream::AgentId Agent, int Attempt) {
   Retries->inc();
-  Reg.emit({Sim.now(), EventKind::CallRetry, Node, Agent,
-            static_cast<uint64_t>(Attempt), 0, {}});
+  Reg.emit(Sim.now(), EventKind::CallRetry, Node, Agent,
+           static_cast<uint64_t>(Attempt));
 }
 
 void Guardian::onStreamDead(uint64_t Tag) {
@@ -210,14 +213,14 @@ void Guardian::onStreamDead(uint64_t Tag) {
     return;
   CallTable &T = Domains[Tag - 1];
   sim::Process *Self = sim::Simulation::current();
-  for (auto &[Seq, Call] : T) {
+  T.forEach([&](stream::Seq Sq, const LiveCall &Call) {
     if (Call.Runner && Call.Runner.get() == Self)
-      continue;
+      return;
     OrphansDestroyed->inc();
-    Reg.emit({Sim.now(), EventKind::OrphanDestroyed, Node, Tag, Seq, 0, {}});
+    Reg.emit(Sim.now(), EventKind::OrphanDestroyed, Node, Tag, Sq);
     if (Call.Runner)
       Sim.kill(Call.Runner);
-  }
+  });
   // The clear covers every entry — including the current runner's, which
   // then finds its entry gone and exits — so the live counter drops by the
   // full table size here, exactly once.
@@ -235,8 +238,8 @@ void Guardian::runCall(stream::IncomingCall &IC) {
   // calls is dropped without running the handler.
   if (IC.DeadlineNs != 0 && Sim.now() >= IC.DeadlineNs) {
     DeadlinesExpired->inc();
-    Reg.emit({Sim.now(), EventKind::DeadlineExpired, Node,
-              IC.StreamTag, IC.CallSeq, 0, {}});
+    Reg.emit(Sim.now(), EventKind::DeadlineExpired, Node, IC.StreamTag,
+             IC.CallSeq);
     IC.Complete(stream::ReplyStatus::Unavailable, 0, {},
                 core::reasons::DeadlineExpired);
     return;

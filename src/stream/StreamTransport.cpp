@@ -81,6 +81,17 @@ size_t messageSizeOf(const Message &M) {
                  },
                  M);
 }
+
+/// Copies of a decoded call or reply that own their bytes.
+CallReq owned(const CallReqView &C) {
+  return {C.S,          C.Port, C.NoReply, C.FlushReply,
+          C.DeadlineNs, wire::Bytes(C.Args.begin(), C.Args.end())};
+}
+WireReply owned(const WireReplyView &R) {
+  return {R.S, R.Status, R.ExTag,
+          wire::Bytes(R.Payload.begin(), R.Payload.end()),
+          std::string(R.Reason)};
+}
 } // namespace
 
 wire::Bytes promises::stream::encodeMessage(const Message &M) {
@@ -125,10 +136,10 @@ promises::stream::decodeMessage(wire::ByteView B, MessageBuffers &Into) {
   auto Kind = static_cast<MessageKind>(D.readU8());
   switch (Kind) {
   case MessageKind::CallBatch:
-    wire::Codec<CallBatchMsg>::decode(D, Into.Calls);
+    wire::Codec<CallBatchView>::decode(D, Into.Calls);
     break;
   case MessageKind::ReplyBatch:
-    wire::Codec<ReplyBatchMsg>::decode(D, Into.Replies);
+    wire::Codec<ReplyBatchView>::decode(D, Into.Replies);
     break;
   case MessageKind::Cancel:
     wire::Codec<CancelMsg>::decode(D, Into.Cancel);
@@ -147,10 +158,20 @@ std::optional<Message> promises::stream::decodeMessage(wire::ByteView B) {
   if (!Kind)
     return std::nullopt;
   switch (*Kind) {
-  case MessageKind::CallBatch:
-    return Message(std::move(M.Calls));
-  case MessageKind::ReplyBatch:
-    return Message(std::move(M.Replies));
+  case MessageKind::CallBatch: {
+    CallBatchMsg Out;
+    static_cast<CallBatchHeader &>(Out) = M.Calls;
+    for (const CallReqView &C : M.Calls.Calls)
+      Out.Calls.push_back(owned(C));
+    return Message(std::move(Out));
+  }
+  case MessageKind::ReplyBatch: {
+    ReplyBatchMsg Out;
+    static_cast<ReplyBatchHeader &>(Out) = M.Replies;
+    for (const WireReplyView &R : M.Replies.Replies)
+      Out.Replies.push_back(owned(R));
+    return Message(std::move(Out));
+  }
   case MessageKind::Cancel:
     return Message(std::move(M.Cancel));
   }
@@ -340,8 +361,7 @@ bool StreamTransport::windowFull(const SenderStream &S) const {
 void StreamTransport::blockForWindow(SenderStream &S) {
   sim::Time T0 = Sim.now();
   Counters.CallsBlocked->inc();
-  Reg.emit({T0, EventKind::SenderBlocked, Node, S.Agent, S.Window.size(),
-            0, {}});
+  Reg.emit(T0, EventKind::SenderBlocked, Node, S.Agent, S.Window.size());
   {
     // FIFO mutex + condition: blocked issuers reacquire in block order,
     // so window space is handed out in issue (= seq) order.
@@ -351,8 +371,8 @@ void StreamTransport::blockForWindow(SenderStream &S) {
   }
   sim::Time Blocked = Sim.now() - T0;
   Counters.BlockTimeUs->observe(static_cast<double>(Blocked) / 1e3);
-  Reg.emit({Sim.now(), EventKind::SenderUnblocked, Node,
-            S.Agent, S.Window.size(), Blocked, {}});
+  Reg.emit(Sim.now(), EventKind::SenderUnblocked, Node, S.Agent,
+           S.Window.size(), Blocked);
 }
 
 StreamTransport::IssueResult
@@ -402,7 +422,7 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
   Slot.Cb = std::move(OnReply);
   S.Slots.insert(Sq, std::move(Slot));
   Counters.CallsIssued->inc();
-  Reg.emit({Sim.now(), EventKind::CallIssued, Node, Agent, Sq, 0, {}});
+  Reg.emit(Sim.now(), EventKind::CallIssued, Node, Agent, Sq);
 
   if (IsRpc) {
     // RPCs "are sent over the network immediately, to minimize the delay
@@ -479,7 +499,7 @@ void StreamTransport::sendCallBatch(SenderStream &S, Seq FromSeq,
     if (!IsRetransmit)
       Counters.BatchOccupancy->observe(static_cast<double>(Calls));
   }
-  Reg.emit({Sim.now(), EventKind::CallBatchTx, Node, S.Agent, Calls, 0, {}});
+  Reg.emit(Sim.now(), EventKind::CallBatchTx, Node, S.Agent, Calls);
   Net.send(Addr, S.Remote, std::move(Frame));
 }
 
@@ -592,17 +612,26 @@ void StreamTransport::armSenderAckTimer(SenderStream &S) {
   });
 }
 
-void StreamTransport::handleReplyBatch(const net::Address &From,
-                                       ReplyBatchMsg &M) {
+bool StreamTransport::handleReplyBatch(const net::Address &From,
+                                       const ReplyBatchView &M) {
   SenderStream *S = findSender({M.Agent, From, M.Group});
   if (!S)
-    return;
+    return true;
   // Any reply batch proves the endpoint is reachable, so it closes an
   // open/half-open breaker — before the liveness checks below, because the
   // probed stream is typically broken.
   breakerOnReply(*S);
   if (S->Broken || M.Inc != S->Inc)
-    return;
+    return true;
+  // A receiver speaks only of calls it was sent. Acking an untransmitted
+  // call would drop it from the window it is still owed from, and
+  // completing or answering an unissued one would wait on a slot that
+  // does not exist: such a batch is forged or corrupt, and dropped whole.
+  if (M.AckCallThrough > S->TransmittedThrough ||
+      M.CompletedThrough >= S->NextSeq ||
+      std::any_of(M.Replies.begin(), M.Replies.end(),
+                  [&](const WireReplyView &R) { return R.S >= S->NextSeq; }))
+    return false;
 
   // Delivery acknowledgements let the retransmission window shrink — and
   // window space frees the oldest blocked issuer first (FIFO wakeup).
@@ -617,14 +646,23 @@ void StreamTransport::handleReplyBatch(const net::Address &From,
     S->WindowCv.notifyAll();
   }
 
-  // Merge explicit replies; detect a batch that carries nothing new
-  // (the receiver missed our ack — re-ack immediately).
+  // Detect a batch that carries nothing new (the receiver missed our ack —
+  // re-ack immediately). Receivers seal replies in ascending seq order,
+  // and fulfillInOrder consumes those straight from the frame; a batch in
+  // any other order has every new reply parked first, as a copy, where
+  // the first reply for a seq wins.
+  bool InOrder = std::adjacent_find(M.Replies.begin(), M.Replies.end(),
+                                    [](const WireReplyView &A,
+                                       const WireReplyView &B) {
+                                      return A.S >= B.S;
+                                    }) == M.Replies.end();
   bool AnyNew = false;
-  for (WireReply &R : M.Replies) {
-    if (R.S > S->FulfilledThrough && !S->PendingReplies.contains(R.S)) {
-      S->PendingReplies.insert(R.S, std::move(R));
-      AnyNew = true;
-    }
+  for (const WireReplyView &R : M.Replies) {
+    if (R.S <= S->FulfilledThrough || S->PendingReplies.contains(R.S))
+      continue;
+    AnyNew = true;
+    if (!InOrder)
+      S->PendingReplies.insert(R.S, owned(R));
   }
   if (M.CompletedThrough > S->CompletedThroughMax) {
     S->CompletedThroughMax = M.CompletedThrough;
@@ -634,54 +672,73 @@ void StreamTransport::handleReplyBatch(const net::Address &From,
   // Consume outcomes in order first (a synchronous break leaves calls up
   // to CompletedThrough unaffected), then apply the break to the rest.
   Seq Before = S->FulfilledThrough;
-  fulfillInOrder(*S);
+  fulfillInOrder(*S, InOrder ? std::span<const WireReplyView>(M.Replies)
+                             : std::span<const WireReplyView>());
   if (M.Broken) {
     breakSender(*S, M.BreakIsFailure, M.BreakReason);
-    return;
+    return true;
   }
   if (!M.Replies.empty() && !AnyNew) {
     // Nothing new: the receiver missed our ack — repeat it immediately.
     sendCallBatch(*S, 1, 0, /*FlushReplies=*/false, /*IsRetransmit=*/false);
-    return;
+    return true;
   }
   if (S->FulfilledThrough > Before)
     armSenderAckTimer(*S);
+  return true;
 }
 
-void StreamTransport::fulfillInOrder(SenderStream &S) {
+namespace {
+/// What a reply's callback sees; its payload views \p W's bytes.
+ReplyOutcome outcomeOf(const WireReplyView &W) {
+  ReplyOutcome O;
+  switch (W.Status) {
+  case ReplyStatus::Normal:
+    O.K = ReplyOutcome::Kind::Normal;
+    O.Payload = W.Payload;
+    break;
+  case ReplyStatus::Exception:
+    O.K = ReplyOutcome::Kind::Exception;
+    O.ExTag = W.ExTag;
+    O.Payload = W.Payload;
+    break;
+  case ReplyStatus::Failure:
+    O.K = ReplyOutcome::Kind::Failure;
+    O.Reason = W.Reason;
+    break;
+  case ReplyStatus::Unavailable:
+    // Per-call unavailability (deadline expired, cancelled, shed): the
+    // stream itself stays healthy.
+    O.K = ReplyOutcome::Kind::Unavailable;
+    O.Reason = W.Reason;
+    break;
+  }
+  return O;
+}
+} // namespace
+
+void StreamTransport::fulfillInOrder(SenderStream &S,
+                                     std::span<const WireReplyView> Frame) {
+  Incarnation Inc = S.Inc;
+  size_t Cursor = 0; // Frame[Cursor] is the first reply not below Next.
   bool Progress = false;
   while (S.FulfilledThrough < S.CompletedThroughMax) {
     Seq Next = S.FulfilledThrough + 1;
     SenderStream::Slot *Slot = S.Slots.find(Next);
     PROMISES_CHECK(Slot != nullptr, "missing reply slot");
+    while (Cursor != Frame.size() && Frame[Cursor].S < Next)
+      ++Cursor;
     ReplyOutcome O;
-    WireReply *PR = S.PendingReplies.find(Next);
-    if (PR) {
-      // The entry is consumed exactly once (erased below): move the
-      // payload out rather than copying it.
-      WireReply &W = *PR;
-      switch (W.Status) {
-      case ReplyStatus::Normal:
-        O.K = ReplyOutcome::Kind::Normal;
-        O.Payload = std::move(W.Payload);
-        break;
-      case ReplyStatus::Exception:
-        O.K = ReplyOutcome::Kind::Exception;
-        O.ExTag = W.ExTag;
-        O.Payload = std::move(W.Payload);
-        break;
-      case ReplyStatus::Failure:
-        O.K = ReplyOutcome::Kind::Failure;
-        O.Reason = std::move(W.Reason);
-        break;
-      case ReplyStatus::Unavailable:
-        // Per-call unavailability (deadline expired, cancelled, shed):
-        // the stream itself stays healthy.
-        O.K = ReplyOutcome::Kind::Unavailable;
-        O.Reason = std::move(W.Reason);
-        break;
-      }
+    // A parked reply is consumed exactly once: it leaves the ring here and
+    // its bytes live until its callback returns.
+    WireReply Parked;
+    if (WireReply *PR = S.PendingReplies.find(Next)) {
+      Parked = std::move(*PR);
       S.PendingReplies.erase(Next);
+      O = outcomeOf({Parked.S, Parked.Status, Parked.ExTag, Parked.Payload,
+                     Parked.Reason});
+    } else if (Cursor != Frame.size() && Frame[Cursor].S == Next) {
+      O = outcomeOf(Frame[Cursor]);
     } else if (Slot->NoReply) {
       O.K = ReplyOutcome::Kind::Normal; // A send that completed normally.
     } else {
@@ -692,8 +749,7 @@ void StreamTransport::fulfillInOrder(SenderStream &S) {
     Counters.CallsFulfilled->inc();
     sim::Time Lat = Sim.now() - Slot->IssuedAt;
     Counters.CallLatencyUs->observe(static_cast<double>(Lat) / 1e3);
-    Reg.emit({Slot->IssuedAt, EventKind::CallSpan, Node, S.Agent, Next, Lat,
-              {}});
+    Reg.emit(Slot->IssuedAt, EventKind::CallSpan, Node, S.Agent, Next, Lat);
     bool WasRpc = Slot->IsRpc;
     ReplyCallback Cb = std::move(Slot->Cb);
     S.Slots.erase(Next);
@@ -707,6 +763,13 @@ void StreamTransport::fulfillInOrder(SenderStream &S) {
     if (Cb)
       Cb(O);
   }
+  // The rest of the frame's replies wait behind a gap and must outlive the
+  // frame. A callback that broke or restarted the stream dropped them.
+  if (!S.Broken && S.Inc == Inc)
+    for (; Cursor != Frame.size(); ++Cursor)
+      if (const WireReplyView &R = Frame[Cursor];
+          R.S > S.FulfilledThrough && !S.PendingReplies.contains(R.S))
+        S.PendingReplies.insert(R.S, owned(R));
   if (Progress)
     S.FulfillQ.notifyAll();
 }
@@ -716,8 +779,7 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
   if (S.Broken)
     return;
   Counters.SenderBreaks->inc();
-  Reg.emit({Sim.now(), EventKind::SenderBreak, Node, S.Agent,
-            S.Inc, 0, Reason});
+  Reg.emit(Sim.now(), EventKind::SenderBreak, Node, S.Agent, S.Inc, 0, Reason);
   S.Broken = true;
   S.BrokenIsFailure = IsFailure;
   S.BreakReason = Reason;
@@ -755,8 +817,8 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
 void StreamTransport::reincarnate(SenderStream &S) {
   PROMISES_CHECK(S.Broken, "reincarnate of a live stream");
   Counters.Restarts->inc();
-  Reg.emit({Sim.now(), EventKind::StreamRestart, Node, S.Agent,
-            static_cast<uint64_t>(S.Inc) + 1, 0, {}});
+  Reg.emit(Sim.now(), EventKind::StreamRestart, Node, S.Agent,
+           static_cast<uint64_t>(S.Inc) + 1);
   ++S.Inc;
   S.NextSeq = 1;
   S.TransmittedThrough = 0;
@@ -856,8 +918,8 @@ void StreamTransport::breakerOnTimeoutBreak(SenderStream &S) {
     return;
   B.State = 1;
   Counters.BreakerOpens->inc();
-  Reg.emit({Sim.now(), EventKind::BreakerOpen, Node, S.Agent,
-            static_cast<uint64_t>(B.Consecutive), 0, {}});
+  Reg.emit(Sim.now(), EventKind::BreakerOpen, Node, S.Agent,
+           static_cast<uint64_t>(B.Consecutive));
   armBreakerProbe(S);
 }
 
@@ -871,7 +933,7 @@ void StreamTransport::breakerOnReply(SenderStream &S) {
   B.State = 0;
   Sim.cancel(B.ProbeTimer);
   Counters.BreakerCloses->inc();
-  Reg.emit({Sim.now(), EventKind::BreakerClose, Node, S.Agent, 0, 0, {}});
+  Reg.emit(Sim.now(), EventKind::BreakerClose, Node, S.Agent, 0);
 }
 
 void StreamTransport::armBreakerProbe(SenderStream &S) {
@@ -920,7 +982,8 @@ Seq StreamTransport::outstandingCalls(AgentId Agent, net::Address Remote,
 //===----------------------------------------------------------------------===//
 
 StreamTransport::ReceiverStream *
-StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
+StreamTransport::receiverFor(const net::Address &From,
+                             const CallBatchHeader &M) {
   auto [It, Fresh] = Receivers.try_emplace({From, M.Agent, M.Group});
   ReceiverStream &R = It->second;
   if (!Fresh) {
@@ -934,8 +997,7 @@ StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
     Sim.cancel(R.ReplyFlushTimer);
     Sim.cancel(R.AckTimer);
     ReceiversByTag[R.Tag - 1] = nullptr;
-    Reg.emit({Sim.now(), EventKind::StreamSuperseded, Node,
-              R.Tag, M.Inc, 0, {}});
+    Reg.emit(Sim.now(), EventKind::StreamSuperseded, Node, R.Tag, M.Inc);
     if (StreamDeadHook)
       StreamDeadHook(R.Tag); // Orphaned executions get destroyed.
     R = ReceiverStream();
@@ -949,18 +1011,19 @@ StreamTransport::receiverFor(const net::Address &From, const CallBatchMsg &M) {
   return &R;
 }
 
-void StreamTransport::handleCallBatch(const net::Address &From,
-                                      CallBatchMsg &M) {
+bool StreamTransport::handleCallBatch(const net::Address &From,
+                                      CallBatchView &M,
+                                      wire::Bytes &Datagram) {
   ReceiverStream *RP = receiverFor(From, M);
   if (!RP)
-    return;
+    return true;
   ReceiverStream &R = *RP;
 
   if (R.Broken) {
     // "Further calls on that stream will be discarded" — but keep telling
     // the sender about the break until it learns.
     sendReplyBatch(R, /*ResendAll=*/true);
-    return;
+    return true;
   }
 
   // The sender has consumed replies through AckReplyThrough.
@@ -969,11 +1032,28 @@ void StreamTransport::handleCallBatch(const net::Address &From,
     R.UnackedReplies.erase(R.UnackedReplies.firstSeq());
 
   bool SawDuplicate = false;
-  for (CallReq &C : M.Calls) {
+  bool Whole = true;
+  // The kept calls' arguments stay in the datagram's buffer, which the
+  // first call with argument bytes moves into a shared frame: moving the
+  // vector keeps its buffer, so the decoded slices stay valid.
+  std::shared_ptr<const wire::Bytes> Frame;
+  for (CallReqView &C : M.Calls) {
     if (C.S < R.NextExpected || R.Future.contains(C.S)) {
       Counters.DuplicateCallsDropped->inc();
       SawDuplicate = true;
       continue;
+    }
+    // The window spans every seq it holds, so a seq this far ahead would
+    // make it allocate for the whole gap: no sender has that many calls in
+    // flight. Treat the call as lost; a real sender retransmits it.
+    if (C.S - R.NextExpected >= wire::MaxSequenceElems) {
+      Whole = false;
+      continue;
+    }
+    if (!C.Args.empty()) {
+      if (!Frame)
+        Frame = std::make_shared<wire::Bytes>(std::move(Datagram));
+      C.Args.Frame = Frame;
     }
     R.Future.insert(C.S, std::move(C));
   }
@@ -984,19 +1064,20 @@ void StreamTransport::handleCallBatch(const net::Address &From,
     // The ack / probe response: resend everything unacknowledged so a
     // sender stalled by a lost reply batch always recovers.
     sendReplyBatch(R, /*ResendAll=*/true);
-    return;
+    return Whole;
   }
   if (SawDuplicate)
     R.NeedAck = true;
   if (R.NextExpected - 1 > R.LastSentAck || R.NeedAck)
     armReceiverAckTimer(R);
+  return Whole;
 }
 
 void StreamTransport::deliverReadyCalls(ReceiverStream &R) {
   if (!CallSink)
     return;
   while (!R.Future.empty() && R.Future.firstSeq() == R.NextExpected) {
-    CallReq C = std::move(R.Future.at(R.NextExpected));
+    CallReqView C = std::move(R.Future.at(R.NextExpected));
     R.Future.erase(R.NextExpected);
     ++R.NextExpected;
     if (R.Cancelled.count(C.S)) {
@@ -1004,7 +1085,7 @@ void StreamTransport::deliverReadyCalls(ReceiverStream &R) {
       // completes (as cancelled) through the reply path so the sender's
       // accounting is conserved.
       Counters.CallsCancelled->inc();
-      Reg.emit({Sim.now(), EventKind::CallCancelled, Node, R.Tag, C.S, 0, {}});
+      Reg.emit(Sim.now(), EventKind::CallCancelled, Node, R.Tag, C.S);
       completeCall(R, C.S, /*NoReply=*/false, C.FlushReply,
                    ReplyStatus::Unavailable, 0, {},
                    core::reasons::Cancelled);
@@ -1066,7 +1147,7 @@ void StreamTransport::handleCancel(const net::Address &From,
     // orphan, then complete on its behalf. The completion must precede the
     // Cancelled insert — it is a real completion, not a late duplicate.
     Counters.CallsCancelled->inc();
-    Reg.emit({Sim.now(), EventKind::CallCancelled, Node, R.Tag, S, 0, {}});
+    Reg.emit(Sim.now(), EventKind::CallCancelled, Node, R.Tag, S);
     if (CallCancelHook)
       CallCancelHook(R.Tag, S);
     completeCall(R, S, /*NoReply=*/false, /*FlushReply=*/true,
@@ -1155,7 +1236,7 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   Sim.cancel(R.AckTimer);
   Counters.ReplyBatchesSent->inc();
   Counters.ReplyOccupancy->observe(static_cast<double>(Replies));
-  Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag, Replies, 0, {}});
+  Reg.emit(Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag, Replies);
   Net.send(Addr, R.SenderAddr, std::move(Frame));
 }
 
@@ -1195,8 +1276,7 @@ void StreamTransport::breakReceiverStream(uint64_t StreamTag,
     return;
   ReceiverStream &R = *RP;
   Counters.ReceiverBreaks->inc();
-  Reg.emit({Sim.now(), EventKind::ReceiverBreak, Node,
-            StreamTag, 0, 0, Reason});
+  Reg.emit(Sim.now(), EventKind::ReceiverBreak, Node, StreamTag, 0, 0, Reason);
   R.Broken = true;
   R.BrokenIsFailure = IsFailure;
   R.BreakReason = std::move(Reason);
@@ -1214,8 +1294,9 @@ void StreamTransport::onDatagram(net::Datagram D) {
   if (Dead)
     return;
   // Integrity first: no byte of the payload is decoded until the frame
-  // header checks out and the checksum matches. A rejected frame is indistinguishable from a lost
-  // datagram — the retransmit path recovers it.
+  // header checks out and the checksum matches. A rejected frame is
+  // indistinguishable from a lost datagram — the retransmit path recovers
+  // it.
   // Tolerant of trailing bytes: real datagram stacks can pad past the
   // sender's length, so excess beyond the declared frame is dropped and
   // counted rather than rejecting the (intact) frame in front of it.
@@ -1228,30 +1309,38 @@ void StreamTransport::onDatagram(net::Datagram D) {
     Counters.FramesTrailingBytes->inc(Trailing);
   if (!Payload) {
     Counters.FramesCorruptDropped->inc();
-    Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
-              Addr.Port, D.Payload.size(), 0, wire::frameErrorName(FE)});
+    Reg.emit(Sim.now(), EventKind::FrameCorruptDropped, Node, Addr.Port,
+             D.Payload.size(), 0, wire::frameErrorName(FE));
     return;
   }
+  // The frame was intact, so the bytes are what the sender produced: an
+  // undecodable message, or one that speaks of calls the stream never
+  // sent, is a local encode bug or a forgery, not line noise.
   std::optional<MessageKind> Kind = decodeMessage(*Payload, Rx);
   if (!Kind) {
-    // The frame was intact, so the bytes are what the sender produced —
-    // an undecodable message here is a local encode bug, not line noise.
-    // Count and trace it distinctly; the chaos invariants treat any
-    // occurrence as a violation.
-    Counters.MalformedDropped->inc();
-    Reg.emit({Sim.now(), EventKind::FrameCorruptDropped, Node,
-              Addr.Port, Payload->size(), 0, "malformed message"});
+    dropMalformed(Payload->size());
     return;
   }
+  bool Whole = true;
   switch (*Kind) {
   case MessageKind::CallBatch:
-    handleCallBatch(D.From, Rx.Calls);
+    Whole = handleCallBatch(D.From, Rx.Calls, D.Payload);
     break;
   case MessageKind::ReplyBatch:
-    handleReplyBatch(D.From, Rx.Replies);
+    Whole = handleReplyBatch(D.From, Rx.Replies);
     break;
   case MessageKind::Cancel:
     handleCancel(D.From, Rx.Cancel);
     break;
   }
+  if (!Whole)
+    dropMalformed(Payload->size());
+}
+
+void StreamTransport::dropMalformed(size_t PayloadBytes) {
+  // Counted and traced apart from corrupt frames; the chaos invariants
+  // treat any occurrence as a violation.
+  Counters.MalformedDropped->inc();
+  Reg.emit(Sim.now(), EventKind::FrameCorruptDropped, Node, Addr.Port,
+           PayloadBytes, 0, "malformed message");
 }

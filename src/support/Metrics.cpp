@@ -212,7 +212,7 @@ uint64_t fnv1a(uint64_t H, uint64_t V) {
 
 } // namespace
 
-void MetricsRegistry::record(TraceEvent E) {
+void MetricsRegistry::record(const TraceEvent &E) {
   uint64_t H = Digest;
   H = fnv1a(H, E.TsNs);
   H = fnv1a(H, static_cast<uint64_t>(E.Kind));
@@ -225,19 +225,20 @@ void MetricsRegistry::record(TraceEvent E) {
   Digest = H;
   ++KindCounts[static_cast<size_t>(E.Kind)];
 
-  if (!E.Detail.empty()) {
-    auto It = Details.lower_bound(E.Detail);
-    if (It != Details.end() && *It == E.Detail)
-      E.Detail = *It;
-    else if (Details.size() < MaxDetails)
-      E.Detail = *Details.emplace_hint(It, E.Detail);
-    else
-      E.Detail = "(detail table full)";
-  }
   uint64_t S = Recorded % MaxEvents;
   if (S / BlockEvents == Blocks.size())
     Blocks.push_back(std::make_unique<TraceEvent[]>(BlockEvents));
-  Blocks[S / BlockEvents][S % BlockEvents] = E;
+  TraceEvent &Kept = Blocks[S / BlockEvents][S % BlockEvents];
+  Kept = E;
+  if (!E.Detail.empty()) {
+    auto It = Details.lower_bound(E.Detail);
+    if (It != Details.end() && *It == E.Detail)
+      Kept.Detail = *It;
+    else if (Details.size() < MaxDetails)
+      Kept.Detail = *Details.emplace_hint(It, E.Detail);
+    else
+      Kept.Detail = "(detail table full)";
+  }
   ++Recorded;
 }
 

@@ -30,6 +30,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "KeptOutcome.h"
+
 #include "promises/apps/KvStore.h"
 #include "promises/core/Promise.h"
 #include "promises/net/Network.h"
@@ -590,7 +592,7 @@ struct EchoWorld {
     Server = std::make_unique<stream::StreamTransport>(Net, S);
     Agent = Client->newAgent();
     Server->setCallSink([](stream::IncomingCall IC) {
-      IC.Complete(stream::ReplyStatus::Normal, 0, std::move(IC.Args), {});
+      IC.Complete(stream::ReplyStatus::Normal, 0, stream::copyOf(IC.Args), {});
     });
   }
 
@@ -662,10 +664,11 @@ TEST(HotPathBudget, NetworkSendDeliverAllocatesOnlyThePayload) {
 }
 
 TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
-  // The receive path checks the frame in place and decodes into reused
-  // batch storage, so a valid frame allocates exactly the Args, Payload
-  // and Reason buffers the decode hands on — no payload copy, no batch
-  // vector, no network closure.
+  // The receive path checks the frame in place and decodes it in place
+  // into reused batch storage: no payload copy, no batch vector, no
+  // network closure. A call batch whose calls carry argument bytes moves
+  // its datagram into one shared frame, which the calls' argument slices
+  // hold; a reply batch is read where it lies.
   SinkWorld W;
   stream::StreamTransport Server(W.Net, W.ServerNode);
   net::Address Src = W.Net.bind(W.ClientNode, [](net::Datagram) {});
@@ -684,7 +687,7 @@ TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
   uint64_t Before = allocCount();
   W.Net.send(Src, Server.address(), std::move(Calls));
   W.Sim.run();
-  EXPECT_EQ(allocCount() - Before, uint64_t(K)) << "one per call's Args";
+  EXPECT_EQ(allocCount() - Before, 1u) << "the shared frame, for all K calls";
 
   // Replies: a batch for a stream this transport never opened is decoded,
   // then ignored. Each reply carries a payload and a heap-sized reason.
@@ -705,8 +708,8 @@ TEST(HotPathBudget, ArrivingFramesAllocateOnlyDecodedBuffers) {
   Before = allocCount();
   W.Net.send(Src, Server.address(), std::move(Replies));
   W.Sim.run();
-  EXPECT_EQ(allocCount() - Before, uint64_t(2 * K))
-      << "one per reply's Payload and one per Reason";
+  EXPECT_EQ(allocCount() - Before, 0u)
+      << "payloads and reasons are read from the frame";
   EXPECT_EQ(Server.counters().MalformedDropped, 0u);
   EXPECT_EQ(Server.counters().FramesCorruptDropped, 0u);
 }
@@ -743,14 +746,16 @@ TEST(HotPathBudget, FlushedCallBatchAllocatesOnlyItsFrame) {
 
 TEST(HotPathBudget, RpcRoundTripStaysUnderAllocationCeiling) {
   // Machine-independent twin of bench_hotpath's allocs/call metric. An
-  // RPC round trip measures exactly 8 allocations: the caller's argument
-  // copy, and one frame or decoded buffer per datagram and per
-  // Args/Payload. The reply callback is stored inline in the sender's
-  // slot, and the server completes through a direct transport call. (The
+  // RPC round trip measures exactly 7 allocations: the caller's argument
+  // copy, the shared frame that holds the call's arguments, the echo
+  // sink's copy of them into its reply, and one frame per datagram. (The
   // echo sink completes inside delivery, so the reply also rides the
-  // flush-requested recovery batch and draws a re-ack.) The ceiling leaves
-  // one allocation of headroom for stdlib variation; a per-datagram copy
-  // or closure creeping back fails it.
+  // flush-requested recovery batch and draws a re-ack: four datagrams.)
+  // Both reply batches are read in place. The reply callback is stored
+  // inline in the sender's slot, and the server completes through a
+  // direct transport call. The ceiling leaves one allocation of headroom
+  // for stdlib variation; a per-datagram copy or closure creeping back
+  // fails it.
   EchoWorld W;
   wire::Bytes Args(64, 0xAB);
   double PerCall = 0;
@@ -768,25 +773,28 @@ TEST(HotPathBudget, RpcRoundTripStaysUnderAllocationCeiling) {
   });
   W.Sim.run();
   EXPECT_GT(PerCall, 0.0);
-  EXPECT_LE(PerCall, 9.0) << "RPC hot path allocates more per call";
+  EXPECT_LE(PerCall, 8.0) << "RPC hot path allocates more per call";
   EXPECT_EQ(SealCopied, 0u) << "send path must seal frames in place";
 }
 
 TEST(HotPathBudget, TypedStreamCallAllocations) {
   // The path users write: RemoteHandler::streamCall through a client
   // Guardian to a KvStore echo, 64 calls in flight, each claimed in order.
-  // At steady state a call makes exactly 7 allocations plus 3/16 of one:
-  //  * data: the encoded arguments, the server's decoded Args and the
-  //    handler's string argument, the encoded result, and the client's
-  //    decoded Payload and string result (6);
-  //  * the server's call bookkeeping: the call's node in its stream's
-  //    table of live calls, which holds the IncomingCall (1);
+  // At steady state a call makes exactly 4 allocations plus 1/4 of one:
+  //  * data: the encoded arguments, the handler's string argument, the
+  //    encoded result and the client's string result (4);
   //  * one call-batch and one reply-batch frame per 16 calls (0.125);
+  //  * one shared call frame per 16-call batch: the call batch's datagram
+  //    buffer, moved under a reference count that the calls' argument
+  //    slices hold (0.0625);
   //  * one runner process per 16-call batch, its control block included
   //    and its body inline: the stream's runner takes the batch's calls in
   //    order and exits when the table drains (0.0625).
-  // The spawn's exec record and stack, the reply callback, the
-  // completion, and the EncodeCpu sleep timer allocate nothing.
+  // The server decodes each call's arguments from the shared frame and
+  // the client each reply's payload from its reply frame; the live call
+  // sits in its stream's call ring. The spawn's exec record and stack,
+  // the reply callback, the completion, and the EncodeCpu sleep timer
+  // allocate nothing.
   sim::Simulation Sim;
   Sim.metrics().setEnabled(false);
   net::SimNetwork Net(Sim);
@@ -821,27 +829,119 @@ TEST(HotPathBudget, TypedStreamCallAllocations) {
   });
   Sim.run();
   EXPECT_EQ(Wrong, 0u);
-  EXPECT_EQ(Allocs, 7 * Calls + Calls / 8 + Calls / 16)
+  EXPECT_EQ(Allocs, 4 * Calls + Calls / 8 + Calls / 16 + Calls / 16)
       << static_cast<double>(Allocs) / Calls << " allocations per call";
+}
+
+TEST(HotPathBudget, QueuedCallsDecodeFromTheirFrameAfterDelivery) {
+  // One batch brings four calls to a serial stream whose first call
+  // blocks. The other three wait in the stream's call ring long after
+  // onDatagram returned; their argument slices must keep the batch's frame
+  // alive, so each decodes its own argument when its turn comes.
+  sim::Simulation Sim;
+  net::SimNetwork Net(Sim);
+  runtime::Guardian Server(Net, Net.addNode("server"), "server");
+  runtime::Guardian Client(Net, Net.addNode("client"), "client");
+  std::vector<std::string> Seen;
+  auto Ref = Server.addHandler<int32_t(std::string)>(
+      "note", [&](std::string S) -> core::Outcome<int32_t> {
+        if (Seen.empty())
+          Sim.sleep(sim::msec(5)); // Blocks with the rest queued behind.
+        Seen.push_back(S);
+        return static_cast<int32_t>(S.size());
+      });
+  auto Note = runtime::bindHandler(Client, Client.newAgent(), Ref);
+  std::vector<std::string> Args;
+  for (char C : {'a', 'b', 'c', 'd'})
+    Args.push_back(std::string(40 + (C - 'a'), C)); // Heap-sized.
+  std::vector<int32_t> Got;
+  Client.spawnProcess("caller", [&] {
+    std::vector<core::Promise<int32_t>> Ps;
+    for (const std::string &A : Args)
+      Ps.push_back(Note.streamCall(A));
+    Note.flush(); // One batch.
+    for (core::Promise<int32_t> &P : Ps)
+      Got.push_back(P.claim().value());
+  });
+  Sim.run();
+  EXPECT_EQ(Seen, Args);
+  EXPECT_EQ(Got, (std::vector<int32_t>{40, 41, 42, 43}));
+  EXPECT_EQ(Server.transport().counters().CallBatchesSent, 0u);
+  EXPECT_EQ(Client.transport().counters().CallBatchesSent, 1u);
+}
+
+TEST(HotPathBudget, QuiescentPipelineHoldsNoFrame) {
+  // Every call frame is released with the last call that holds a slice of
+  // it. This server keeps each delivered call past its datagram, as a
+  // guardian keeps its queued calls, and completes the held calls 50 us
+  // later; after a 64-deep pipeline drains, the bytes it leaves held are
+  // the warm run's, to the byte. (A guardian's finished runners stay held
+  // until its next sweep, so a bare transport makes the comparison exact.)
+  EchoWorld W;
+  std::vector<stream::IncomingCall> Held;
+  W.Server->setCallSink([&](stream::IncomingCall IC) {
+    if (Held.empty())
+      W.Sim.schedule(sim::usec(50), [&] {
+        for (stream::IncomingCall &C : Held)
+          C.Complete(stream::ReplyStatus::Normal, 0, stream::copyOf(C.Args),
+                     {});
+        Held.clear();
+      });
+    Held.push_back(std::move(IC));
+  });
+  const wire::Bytes Args(64, 0xAB);
+  uint64_t Wrong = 0;
+  auto Pipeline = [&] {
+    W.Sim.spawn("caller", [&] {
+      std::vector<core::Promise<uint64_t>> Ring(64);
+      auto Claim = [&](core::Promise<uint64_t> &P) {
+        if (P.valid() && P.claim().value() != Args.size())
+          ++Wrong;
+      };
+      for (uint64_t I = 0; I != 1024; ++I) {
+        core::Promise<uint64_t> &P = Ring[I % Ring.size()];
+        Claim(P);
+        auto [Next, R] = core::makePromise<uint64_t>(W.Sim);
+        P = Next;
+        W.Client->issueCall(W.Agent, W.Server->address(), 1, 1,
+                            wire::Bytes(Args), false, /*IsRpc=*/false,
+                            [R = R](const stream::ReplyOutcome &O) {
+                              R.fulfill(core::Outcome<uint64_t>(
+                                  static_cast<uint64_t>(O.Payload.size())));
+                            });
+      }
+      for (core::Promise<uint64_t> &P : Ring)
+        Claim(P);
+    });
+    W.Sim.run();
+    return heldBytes();
+  };
+  Pipeline(); // Warm slabs, rings, pools and the held-call vector.
+  uint64_t Warm = Pipeline();
+  EXPECT_EQ(Pipeline(), Warm);
+  EXPECT_EQ(Wrong, 0u);
 }
 
 TEST(HotPathBudget, FreshStreamRpcAllocations) {
   // What opening a stream costs. A Guardian→KvStore echo RPC with a
-  // 64-byte argument, run alone from a quiet system, makes 11 allocations
-  // on a warm stream and 19 on a fresh agent's stream. The 8 more are the
+  // 64-byte argument, run alone from a quiet system, makes 9 allocations
+  // on a warm stream and 17 on a fresh agent's stream. The 8 more are the
   // new stream's records, which live as long as the two transports:
   //  * the first growth of six rings to 2 slots: the sender's retransmit
-  //    window, reply slots and pending replies, and the receiver's
-  //    ahead-of-order calls, out-of-order completions and unacknowledged
-  //    replies (112, 160, 160, 112, 176 and 160 B);
+  //    window and reply slots, the receiver's ahead-of-order calls,
+  //    out-of-order completions and unacknowledged replies, and the
+  //    guardian's call ring (112, 160, 128, 176, 160 and 256 B);
   //  * the hash nodes of the client's `Senders` (552 B) and the server's
   //    `Receivers` (416 B).
-  // Those 1,848 B are what the fresh stream leaves held once its reply is
-  // acknowledged, beyond what the warm call leaves (its finished runner,
-  // until the server next sweeps finished processes). The rest grows in
-  // steps that this fourth stream does not reach: the server's tag
-  // vector and the two tables' bucket arrays when they double, and the
-  // guardian's call tables (48 B a stream) by a 10-table block.
+  // The sender's pending-reply ring stays unallocated: an in-order reply
+  // is consumed from its frame, and only one that waits behind a gap is
+  // parked there. Those 1,960 B are what the fresh stream leaves held once
+  // its reply is acknowledged, beyond what the warm call leaves (its
+  // finished runner, until the server next sweeps finished processes).
+  // The rest grows in steps that this fourth stream does not reach: the
+  // server's tag vector and the two tables' bucket arrays when they
+  // double, and the guardian's call tables (56 B a stream) by a 9-table
+  // block.
   sim::Simulation Sim;
   Sim.metrics().setEnabled(false);
   net::SimNetwork Net(Sim);
@@ -887,9 +987,9 @@ TEST(HotPathBudget, FreshStreamRpcAllocations) {
   Cost OnFresh = CallAlone(Fresh);
   EXPECT_TRUE(OnWarm.Echoed);
   EXPECT_TRUE(OnFresh.Echoed);
-  EXPECT_EQ(OnWarm.Allocs, 11u);
-  EXPECT_EQ(OnFresh.Allocs, 19u);
-  EXPECT_EQ(OnFresh.Held - OnWarm.Held, 1848u)
+  EXPECT_EQ(OnWarm.Allocs, 9u);
+  EXPECT_EQ(OnFresh.Allocs, 17u);
+  EXPECT_EQ(OnFresh.Held - OnWarm.Held, 1960u)
       << OnWarm.Held << " B held after the warm call, " << OnFresh.Held
       << " B after the fresh one";
 }

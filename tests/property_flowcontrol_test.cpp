@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "KeptOutcome.h"
+
 #include "promises/stream/StreamTransport.h"
 
 #include <gtest/gtest.h>
@@ -80,7 +82,7 @@ FlowResult runSaturating(const FlowParams &FP) {
   StreamTransport Client(Net, CN, SC);
   StreamTransport Server(Net, SN, SC);
   Server.setCallSink([](IncomingCall IC) {
-    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
   });
 
   if (FP.Partition) {

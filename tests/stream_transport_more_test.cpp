@@ -7,6 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "KeptOutcome.h"
+
 #include "promises/stream/StreamTransport.h"
 
 #include <gtest/gtest.h>
@@ -47,7 +49,7 @@ struct Fixture : ::testing::Test {
           [this](IncomingCall IC) { Held.push_back(std::move(IC)); });
     } else {
       Server->setCallSink([](IncomingCall IC) {
-        IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+        IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
       });
     }
   }
@@ -373,7 +375,7 @@ TEST_F(Fixture, TwoTransportsCanTalkInBothDirections) {
   // Full duplex: each side is sender and receiver at once.
   build();
   Client->setCallSink([](IncomingCall IC) {
-    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
   });
   int GotAtClient = 0, GotAtServer = 0;
   AgentId CA = Client->newAgent();

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "KeptOutcome.h"
+
 #include "promises/stream/StreamTransport.h"
 
 #include <gtest/gtest.h>
@@ -59,10 +61,10 @@ struct StreamFixture : ::testing::Test {
       ++Deliveries[{IC.StreamTag, IC.CallSeq}];
       switch (IC.Port) {
       case EchoPort:
-        IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+        IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
         break;
       case ThrowPort:
-        IC.Complete(ReplyStatus::Exception, ThrowTag, IC.Args, "");
+        IC.Complete(ReplyStatus::Exception, ThrowTag, copyOf(IC.Args), "");
         break;
       case FailPort:
         IC.Complete(ReplyStatus::Failure, 0, {}, "app failure");
@@ -75,7 +77,7 @@ struct StreamFixture : ::testing::Test {
 
   /// Issues one stream call and records its outcome.
   void call(AgentId A, PortId P, uint32_t Arg,
-            std::vector<ReplyOutcome> &Out, bool NoReply = false,
+            std::vector<KeptOutcome> &Out, bool NoReply = false,
             bool IsRpc = false) {
     auto R = Client->issueCall(A, Server->address(), /*Group=*/1, P,
                                bytesOf(Arg), NoReply, IsRpc,
@@ -124,7 +126,7 @@ TEST_F(StreamFixture, MessageCodecRoundTrips) {
 TEST_F(StreamFixture, SingleCallEchoes) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, EchoPort, 42, Out);
   S.run();
   ASSERT_EQ(Out.size(), 1u);
@@ -135,7 +137,7 @@ TEST_F(StreamFixture, SingleCallEchoes) {
 TEST_F(StreamFixture, RepliesArriveInCallOrder) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 50; ++I)
     call(A, EchoPort, I, Out);
   S.run();
@@ -148,7 +150,7 @@ TEST_F(StreamFixture, BatchingReducesMessageCount) {
   SC.MaxBatchCalls = 16;
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 16; ++I)
     call(A, EchoPort, I, Out);
   S.run();
@@ -163,7 +165,7 @@ TEST_F(StreamFixture, FlushTimerSendsStragglers) {
   SC.FlushInterval = msec(3);
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 5; ++I)
     call(A, EchoPort, I, Out);
   S.run();
@@ -177,7 +179,7 @@ TEST_F(StreamFixture, ByteThresholdForcesTransmit) {
   SC.FlushInterval = sec(10); // Effectively off.
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   // 20 calls x 4 bytes = 80 bytes > 64: must transmit without a flush.
   for (uint32_t I = 0; I < 20; ++I)
     call(A, EchoPort, I, Out);
@@ -190,7 +192,7 @@ TEST_F(StreamFixture, RpcFlushesImmediately) {
   SC.FlushInterval = sec(10);
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   Time Done = 0;
   auto R = Client->issueCall(A, Server->address(), 1, EchoPort, bytesOf(1),
                              false, /*IsRpc=*/true,
@@ -211,7 +213,7 @@ TEST_F(StreamFixture, RpcCarriesEarlierBufferedCallsInOrder) {
   SC.FlushInterval = sec(10);
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, EchoPort, 1, Out);
   call(A, EchoPort, 2, Out);
   call(A, EchoPort, 3, Out, false, /*IsRpc=*/true);
@@ -222,10 +224,92 @@ TEST_F(StreamFixture, RpcCarriesEarlierBufferedCallsInOrder) {
   EXPECT_EQ(u32Of(Out[2].Payload), 3u);
 }
 
+TEST_F(StreamFixture, RepliesBehindAGapAreParkedAndFulfilledInOrder) {
+  // A reply batch is read in place. Replies 2 and 3 arrive while reply 1
+  // is missing, so they must outlive their frame: the transport parks
+  // copies. The batch that brings reply 1 fulfils it from its own frame,
+  // then 2 and 3 from the copies, in call order.
+  build();
+  net::Address Peer = Net->bind(SN, [](net::Datagram) {});
+  AgentId A = Client->newAgent();
+  std::vector<KeptOutcome> Out;
+  for (uint32_t I = 1; I <= 3; ++I)
+    ASSERT_TRUE(Client
+                    ->issueCall(A, Peer, 1, EchoPort, bytesOf(I), false,
+                                false,
+                                [&Out](const ReplyOutcome &O) {
+                                  Out.push_back(O);
+                                })
+                    .Issued);
+  Client->flush(A, Peer, 1);
+  auto Replies = [&](std::initializer_list<Seq> Seqs) {
+    ReplyBatchMsg M;
+    M.Agent = A;
+    M.Group = 1;
+    M.AckCallThrough = 3;
+    M.CompletedThrough = 3;
+    for (Seq Q : Seqs)
+      M.Replies.push_back(WireReply{Q, ReplyStatus::Normal, 0,
+                                    bytesOf(static_cast<uint32_t>(10 * Q)),
+                                    ""});
+    return encodeFramedMessage(M);
+  };
+  size_t AfterGap = 99;
+  S.schedule(msec(1),
+             [&] { Net->send(Peer, Client->address(), Replies({2, 3})); });
+  S.schedule(msec(2), [&] { AfterGap = Out.size(); });
+  S.schedule(msec(3),
+             [&] { Net->send(Peer, Client->address(), Replies({1})); });
+  S.run();
+  EXPECT_EQ(AfterGap, 0u) << "nothing is fulfilled past the missing reply";
+  ASSERT_EQ(Out.size(), 3u);
+  for (uint32_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Out[I].K, ReplyOutcome::Kind::Normal);
+    EXPECT_EQ(u32Of(Out[I].Payload), 10 * (I + 1));
+  }
+  EXPECT_EQ(Client->counters().MalformedDropped, 0u);
+}
+
+TEST_F(StreamFixture, RepliesOutOfSeqOrderGiveTheSameOutcomes) {
+  // No receiver seals replies out of seq order, but a decodable batch that
+  // carries them so still yields each call's outcome once, in call order,
+  // and the first reply for a seq wins over a later one.
+  build();
+  net::Address Peer = Net->bind(SN, [](net::Datagram) {});
+  AgentId A = Client->newAgent();
+  std::vector<KeptOutcome> Out;
+  for (uint32_t I = 1; I <= 3; ++I)
+    ASSERT_TRUE(Client
+                    ->issueCall(A, Peer, 1, EchoPort, bytesOf(I), false,
+                                false,
+                                [&Out](const ReplyOutcome &O) {
+                                  Out.push_back(O);
+                                })
+                    .Issued);
+  Client->flush(A, Peer, 1);
+  ReplyBatchMsg M;
+  M.Agent = A;
+  M.Group = 1;
+  M.AckCallThrough = 3;
+  M.CompletedThrough = 3;
+  for (auto [Q, V] : {std::pair<Seq, uint32_t>{3, 30}, {1, 10}, {2, 20},
+                      {1, 99}})
+    M.Replies.push_back(WireReply{Q, ReplyStatus::Normal, 0, bytesOf(V), ""});
+  S.schedule(msec(1), [&] {
+    Net->send(Peer, Client->address(), encodeFramedMessage(M));
+  });
+  S.run();
+  ASSERT_EQ(Out.size(), 3u);
+  for (uint32_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Out[I].K, ReplyOutcome::Kind::Normal);
+    EXPECT_EQ(u32Of(Out[I].Payload), 10 * (I + 1));
+  }
+}
+
 TEST_F(StreamFixture, ExceptionReplyCarriesTagAndPayload) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, ThrowPort, 9, Out);
   S.run();
   ASSERT_EQ(Out.size(), 1u);
@@ -237,7 +321,7 @@ TEST_F(StreamFixture, ExceptionReplyCarriesTagAndPayload) {
 TEST_F(StreamFixture, FailureReplyCarriesReason) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, FailPort, 0, Out);
   S.run();
   ASSERT_EQ(Out.size(), 1u);
@@ -248,7 +332,7 @@ TEST_F(StreamFixture, FailureReplyCarriesReason) {
 TEST_F(StreamFixture, SendsCompleteWithoutExplicitReply) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 5; ++I)
     call(A, EchoPort, I, Out, /*NoReply=*/true);
   S.run();
@@ -262,7 +346,7 @@ TEST_F(StreamFixture, SendsCompleteWithoutExplicitReply) {
 TEST_F(StreamFixture, ExceptionalSendStillReportsException) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, EchoPort, 1, Out, /*NoReply=*/true);
   call(A, ThrowPort, 2, Out, /*NoReply=*/true);
   call(A, EchoPort, 3, Out, /*NoReply=*/true);
@@ -279,7 +363,7 @@ TEST_F(StreamFixture, ExactlyOnceUnderLoss) {
   SC.RetransmitTimeout = msec(20);
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 100; ++I)
     call(A, EchoPort, I, Out);
   Client->flush(A, Server->address(), 1);
@@ -299,7 +383,7 @@ TEST_F(StreamFixture, ExactlyOnceUnderDuplication) {
   NC.DupRate = 1.0;
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 20; ++I)
     call(A, EchoPort, I, Out);
   S.run();
@@ -315,7 +399,7 @@ TEST_F(StreamFixture, OrderPreservedUnderReordering) {
   SC.MaxBatchCalls = 2; // Many small batches so jitter can reorder them.
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 40; ++I)
     call(A, EchoPort, I, Out);
   Client->flush(A, Server->address(), 1);
@@ -334,7 +418,7 @@ TEST_F(StreamFixture, LostRepliesAreRecoveredByProbes) {
   SC.RetransmitTimeout = msec(15);
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 30; ++I)
     call(A, ThrowPort, I, Out);
   Client->flush(A, Server->address(), 1);
@@ -349,7 +433,7 @@ TEST_F(StreamFixture, LostRepliesAreRecoveredByProbes) {
 TEST_F(StreamFixture, SynchAllNormal) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   SynchResult SO;
   S.spawn("client", [&] {
     for (uint32_t I = 0; I < 10; ++I)
@@ -364,7 +448,7 @@ TEST_F(StreamFixture, SynchAllNormal) {
 TEST_F(StreamFixture, SynchReportsExceptionReply) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   SynchResult First, Second;
   S.spawn("client", [&] {
     call(A, EchoPort, 1, Out);
@@ -384,7 +468,7 @@ TEST_F(StreamFixture, RpcResetsSynchWindow) {
   // "since the last synch or regular RPC on the stream".
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   SynchResult SO;
   S.spawn("client", [&] {
     call(A, ThrowPort, 1, Out); // Exception before the RPC...
@@ -404,7 +488,7 @@ TEST_F(StreamFixture, ReceiverCrashBreaksStreamWithUnavailable) {
   SC.MaxRetries = 3;
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   // Crash the server before it can process anything.
   Net->crash(SN);
   for (uint32_t I = 0; I < 5; ++I)
@@ -428,7 +512,7 @@ TEST_F(StreamFixture, BrokenStreamAutoRestartsOnNextCall) {
   SC.MaxRetries = 2;
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   Net->crash(SN);
   call(A, EchoPort, 1, Out);
   Client->flush(A, Server->address(), 1);
@@ -439,9 +523,9 @@ TEST_F(StreamFixture, BrokenStreamAutoRestartsOnNextCall) {
   // Bring the server back (fresh transport = new entity incarnation).
   Net->restart(SN);
   Server = std::make_unique<StreamTransport>(*Net, SN, SC);
-  std::vector<ReplyOutcome> Out2;
+  std::vector<KeptOutcome> Out2;
   Server->setCallSink([](IncomingCall IC) {
-    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
   });
   auto R = Client->issueCall(A, Server->address(), 1, EchoPort, bytesOf(2),
                              false, false,
@@ -457,7 +541,7 @@ TEST_F(StreamFixture, RestartedNodeTransportCountsOnlyItsOwnTraffic) {
   // must not inherit the counter cells of the one that died there.
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I != 5; ++I)
     call(A, EchoPort, I, Out);
   S.run();
@@ -472,9 +556,9 @@ TEST_F(StreamFixture, RestartedNodeTransportCountsOnlyItsOwnTraffic) {
   EXPECT_EQ(Server->counters().ReplyBatchesSent, 0u);
 
   Server->setCallSink([](IncomingCall IC) {
-    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
   });
-  std::vector<ReplyOutcome> Out2;
+  std::vector<KeptOutcome> Out2;
   for (uint32_t I = 0; I != 2; ++I)
     call(A, EchoPort, I, Out2);
   S.run();
@@ -534,10 +618,10 @@ TEST_F(StreamFixture, ReceiverSideBreakIsSynchronous) {
       Server->breakReceiverStream(IC.StreamTag, "could not decode");
       return;
     }
-    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
   });
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 1; I <= 5; ++I)
     call(A, EchoPort, I, Out);
   Client->flush(A, Server->address(), 1);
@@ -557,12 +641,12 @@ TEST_F(StreamFixture, CallsAfterReceiverBreakAreDiscarded) {
   build();
   Server->setCallSink([this](IncomingCall IC) {
     ++Deliveries[{IC.StreamTag, IC.CallSeq}];
-    IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
     if (IC.CallSeq == 1)
       Server->breakReceiverStream(IC.StreamTag, "deliberate break");
   });
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, EchoPort, 1, Out);
   Client->flush(A, Server->address(), 1);
   S.runFor(msec(50));
@@ -589,7 +673,7 @@ TEST_F(StreamFixture, ExplicitRestartTerminatesOutstandingCalls) {
   // A slow server: never completes.
   Server->setCallSink([](IncomingCall) {});
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, EchoPort, 1, Out);
   Client->flush(A, Server->address(), 1);
   S.runFor(msec(30));
@@ -606,7 +690,7 @@ TEST_F(StreamFixture, PartitionBreaksThenHealAllowsRestart) {
   SC.MaxRetries = 2;
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   Net->setPartitioned(CN, SN, true);
   call(A, EchoPort, 1, Out);
   Client->flush(A, Server->address(), 1);
@@ -615,7 +699,7 @@ TEST_F(StreamFixture, PartitionBreaksThenHealAllowsRestart) {
   EXPECT_EQ(Out[0].K, ReplyOutcome::Kind::Unavailable);
 
   Net->setPartitioned(CN, SN, false);
-  std::vector<ReplyOutcome> Out2;
+  std::vector<KeptOutcome> Out2;
   call(A, EchoPort, 2, Out2);
   Client->flush(A, Server->address(), 1);
   S.run();
@@ -630,7 +714,7 @@ TEST_F(StreamFixture, TwoAgentsUseIndependentStreams) {
   build();
   AgentId A1 = Client->newAgent();
   AgentId A2 = Client->newAgent();
-  std::vector<ReplyOutcome> Out1, Out2;
+  std::vector<KeptOutcome> Out1, Out2;
   call(A1, EchoPort, 10, Out1);
   call(A2, EchoPort, 20, Out2);
   call(A1, EchoPort, 11, Out1);
@@ -652,7 +736,7 @@ TEST_F(StreamFixture, TwoAgentsUseIndependentStreams) {
 TEST_F(StreamFixture, DifferentGroupsAreDifferentStreams) {
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   auto R1 = Client->issueCall(A, Server->address(), /*Group=*/1, EchoPort,
                               bytesOf(1), false, false,
                               [&](const ReplyOutcome &O) { Out.push_back(O); });
@@ -672,7 +756,7 @@ TEST_F(StreamFixture, OutstandingCallsTracksWindow) {
   Server->setCallSink([](IncomingCall) {}); // Never completes.
   AgentId A = Client->newAgent();
   EXPECT_EQ(Client->outstandingCalls(A, Server->address(), 1), 0u);
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, EchoPort, 1, Out);
   call(A, EchoPort, 2, Out);
   EXPECT_EQ(Client->outstandingCalls(A, Server->address(), 1), 2u);
@@ -686,7 +770,7 @@ TEST_F(StreamFixture, FlushSpeedsUpReplies) {
   SC.ReplyFlushInterval = msec(50);
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   Time Done = 0;
   auto R = Client->issueCall(A, Server->address(), 1, EchoPort, bytesOf(1),
                              false, false, [&](const ReplyOutcome &) {
@@ -730,7 +814,7 @@ TEST_F(StreamFixture, ManyCallsLargeScaleStress) {
   NC.Seed = 5;
   build();
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I < 500; ++I)
     call(A, I % 7 == 0 ? ThrowPort : EchoPort, I, Out);
   Client->flush(A, Server->address(), 1);

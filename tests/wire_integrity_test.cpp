@@ -12,6 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "KeptOutcome.h"
+
 #include "promises/stream/StreamTransport.h"
 #include "promises/wire/Frame.h"
 
@@ -60,11 +62,11 @@ struct IntegrityFixture : ::testing::Test {
     Server = std::make_unique<StreamTransport>(*Net, SN, SC);
     Server->setCallSink([this](IncomingCall IC) {
       ++Deliveries[{IC.StreamTag, IC.CallSeq}];
-      IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+      IC.Complete(ReplyStatus::Normal, 0, copyOf(IC.Args), "");
     });
   }
 
-  void call(AgentId A, uint32_t Arg, std::vector<ReplyOutcome> &Out) {
+  void call(AgentId A, uint32_t Arg, std::vector<KeptOutcome> &Out) {
     auto R = Client->issueCall(A, Server->address(), /*Group=*/1, EchoPort,
                                bytesOf(Arg), /*NoReply=*/false,
                                /*IsRpc=*/false,
@@ -93,7 +95,7 @@ TEST_F(IntegrityFixture, CorruptionIsDetectedAndRecovered) {
   S.schedule(msec(10), [&] { Net->setCorruptRate(0.0); });
 
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I != 8; ++I)
     call(A, I, Out);
   S.run();
@@ -132,7 +134,7 @@ TEST_F(IntegrityFixture, DuplicatedDatagramsNeverDoubleExecute) {
   build();
 
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I != 32; ++I)
     call(A, I, Out);
   S.run();
@@ -155,7 +157,7 @@ TEST_F(IntegrityFixture, GarbageDatagramsAreRejectedWithCause) {
   build();
   S.metrics().setEnabled(true);
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   call(A, 1, Out);
   // Inject raw damage straight at the server's bound port: garbage bytes,
   // a truncated header, and a frame whose magic byte is wrong.
@@ -194,6 +196,66 @@ TEST_F(IntegrityFixture, MalformedButChecksummedPayloadIsCountedAsLocalBug) {
             1u);
 }
 
+TEST_F(IntegrityFixture, ReplyBatchBeyondWhatWasIssuedIsDropped) {
+  // A checksummed reply batch that claims completions past the calls the
+  // stream issued would make the sender wait on reply slots that do not
+  // exist. It is dropped whole and counted; the real replies still land.
+  build();
+  AgentId A = Client->newAgent();
+  std::vector<KeptOutcome> Out;
+  for (uint32_t I = 0; I != 3; ++I)
+    call(A, I, Out);
+  ReplyBatchMsg Forged;
+  Forged.Agent = A;
+  Forged.Group = 1;
+  Forged.Inc = 1;
+  Forged.CompletedThrough = 100;
+  S.schedule(usec(1), [&] {
+    Net->send(Server->address(), Client->address(),
+              encodeFramedMessage(Forged));
+  });
+  S.run();
+  EXPECT_EQ(Client->counters().MalformedDropped, 1u);
+  ASSERT_EQ(Out.size(), 3u);
+  for (uint32_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Out[I].K, ReplyOutcome::Kind::Normal);
+    EXPECT_EQ(u32Of(Out[I].Payload), I);
+  }
+}
+
+TEST_F(IntegrityFixture, CallTooFarAheadIsDroppedAsLost) {
+  // A checksummed call batch whose second call sits 2^30 seqs ahead would
+  // make the receive window span the gap. That call is dropped as lost and
+  // counted; the first call of the batch, and another stream's calls, run.
+  build();
+  CallBatchMsg Forged;
+  Forged.Agent = 99;
+  Forged.Group = 1;
+  for (Seq Q : {Seq{1}, Seq{1} << 30}) {
+    CallReq C;
+    C.S = Q;
+    C.Port = EchoPort;
+    C.Args = bytesOf(7);
+    Forged.Calls.push_back(std::move(C));
+  }
+  S.schedule(usec(1), [&] {
+    Net->send(Client->address(), Server->address(),
+              encodeFramedMessage(Forged));
+  });
+  AgentId A = Client->newAgent();
+  std::vector<KeptOutcome> Out;
+  for (uint32_t I = 0; I != 3; ++I)
+    call(A, I, Out);
+  S.run();
+  EXPECT_EQ(Server->counters().MalformedDropped, 1u);
+  EXPECT_EQ(Deliveries.size(), 4u) << "the forged seq 1 and three real calls";
+  ASSERT_EQ(Out.size(), 3u);
+  for (uint32_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Out[I].K, ReplyOutcome::Kind::Normal);
+    EXPECT_EQ(u32Of(Out[I].Payload), I);
+  }
+}
+
 TEST_F(IntegrityFixture, ReorderingPreservesCallOrder) {
   // Heavy reordering: most copies suffer up to 2ms of extra delay, far
   // larger than the inter-send gap, so datagrams routinely overtake each
@@ -204,7 +266,7 @@ TEST_F(IntegrityFixture, ReorderingPreservesCallOrder) {
   build();
 
   AgentId A = Client->newAgent();
-  std::vector<ReplyOutcome> Out;
+  std::vector<KeptOutcome> Out;
   for (uint32_t I = 0; I != 24; ++I)
     call(A, I, Out);
   S.run();
