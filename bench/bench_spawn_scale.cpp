@@ -127,9 +127,11 @@ int main(int Argc, char **Argv) {
   cli::Table Flags = {
       cli::integer("--procs", "N", "spawn-scale processes (default 1M)",
                    O.Procs, 1),
+      // A lone yielder continues in place and never hands off, so the
+      // round robin needs two.
       cli::integer("--switch-procs", "N",
-                   "round-robin yielder count (default 64)", O.SwitchProcs,
-                   1),
+                   "round-robin yielder count (default 64, at least 2)",
+                   O.SwitchProcs, 2),
       cli::integer("--switch-iters", "N", "total yields (default 2M)",
                    O.SwitchIters, 1),
       cli::text("--out", "FILE", "also write the JSON record to FILE",

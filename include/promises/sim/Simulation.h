@@ -121,7 +121,9 @@ public:
   void wait();
 
   /// Blocks until notified or until \p Timeout elapses. Returns true when
-  /// woken by a notify, false on timeout. Kill delivery point.
+  /// woken by a notify, false on timeout. Kill delivery point. When the
+  /// timeout would be the kernel's next dispatch, the wait continues in
+  /// place (Simulation::sleep).
   bool waitFor(Time Timeout);
 
   /// Wakes the longest-waiting process, if any.
@@ -328,11 +330,16 @@ public:
 
   /// --- Callable from inside a simulated process ---
 
-  /// Blocks the calling process for \p Duration of virtual time.
+  /// Blocks the calling process for \p Duration of virtual time. When its
+  /// own wake would be the loop's next dispatch (nothing ready, no timed
+  /// event due at or before it, no stop, within the run's horizon), it
+  /// continues in place: the clock moves to the wake and the kernel's
+  /// state ends as the round trip would leave it, with no switch.
   void sleep(Time Duration);
 
   /// Reschedules the calling process at the current time, letting other
-  /// ready processes and events at this instant run first.
+  /// ready processes and events at this instant run first. With none, it
+  /// continues in place.
   void yieldNow();
 
   /// Blocks the calling process until \p P finishes. Kill delivery point.
@@ -384,7 +391,8 @@ public:
 
   /// Total number of scheduler->process handoffs so far. A direct measure
   /// of the process-management burden discussed in paper Section 4.3.
-  /// (Thin view of the sim.context_switches registry counter.)
+  /// A wait that continues in place makes none. (Thin view of the
+  /// sim.context_switches registry counter.)
   uint64_t contextSwitches() const { return CtxSwitches->value(); }
 
   /// Number of processes spawned so far.
@@ -452,6 +460,13 @@ private:
   /// Appends \p P to the ready FIFO with a fresh (now, seq) dispatch key.
   void pushReady(Process *P);
 
+  /// True when the running process \p P, about to block until \p Wake
+  /// through a round trip that draws \p Draws event seqs, would be the
+  /// loop's very next dispatch. Then the kernel state is advanced as that
+  /// round trip would leave it, without a heap operation or a switch, and
+  /// \p P simply continues.
+  bool continueInPlace(Process *P, Time Wake, unsigned Draws);
+
   /// Releases a finished process's execution resources and drops the
   /// kernel's handle (joiners were already woken; external handles keep
   /// the object alive). Scheduler context only.
@@ -517,6 +532,11 @@ private:
   /// even after millions of spawns). Shutdown kills in this order.
   Process *LiveHead = nullptr;
   Process *LiveTail = nullptr;
+
+  /// The horizon of the step now dispatching. Kept last: declared beside
+  /// NowNs it moved every dispatch field after it by 8 bytes, and
+  /// perfbench's storm workload read about 1% slower.
+  Time StepHorizon = 0;
 };
 
 // The body is stored inline; every Process a 1M-process run keeps alive

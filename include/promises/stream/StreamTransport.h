@@ -262,9 +262,9 @@ struct StreamCounters {
   uint64_t MalformedDropped = 0;     ///< Frame-valid datagrams whose message
                                      ///< failed to decode, or spoke of calls
                                      ///< the stream never sent or cannot
-                                     ///< hold (see handleReplyBatch and
-                                     ///< handleCallBatch); chaos treats any
-                                     ///< as a violation.
+                                     ///< hold (see handleReplyBatch,
+                                     ///< handleCallBatch and handleCancel);
+                                     ///< chaos treats any as a violation.
   uint64_t FramesTrailingBytes = 0;  ///< Bytes beyond a frame's declared
                                      ///< length (datagram padding), dropped
                                      ///< before decode.
@@ -619,7 +619,8 @@ private:
   /// ahead to hold.
   bool handleCallBatch(const net::Address &From, CallBatchView &M,
                        wire::Bytes &Datagram);
-  void handleCancel(const net::Address &From, const CancelMsg &M);
+  /// Applies a cancel; false when a seq was dropped as too far ahead.
+  bool handleCancel(const net::Address &From, const CancelMsg &M);
   void deliverReadyCalls(ReceiverStream &R);
   void completeCall(ReceiverStream &R, Seq S, bool NoReply, bool FlushReply,
                     ReplyStatus St, uint32_t ExTag, wire::Bytes Payload,

@@ -158,6 +158,10 @@ bool WaitQueue::waitFor(Time Timeout) {
   Process *P = Simulation::current();
   assert(P && "WaitQueue::waitFor() outside a simulated process");
   P->deliverKill();
+  // The timeout, one event and one wake, would be the next dispatch, so
+  // nothing can notify this process before it: a timeout, made in place.
+  if (Sim.continueInPlace(P, Sim.NowNs + Timeout, 2))
+    return false;
   enqueueCurrent(P);
   P->NotifiedFlag = false;
   // The epoch guards against this timeout firing after the process has
@@ -354,12 +358,32 @@ void Simulation::switchTo(Process *P) {
   release(P);
 }
 
+bool Simulation::continueInPlace(Process *P, Time Wake, unsigned Draws) {
+  // The round trip would queue the caller's wake at (Wake, a fresh seq),
+  // behind everything already pending, and switch back to it only if the
+  // loop reaches it next: no stop, the wake within the step's horizon,
+  // nothing ready and no timed event at or before the wake. The real-time
+  // loop and shutdown's fail-safe turn always take the round trip.
+  if (Clock || StopRequested || ShuttingDown || ReadyHead ||
+      Wake > StepHorizon)
+    return false;
+  if (TimedEvent *Ev = peekTimed(); Ev && Ev->At <= Wake)
+    return false;
+  // What the round trip leaves behind: the clock at the wake, the seqs
+  // its event and wake would draw, and a new wait epoch.
+  NowNs = Wake;
+  NextEventSeq += Draws;
+  ++P->WaitEpoch;
+  return true;
+}
+
 bool Simulation::step(Time Horizon) {
   // Merge the ready FIFO and the timed queue by (At, Seq): dispatch order
   // is exactly what a single queue would produce, but the wake path (the
   // context-switch hot path) never touches the allocating tree. The FIFO
   // front is its minimum by construction — appends carry the current time
   // and a fresh seq, both non-decreasing.
+  StepHorizon = Horizon;
   Process *RP = ReadyHead;
   TimedEvent *Ev = peekTimed();
   bool TakeReady =
@@ -481,6 +505,8 @@ void Simulation::yieldNow() {
   Process *P = current();
   assert(P && "yieldNow() outside a simulated process");
   P->deliverKill();
+  if (continueInPlace(P, NowNs, 1))
+    return;
   P->State = ProcState::Blocked;
   makeReady(P);
   P->yieldToScheduler();

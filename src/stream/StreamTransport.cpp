@@ -1125,16 +1125,23 @@ void CallCompletion::operator()(ReplyStatus St, uint32_t ExTag,
                   std::move(Reason));
 }
 
-void StreamTransport::handleCancel(const net::Address &From,
+bool StreamTransport::handleCancel(const net::Address &From,
                                    const CancelMsg &M) {
   auto It = Receivers.find({From, M.Agent, M.Group});
   if (It == Receivers.end())
-    return;
+    return true;
   ReceiverStream &R = It->second;
   if (R.Broken || R.Inc != M.Inc)
-    return;
+    return true;
+  bool Whole = true;
   for (Seq S : M.Seqs) {
     if (S >= R.NextExpected) {
+      // No sender has a call this far ahead in flight, and a kept seq
+      // stays until delivery reaches it: bounded as calls are.
+      if (S - R.NextExpected >= wire::MaxSequenceElems) {
+        Whole = false;
+        continue;
+      }
       // Not yet delivered (possibly not yet received): cancel at delivery
       // time, preserving call order.
       R.Cancelled.insert(S);
@@ -1154,6 +1161,7 @@ void StreamTransport::handleCancel(const net::Address &From,
                  ReplyStatus::Unavailable, 0, {}, core::reasons::Cancelled);
     R.Cancelled.insert(S);
   }
+  return Whole;
 }
 
 void StreamTransport::completeCall(ReceiverStream &R, Seq S, bool NoReply,
@@ -1330,7 +1338,7 @@ void StreamTransport::onDatagram(net::Datagram D) {
     Whole = handleReplyBatch(D.From, Rx.Replies);
     break;
   case MessageKind::Cancel:
-    handleCancel(D.From, Rx.Cancel);
+    Whole = handleCancel(D.From, Rx.Cancel);
     break;
   }
   if (!Whole)

@@ -478,8 +478,164 @@ TEST(Simulation, ContextSwitchesAreCounted) {
   EXPECT_EQ(S.contextSwitches(), 0u);
   S.spawn("a", [&] { S.sleep(msec(1)); });
   S.run();
-  // One switch to start the process, one to resume it after the sleep.
+  // One switch to start the process; its lone sleep continues in place.
+  EXPECT_EQ(S.contextSwitches(), 1u);
+}
+
+TEST(Simulation, ContextSwitchesCountARoundTrip) {
+  Simulation S;
+  S.schedule(usec(500), [] {});
+  S.spawn("a", [&] { S.sleep(msec(1)); });
+  S.run();
+  // The start, and the resume after the earlier event ran.
   EXPECT_EQ(S.contextSwitches(), 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Continuing in place: a wait whose own wake is the next dispatch makes no
+// switch, and everything else still goes first.
+//===----------------------------------------------------------------------===//
+
+TEST(Simulation, LoneSleeperContinuesInPlace) {
+  Simulation S;
+  std::vector<Time> Fired;
+  S.schedule(msec(5), [&] { Fired.push_back(S.now()); });
+  S.spawn("p", [&] {
+    uint64_t Before = S.contextSwitches();
+    S.sleep(msec(3));
+    EXPECT_EQ(S.contextSwitches(), Before);
+    EXPECT_EQ(S.now(), msec(3));
+    EXPECT_TRUE(Fired.empty()) << "the later event waits its turn";
+  });
+  S.run();
+  EXPECT_EQ(Fired, (std::vector<Time>{msec(5)}));
+}
+
+TEST(Simulation, EventDueAtTheWakeRunsFirst) {
+  // Scheduled before the sleep, so it holds the earlier seq at the same
+  // instant: the round trip dispatches it before the sleeper's wake.
+  Simulation S;
+  std::vector<int> Order;
+  S.schedule(msec(2), [&] { Order.push_back(1); });
+  S.spawn("p", [&] {
+    uint64_t Before = S.contextSwitches();
+    S.sleep(msec(2));
+    Order.push_back(2);
+    EXPECT_EQ(S.contextSwitches(), Before + 1);
+    EXPECT_EQ(S.now(), msec(2));
+  });
+  S.run();
+  EXPECT_EQ(Order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulation, ReadyProcessRunsBeforeASleeperWakes) {
+  Simulation S;
+  std::vector<int> Order;
+  S.spawn("a", [&] {
+    S.sleep(msec(1)); // b's start is still ready.
+    Order.push_back(2);
+    EXPECT_EQ(S.now(), msec(1));
+  });
+  S.spawn("b", [&] {
+    Order.push_back(1);
+    EXPECT_EQ(S.now(), 0u);
+  });
+  S.run();
+  EXPECT_EQ(Order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(S.contextSwitches(), 3u); // Two starts and a's resume.
+}
+
+TEST(Simulation, SleepPastTheHorizonStaysBlocked) {
+  Simulation S;
+  bool Woke = false;
+  S.spawn("p", [&] {
+    S.sleep(msec(5));
+    Woke = true;
+  });
+  EXPECT_TRUE(S.runFor(msec(2)));
+  EXPECT_FALSE(Woke);
+  EXPECT_EQ(S.now(), msec(2));
+  EXPECT_EQ(S.liveProcessCount(), 1u);
+  // Within the next horizon it wakes on time, and the clock then goes on
+  // to that horizon.
+  EXPECT_FALSE(S.runFor(msec(10)));
+  EXPECT_TRUE(Woke);
+  EXPECT_EQ(S.now(), msec(12));
+}
+
+TEST(Simulation, StopBeforeASleepLeavesTheSleeperBlocked) {
+  Simulation S;
+  bool Woke = false;
+  S.spawn("p", [&] {
+    S.stop();
+    S.sleep(msec(1));
+    Woke = true;
+  });
+  S.run();
+  EXPECT_FALSE(Woke);
+  EXPECT_EQ(S.now(), 0u);
+  S.run();
+  EXPECT_TRUE(Woke);
+  EXPECT_EQ(S.now(), msec(1));
+}
+
+TEST(Simulation, WaitForWhoseTimeoutComesNextTimesOut) {
+  Simulation S;
+  WaitQueue Q(S);
+  bool Notified = true;
+  S.spawn("w", [&] {
+    uint64_t Before = S.contextSwitches();
+    Notified = Q.waitFor(msec(2));
+    EXPECT_EQ(S.contextSwitches(), Before);
+    EXPECT_EQ(S.now(), msec(2));
+    EXPECT_EQ(Q.waiterCount(), 0u);
+  });
+  S.run();
+  EXPECT_FALSE(Notified);
+}
+
+TEST(Simulation, WaitForNotifiedBeforeItsTimeoutSeesTheNotify) {
+  Simulation S;
+  WaitQueue Q(S);
+  bool Notified = false;
+  S.schedule(msec(1), [&] { Q.notifyOne(); });
+  S.spawn("w", [&] {
+    Notified = Q.waitFor(msec(10));
+    EXPECT_EQ(S.now(), msec(1));
+  });
+  S.run();
+  EXPECT_TRUE(Notified);
+  EXPECT_EQ(S.now(), msec(1)); // The cancelled timeout moves no clock.
+}
+
+TEST(Simulation, LoneYieldContinuesInPlace) {
+  Simulation S;
+  S.schedule(msec(1), [] {}); // Due later: no reason to hand over.
+  S.spawn("p", [&] {
+    uint64_t Before = S.contextSwitches();
+    S.yieldNow();
+    EXPECT_EQ(S.contextSwitches(), Before);
+    EXPECT_EQ(S.now(), 0u);
+  });
+  S.run();
+  EXPECT_EQ(S.contextSwitches(), 1u);
+}
+
+TEST(Simulation, YieldHandsOverToWhatIsDueNow) {
+  Simulation S;
+  std::vector<int> Order;
+  S.spawn("p", [&] {
+    S.schedule(0, [&] { Order.push_back(1); });
+    S.yieldNow(); // The event is due at this instant.
+    Order.push_back(2);
+    S.spawn("q", [&] { Order.push_back(3); });
+    S.yieldNow(); // q is ready.
+    Order.push_back(4);
+    EXPECT_EQ(S.now(), 0u);
+  });
+  S.run();
+  EXPECT_EQ(Order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(S.contextSwitches(), 4u); // p's start and two resumes, q's start.
 }
 
 TEST(Simulation, ManyProcessesRunToCompletion) {

@@ -256,6 +256,40 @@ TEST_F(IntegrityFixture, CallTooFarAheadIsDroppedAsLost) {
   }
 }
 
+TEST_F(IntegrityFixture, CancelTooFarAheadIsDropped) {
+  // A checksummed cancel naming a seq 2^20 past the receiver's next would
+  // park it until delivery reached it, which no real stream does; enough
+  // of them grow the receiver without bound. That seq is dropped and the
+  // datagram counted once; the in-range seq it names still cancels.
+  build();
+  AgentId A = Client->newAgent();
+  std::vector<KeptOutcome> Out;
+  for (uint32_t I = 0; I != 3; ++I)
+    call(A, I, Out);
+  S.run(); // Seqs 1-3 done: the receiver expects seq 4 next.
+  CancelMsg Forged;
+  Forged.Agent = A;
+  Forged.Group = 1;
+  Forged.Seqs = {5, 4 + Seq{wire::MaxSequenceElems}};
+  Net->send(Client->address(), Server->address(),
+            encodeFramedMessage(Forged));
+  S.run();
+  EXPECT_EQ(Server->counters().MalformedDropped, 1u);
+  for (uint32_t I = 3; I != 6; ++I)
+    call(A, I, Out);
+  S.run();
+  ASSERT_EQ(Out.size(), 6u);
+  for (uint32_t I : {0u, 1u, 2u, 3u, 5u}) {
+    EXPECT_EQ(Out[I].K, ReplyOutcome::Kind::Normal);
+    EXPECT_EQ(u32Of(Out[I].Payload), I);
+  }
+  EXPECT_EQ(Out[4].K, ReplyOutcome::Kind::Unavailable);
+  EXPECT_EQ(Out[4].Reason, core::reasons::Cancelled);
+  EXPECT_EQ(Deliveries.size(), 5u) << "the cancelled seq 5 never runs";
+  EXPECT_EQ(Server->counters().CallsCancelled, 1u);
+  EXPECT_EQ(Server->counters().MalformedDropped, 1u);
+}
+
 TEST_F(IntegrityFixture, ReorderingPreservesCallOrder) {
   // Heavy reordering: most copies suffer up to 2ms of extra delay, far
   // larger than the inter-send gap, so datagrams routinely overtake each
